@@ -6,7 +6,6 @@ from .basis import (
     confounding_report,
     mi_basis,
     mi_operator,
-    mi_propagator,
 )
 from .data import (
     AlignedData,

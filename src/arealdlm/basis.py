@@ -1,27 +1,22 @@
-"""Moran's I operator, reduced-rank spatial basis, and orthonormal propagator.
+"""Moran's I operator and the reduced-rank spatial basis.
 
 The operator projects the adjacency structure onto the orthogonal complement
 of the covariate column space; its leading eigenvectors give spatial basis
-functions that cannot be confounded with the fixed effects. A companion
-orthonormal propagator drives the latent coefficients through time while
-staying orthogonal to whatever covariate image leaks into coefficient space.
+functions that cannot be confounded with the fixed effects. Because
+S_t' X_t = 0, the covariate image in coefficient space is empty and the
+paper's orthonormal transition matrix M_t = eig(I_r - proj(S_t' X_t)) is I_r:
+the latent coefficients follow a random walk, eta_t = eta_{t-1} + w_t.
 """
 
 from __future__ import annotations
 
-import logging
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import DesignSet
 from .errors import ValidationError
-from .linops import eigh_descending, order_eigh_descending, symmetrize
-
-log = logging.getLogger(__name__)
-
-PROPAGATOR_MODES = ("default", "literal-b")
+from .linops import order_eigh_descending, symmetrize
 
 
 def mi_operator(x: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -77,80 +72,16 @@ def mi_basis(
     return lifted[:, :r], values[:r]
 
 
-def _projector_complement(psi: np.ndarray, scale: float) -> np.ndarray:
-    """I_r minus the projector onto col(psi), with noise-aware rank decision.
-
-    Singular values below N*eps*scale are treated as zero so a psi that is
-    pure floating-point residue maps to the exact identity.
-    """
-    r = psi.shape[0]
-    u, s, _ = np.linalg.svd(psi, full_matrices=False)
-    tol = max(psi.shape) * np.finfo(float).eps * max(scale, 1.0)
-    keep = u[:, s > tol]
-    return np.eye(r) - keep @ keep.T
-
-
-def mi_propagator(
-    s_t: np.ndarray, x_t: np.ndarray, mode: str = "default"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal r x r transition matrix avoiding fixed-effect confounding.
-
-    Default mode eigendecomposes I_r - proj(col(S'X)); columns with
-    eigenvalue 1 are orthogonal to the coefficient-space covariate image.
-    Returns (M, eigenvalues descending).
-
-    literal-b mode appends an identity block to S'X before projecting; the
-    block spans all of coefficient space, so the operator is identically zero
-    and every direction is degenerate (M falls back to the identity ordering).
-    """
-    if mode not in PROPAGATOR_MODES:
-        raise ValidationError(f"unknown propagator mode {mode!r}")
-    s_t = np.asarray(s_t, dtype=float)
-    x_t = np.asarray(x_t, dtype=float)
-    if s_t.shape[0] != x_t.shape[0]:
-        raise ValidationError(
-            f"basis and design row counts differ: {s_t.shape[0]} vs {x_t.shape[0]}"
-        )
-    r = s_t.shape[1]
-    psi = s_t.T @ x_t
-    sigma_x = np.linalg.svd(x_t, compute_uv=False)
-    scale = float(sigma_x[0]) if sigma_x.size else 1.0
-    if mode == "literal-b":
-        log.warning(
-            "literal-b propagator: the identity block spans coefficient space, "
-            "the projector complement is the zero matrix, and the propagator "
-            "degenerates to the identity ordering"
-        )
-        b = np.hstack([psi, np.eye(r)])
-        op = _projector_complement(b, max(scale, 1.0))
-    else:
-        op = _projector_complement(psi, scale)
-    if np.max(np.abs(op)) < 1e-12:  # numerically zero operator: fully degenerate
-        op = np.zeros_like(op)
-    values, vectors = eigh_descending(op)
-    spectral_radius = float(np.max(np.abs(values))) if values.size else 0.0
-    if spectral_radius > 1.0 + 1e-12:
-        warnings.warn(
-            f"propagator spectral radius {spectral_radius:.6f} exceeds 1; "
-            "forecasts may be explosive",
-            stacklevel=2,
-        )
-    return vectors, values
-
-
 @dataclass(frozen=True)
 class BasisSystem:
-    """Per-time basis matrices, their eigenvalues, and the propagators.
+    """Per-time basis matrices and their eigenvalues.
 
-    ``s[t]`` is N_t x r with orthonormal columns; ``m[t]`` (t >= 2) is the
-    r x r propagator with its eigenvalues in ``m_eigvals[t]``.
+    ``s[t]`` is N_t x r with orthonormal columns orthogonal to the design.
     """
 
     r: int
     s: dict[int, np.ndarray]
     eigvals: dict[int, np.ndarray]
-    m: dict[int, np.ndarray]
-    m_eigvals: dict[int, np.ndarray]
     provenance: dict = field(default_factory=dict)
 
     @property
@@ -158,48 +89,29 @@ class BasisSystem:
         return sorted(self.s)
 
 
-def build_basis_system(
-    design_set: DesignSet, r: int | None = None, propagator: str = "default"
-) -> BasisSystem:
-    """Construct the basis and propagators for every time point."""
+def build_basis_system(design_set: DesignSet, r: int | None = None) -> BasisSystem:
+    """Construct the basis for every time point."""
     design = design_set.design
     r = design.r if r is None else r
     s: dict[int, np.ndarray] = {}
     eigvals: dict[int, np.ndarray] = {}
-    m: dict[int, np.ndarray] = {}
-    m_eigvals: dict[int, np.ndarray] = {}
     for t in range(1, design.T + 1):
         x_t = design_set.matrices[t]
         a_t = design_set.stacked_adjacency(t)
         s[t], eigvals[t] = mi_basis(x_t, a_t, r)
-        if t >= 2:
-            m[t], m_eigvals[t] = mi_propagator(s[t], x_t, mode=propagator)
     provenance = {
         "r": r,
-        "propagator": propagator,
         "ordering": "eigenvalues descending; degenerate clusters lexicographic",
         "sign_convention": "first entry with |entry| > 1e-12 positive",
     }
-    return BasisSystem(r, s, eigvals, m, m_eigvals, provenance)
+    return BasisSystem(r, s, eigvals, provenance)
 
 
-def confounding_report(
-    basis: BasisSystem, x: dict[int, np.ndarray]
-) -> tuple[float, float]:
-    """Sup-norm diagnostics of basis/propagator confounding with the design.
-
-    Returns (max over t of ||S_t' X_t||_inf, max over t of ||M_cols' Psi_t||_inf
-    restricted to propagator columns with eigenvalue 1).
-    """
+def confounding_report(basis: BasisSystem, x: dict[int, np.ndarray]) -> float:
+    """Max over t of ||S_t' X_t||_inf: how far the basis leaks into the design."""
     max_sx = 0.0
-    max_mpsi = 0.0
     for t in basis.times:
         psi = basis.s[t].T @ x[t]
-        max_sx = max(max_sx, float(np.max(np.abs(psi))) if psi.size else 0.0)
-        if t in basis.m:
-            unit_cols = np.abs(basis.m_eigvals[t] - 1.0) < 1e-10
-            if np.any(unit_cols):
-                overlap = basis.m[t][:, unit_cols].T @ psi
-                if overlap.size:
-                    max_mpsi = max(max_mpsi, float(np.max(np.abs(overlap))))
-    return max_sx, max_mpsi
+        if psi.size:
+            max_sx = max(max_sx, float(np.max(np.abs(psi))))
+    return max_sx

@@ -68,8 +68,8 @@ def _build_parser() -> _Parser:
         required=True,
         help="comma-separated chain directories, one per survey in [rls] order",
     )
-    add("basis", "dump basis matrices, eigenvalues, and propagators")
-    add("prior", "dump prior covariances and the lift log")
+    add("basis", "dump basis matrices and eigenvalues")
+    add("prior", "dump prior covariances, the lift log and innovation ratios")
     return parser
 
 
@@ -111,6 +111,9 @@ def cmd_validate(cfg: RunConfig) -> int:
             "n_by_time": {str(t): int(aligned.n_t(t)) for t in range(1, design.T + 1)},
             "N_by_time": {str(t): structures.design_set.N_t(t) for t in range(1, design.T + 1)},
             "prior_lifts": len(structures.prior.lift_log),
+            "innovation_ratio": {
+                str(t): v for t, v in structures.prior.innovation_ratio.items()
+            },
         }
     )
     cfg.output.mkdir(parents=True, exist_ok=True)
@@ -346,8 +349,6 @@ def cmd_basis(cfg: RunConfig) -> int:
     for t in basis.times:
         np.savetxt(out / f"S_t{t:03d}.csv", basis.s[t], fmt="%.17g", delimiter=",")
         np.savetxt(out / f"eigvals_t{t:03d}.csv", basis.eigvals[t], fmt="%.17g", delimiter=",")
-        if t in basis.m:
-            np.savetxt(out / f"M_t{t:03d}.csv", basis.m[t], fmt="%.17g", delimiter=",")
     (out / "manifest.json").write_text(
         json.dumps(basis.provenance, indent=2, sort_keys=True) + "\n"
     )
@@ -372,6 +373,7 @@ def cmd_prior(cfg: RunConfig) -> int:
                 "pooled": prior.pooled,
                 "lift_log": [[name, val] for name, val in prior.lift_log],
                 "eps_log": [[name, val] for name, val in prior.eps_log],
+                "innovation_ratio": {str(t): v for t, v in prior.innovation_ratio.items()},
             },
             indent=2,
             sort_keys=True,

@@ -20,7 +20,7 @@ _SECTIONS = {
     "paths": {"observations", "covariates", "edges", "output"},
     "design": None,  # variables, p, r, window_<ell>
     "transforms": None,  # variable_<ell>
-    "model": {"propagator", "prior_form", "pooled", "epsilon"},
+    "model": {"prior_form", "pooled", "epsilon"},
     "sampler": {"iterations", "burn_in", "thin", "seed"},
     "hyperparams": {"mu_beta", "sigma_beta2", "alpha_xi", "beta_xi", "alpha_k", "beta_k"},
     "truth": {
@@ -59,7 +59,6 @@ class RunConfig:
     output: Path
     design: StudyDesign
     transforms: dict[int, TransformSpec]
-    propagator: str
     prior_form: str
     pooled: bool
     epsilon: float | None
@@ -157,7 +156,6 @@ def load_config(path: str | Path) -> RunConfig:
     for key in parser.options("model") if parser.has_section("model") else []:
         if key not in _SECTIONS["model"]:
             raise ValidationError(f"unknown key [model] {key}")
-    propagator = _get(parser, "model", "propagator", "default")
     prior_form = _get(parser, "model", "prior_form", "inverted")
     pooled_text = _get(parser, "model", "pooled", "false").lower()
     if pooled_text not in ("true", "false"):
@@ -252,7 +250,6 @@ def load_config(path: str | Path) -> RunConfig:
         output=paths["output"],
         design=design,
         transforms=transforms,
-        propagator=propagator,
         prior_form=prior_form,
         pooled=pooled_text == "true",
         epsilon=epsilon,

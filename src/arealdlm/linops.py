@@ -105,21 +105,6 @@ def order_eigh_descending(
     return vals, vecs
 
 
-def eigh_descending(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric eigendecomposition, eigenvalues descending, signs fixed."""
-    _record(mat.shape[0])
-    values, vectors = np.linalg.eigh(symmetrize(mat))
-    return order_eigh_descending(values, vectors)
-
-
-def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b for symmetric positive-definite a."""
-    _record(a.shape[0])
-    c = np.linalg.cholesky(symmetrize(a))
-    y = np.linalg.solve(c, b)
-    return np.linalg.solve(c.T, y)
-
-
 def inv_spd(a: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive (semi-)definite matrix.
 
@@ -172,7 +157,3 @@ def draw_mvn(rng: np.random.Generator, mean: np.ndarray, cov: np.ndarray) -> np.
     """Draw one multivariate normal vector; consumes exactly len(mean) normals."""
     z = rng.standard_normal(mean.shape[0])
     return mean + chol_psd(cov) @ z
-
-
-def min_eigval(a: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(symmetrize(a)).min())

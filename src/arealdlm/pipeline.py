@@ -39,7 +39,7 @@ def build_structures(cfg: RunConfig) -> ModelStructures:
     units = scan_units(cfg.covariates, cfg.design.p)
     graph = build_adjacency(cfg.edges, units)
     design_set = assemble_design(cfg.covariates, cfg.design, graph)
-    basis = build_basis_system(design_set, propagator=cfg.propagator)
+    basis = build_basis_system(design_set)
     prior = build_prior_structure(
         design_set,
         basis,

@@ -229,7 +229,7 @@ def simulate(
     eta[0] = chol_psd(true_sigma_k2 * prior.k_star[1]) @ rng.standard_normal(r)
     for t in range(2, T + 1):
         shock = rng.standard_normal(r)
-        eta[t - 1] = basis.m[t] @ eta[t - 2] + chol_psd(
+        eta[t - 1] = eta[t - 2] + chol_psd(
             true_sigma_k2 * prior.w_star[t]
         ) @ shock
 

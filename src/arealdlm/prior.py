@@ -123,14 +123,14 @@ def kstar_direct(
     return best_positive_approximant(s_t.T @ p_t @ s_t)
 
 
-def wstar(
-    k_t: np.ndarray, k_prev: np.ndarray, m_t: np.ndarray
-) -> tuple[np.ndarray, float | None]:
-    """Innovation covariance K*_t - M_t K*_{t-1} M_t', lifted to PSD if needed.
+def wstar(k_t: np.ndarray, k_prev: np.ndarray) -> tuple[np.ndarray, float | None]:
+    """Innovation covariance K*_t - K*_{t-1}, lifted to PSD if needed.
 
+    The transition matrix M_t is I_r (the basis is orthogonal to the design),
+    so the innovation is the plain difference of consecutive prior covariances.
     Returns (W*, min_eigenvalue_before_lift or None when no lift happened).
     """
-    raw = symmetrize(k_t - m_t @ k_prev @ m_t.T)
+    raw = symmetrize(k_t - k_prev)
     low = float(np.linalg.eigvalsh(raw).min())
     if low < -PSD_FLOOR:
         return best_positive_approximant(raw), low
@@ -159,6 +159,14 @@ class PriorStructure:
     def times(self) -> list[int]:
         return sorted(self.k_star)
 
+    @property
+    def innovation_ratio(self) -> dict[int, float]:
+        """tr W*_t / tr K*_t for t >= 2: how far eta_t can move per step."""
+        return {
+            t: float(np.trace(w) / np.trace(self.k_star[t]))
+            for t, w in sorted(self.w_star.items())
+        }
+
 
 def _floor_covariance(
     mat: np.ndarray, eps: float | None, name: str, eps_log: list[tuple[str, float]]
@@ -179,6 +187,12 @@ def _floor_covariance(
     return mat + applied * np.eye(mat.shape[0])
 
 
+def _unchanged(k_t: np.ndarray, k_prev: np.ndarray) -> bool:
+    """True when K*_t and K*_{t-1} agree at working precision."""
+    scale = max(float(np.max(np.abs(k_t))), float(np.max(np.abs(k_prev))))
+    return float(np.max(np.abs(k_t - k_prev))) <= k_t.shape[0] * np.finfo(float).eps * scale
+
+
 def build_prior_structure(
     design_set: DesignSet,
     basis: BasisSystem,
@@ -191,7 +205,8 @@ def build_prior_structure(
 
     Targets default to the stacked graph-Laplacian precision. All emitted
     matrices are invertible: singular approximants and singular post-lift
-    innovation covariances receive a recorded eps*I floor.
+    innovation covariances receive a recorded eps*I floor. Logs one warning
+    when K*_t never changes over time, since W* is then the floor alone.
     """
     if form not in PRIOR_FORMS:
         raise ValidationError(f"unknown prior form {form!r}")
@@ -229,9 +244,14 @@ def build_prior_structure(
                     kstar_direct(basis.s[t], targets[t]), eps, f"K*_{t}", eps_log
                 )
 
+    if len(times) > 1 and all(_unchanged(k_star[t], k_star[t - 1]) for t in times[1:]):
+        log.warning(
+            "K*_t - K*_{t-1} is zero for every t (constant covariates or pooled "
+            "prior): W* is only the epsilon floor and the latent path is frozen"
+        )
     w_star: dict[int, np.ndarray] = {}
     for t in times[1:]:
-        w_t, lifted_from = wstar(k_star[t], k_star[t - 1], basis.m[t])
+        w_t, lifted_from = wstar(k_star[t], k_star[t - 1])
         if lifted_from is not None:
             lift_log.append((f"W*_{t}", lifted_from))
             log.info("lifted W*_%d to PSD (min eigenvalue was %.3e)", t, lifted_from)

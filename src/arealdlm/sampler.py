@@ -379,7 +379,7 @@ class _Precomputed:
                 self.g.append(np.zeros((self.r, self.r)))
                 cov = np.eye(self.p) * hyper.sigma_beta2
                 self.beta_pre.append((cov, chol_psd(cov), np.zeros((self.p, 0))))
-        self.m_seq = [basis.m[t] for t in self.times[1:]]
+        self.m_seq = [np.eye(self.r) for _ in self.times[1:]]  # M_t = I_r, see basis
         self.k1_star = prior.k_star[1]
         self.w_star_seq = [prior.w_star[t] for t in self.times[1:]]
         self.k1_factor = chol_psd(self.k1_star)

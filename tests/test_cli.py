@@ -67,6 +67,7 @@ class TestValidateAndFit:
         report = json.loads((tmp_path / "out" / "validation.json").read_text())
         assert report["n"] == 8 * 3
         assert report["r"] == 2
+        assert set(report["innovation_ratio"]) == {"2", "3"}
 
         assert main(["fit", "--config", str(cfg), "--trace", "sigma_k2"]) == 0
         chain_dir = tmp_path / "out" / "chain0"
@@ -150,6 +151,11 @@ class TestExitCodes:
         cfg.write_text(text)
         assert main(["validate", "--config", str(cfg)]) == 3
 
+    def test_removed_propagator_key_rejected(self, tmp_path, capsys):
+        cfg = write_project(tmp_path, model_extra="propagator = default\n")
+        assert main(["basis", "--config", str(cfg)]) == 3
+        assert "unknown key [model] propagator" in capsys.readouterr().err
+
     def test_predict_without_chain(self, tmp_path):
         cfg = write_project(tmp_path)
         main(["simulate", "--config", str(cfg)])
@@ -164,9 +170,8 @@ class TestBasisPriorDumps:
         for t in (1, 2, 3):
             assert (out / f"S_t{t:03d}.csv").exists()
             assert (out / f"eigvals_t{t:03d}.csv").exists()
-        assert (out / "M_t002.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["propagator"] == "default"
+        assert manifest["r"] == 2
         s1 = np.loadtxt(out / "S_t001.csv", delimiter=",")
         assert s1.shape == (8, 2)
 
@@ -176,14 +181,12 @@ class TestBasisPriorDumps:
         out = tmp_path / "out" / "prior"
         manifest = json.loads((out / "manifest.json").read_text())
         assert "lift_log" in manifest and "eps_log" in manifest
+        # constant covariates: the innovations are only the epsilon floor
+        ratio = manifest["innovation_ratio"]
+        assert set(ratio) == {"2", "3"}
+        assert all(0 < v < 1e-6 for v in ratio.values())
         k1 = np.loadtxt(out / "Kstar_t001.csv", delimiter=",")
         assert k1.shape == (2, 2)
-
-    def test_literal_b_mode_runs(self, tmp_path):
-        cfg = write_project(tmp_path, model_extra="propagator = literal-b\n")
-        assert main(["basis", "--config", str(cfg)]) == 0
-        m2 = np.loadtxt(tmp_path / "out" / "basis" / "M_t002.csv", delimiter=",")
-        assert np.array_equal(m2, np.eye(2))
 
 
 class TestRlsCommand:

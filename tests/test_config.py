@@ -24,7 +24,6 @@ variable_1 = logit
 variable_2 = log
 
 [model]
-propagator = default
 prior_form = inverted
 pooled = false
 epsilon = auto

@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from arealdlm.linops import (
     chol_psd,
     draw_mvn,
-    eigh_descending,
     inv_spd,
+    order_eigh_descending,
     sign_fix_columns,
-    solve_spd,
     track_dense_solves,
 )
 
@@ -37,7 +36,7 @@ class TestSignFix:
 
 class TestEighDescending:
     def test_identity_stays_identity(self):
-        vals, vecs = eigh_descending(np.eye(4))
+        vals, vecs = order_eigh_descending(*np.linalg.eigh(np.eye(4)))
         assert np.array_equal(vecs, np.eye(4))
         assert np.array_equal(vals, np.ones(4))
 
@@ -45,7 +44,7 @@ class TestEighDescending:
         rng = np.random.default_rng(1)
         a = rng.normal(size=(6, 6))
         a = (a + a.T) / 2
-        vals, vecs = eigh_descending(a)
+        vals, vecs = order_eigh_descending(*np.linalg.eigh(a))
         assert np.all(np.diff(vals) <= 1e-12)
         assert np.allclose(vecs @ np.diag(vals) @ vecs.T, a, atol=1e-10)
 
@@ -56,7 +55,7 @@ class TestSpdHelpers:
         g = rng.normal(size=(5, 5))
         a = g @ g.T + 0.5 * np.eye(5)
         b = rng.normal(size=5)
-        assert np.allclose(a @ solve_spd(a, b), b, atol=1e-10)
+        assert np.allclose(a @ (inv_spd(a) @ b), b, atol=1e-10)
         assert np.allclose(inv_spd(a) @ a, np.eye(5), atol=1e-10)
 
     def test_inverse_of_singular_is_pseudo(self):
@@ -89,7 +88,7 @@ class TestTracker:
         a = g @ g.T + np.eye(7)
         with track_dense_solves() as tracker:
             inv_spd(a)
-            solve_spd(np.eye(3), np.ones(3))
+            chol_psd(np.eye(3))
         assert tracker.max_dim == 7
         assert sorted(tracker.dims) == [3, 7]
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,19 +188,18 @@ class TestWstar:
     def test_zero_propagation(self):
         rng = np.random.default_rng(11)
         k = random_pd(rng, 3)
-        w, lifted = wstar(k, 2 * k, np.zeros((3, 3)))
+        w, lifted = wstar(k, np.zeros((3, 3)))
         assert lifted is None
         assert np.allclose(w, k, atol=1e-14)
 
     def test_isometry_case(self):
-        q, _ = np.linalg.qr(np.random.default_rng(12).normal(size=(3, 3)))
-        w, lifted = wstar(np.eye(3), np.eye(3), q)
+        w, lifted = wstar(np.eye(3), np.eye(3))
         assert lifted is None
         assert np.max(np.abs(w)) < 1e-12
 
     def test_indefinite_lifted_to_zero(self):
         # eigen-clip oracle: raw = -I lifts to the zero matrix
-        w, lifted = wstar(np.eye(2), 2 * np.eye(2), np.eye(2))
+        w, lifted = wstar(np.eye(2), 2 * np.eye(2))
         assert lifted == pytest.approx(-1.0)
         assert np.max(np.abs(w)) < 1e-14
 
@@ -209,15 +210,13 @@ class TestWstar:
         r = 3
         k_t = random_pd(rng, r)
         k_prev = random_pd(rng, r)
-        q, _ = np.linalg.qr(rng.normal(size=(r, r)))
-        w, _ = wstar(k_t, k_prev, q)
+        w, _ = wstar(k_t, k_prev)
         assert np.linalg.eigvalsh(w).min() >= -1e-10
 
 
 class TestBuildPriorStructure:
     def test_constant_design_innovations_floored(self):
-        # constant covariates give identical K*_t, identity propagators, and
-        # raw zero innovations, which the structure floors (recorded)
+        # constant covariates give identical K*_t and raw zero innovations, which the structure floors (recorded)
         _, _, design_set, basis, prior = toy_structures(
             n_units=9, T=3, p=2, r=3, seed=13, time_varying=False
         )
@@ -247,3 +246,34 @@ class TestBuildPriorStructure:
         assert np.array_equal(pooled.k_star[1], pooled.k_star[2])
         with pytest.raises(ValidationError, match="unknown prior form"):
             build_prior_structure(design_set, basis, form="banana")
+
+
+class TestFrozenPathWarning:
+    """One warning per build when W* is nothing but the epsilon floor."""
+
+    def _build(self, caplog, time_varying, pooled=False):
+        graph = random_connected_graph(12, 10, seed=20)
+        design = StudyDesign(1, ((1, 5),), 2, 3)
+        design_set = make_design_set(graph, design, seed=21, time_varying=time_varying)
+        basis = build_basis_system(design_set)
+        with caplog.at_level(logging.WARNING, logger="arealdlm.prior"):
+            prior = build_prior_structure(design_set, basis, pooled=pooled)
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        return prior, warnings
+
+    def test_constant_design_warns_once(self, caplog):
+        prior, warnings = self._build(caplog, time_varying=False)
+        assert len(warnings) == 1
+        assert "latent path is frozen" in warnings[0].getMessage()
+        assert set(prior.innovation_ratio) == {2, 3, 4, 5}
+        assert max(prior.innovation_ratio.values()) < 1e-6
+
+    def test_pooled_prior_warns_once(self, caplog):
+        prior, warnings = self._build(caplog, time_varying=True, pooled=True)
+        assert len(warnings) == 1
+        assert max(prior.innovation_ratio.values()) < 1e-6
+
+    def test_time_varying_design_does_not_warn(self, caplog):
+        prior, warnings = self._build(caplog, time_varying=True)
+        assert warnings == []
+        assert min(prior.innovation_ratio.values()) > 1e-3

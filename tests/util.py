@@ -76,13 +76,12 @@ def toy_structures(
     seed: int = 0,
     time_varying: bool = False,
     extra_edges: int = 6,
-    propagator: str = "default",
 ):
     """Graph + design + basis + prior for a small synthetic problem."""
     graph = random_connected_graph(n_units, extra_edges, seed)
     design = StudyDesign(L, tuple((1, T) for _ in range(L)), p, r)
     design_set = make_design_set(graph, design, seed=seed + 1, time_varying=time_varying)
-    basis = build_basis_system(design_set, propagator=propagator)
+    basis = build_basis_system(design_set)
     prior = build_prior_structure(design_set, basis)
     return graph, design, design_set, basis, prior
 
