@@ -27,7 +27,6 @@ from .prior import (
     build_prior_structure,
     car_precision,
     frobenius_objective,
-    kstar,
     kstar_pooled,
     wstar,
 )

@@ -11,7 +11,6 @@ import argparse
 import json
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ from . import chainio, predict
 from .config import RunConfig, load_config
 from .data import load_observations
 from .errors import ChainStateError, MissingInputError, ValidationError
-from .pipeline import ModelStructures, build_structures, load_data
+from .pipeline import build_design_structures, build_structures, load_data
 from .sampler import gibbs_run
 
 log = logging.getLogger(__name__)
@@ -125,38 +124,25 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _fit_one_chain(cfg: RunConfig, structures: ModelStructures, obs, chain_seed: int, directory: Path):
-    writer = chainio.ChainWriter(directory)
-    return gibbs_run(
-        obs,
-        structures.design_set,
-        structures.basis,
-        structures.prior,
-        cfg.hyper,
-        iterations=cfg.iterations,
-        burn_in=cfg.burn_in,
-        thin=cfg.thin,
-        seed=chain_seed,
-        writer=writer,
-    )
-
-
 def cmd_fit(cfg: RunConfig, chains: int = 1, trace: list[str] | None = None) -> int:
     _require_inputs(cfg)
     structures = build_structures(cfg)
     obs, _ = load_data(cfg, structures)
     cfg.output.mkdir(parents=True, exist_ok=True)
-    dirs = [cfg.output / f"chain{i}" for i in range(chains)]
-    if chains == 1:
-        results = [_fit_one_chain(cfg, structures, obs, cfg.seed, dirs[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=chains) as pool:
-            futures = [
-                pool.submit(_fit_one_chain, cfg, structures, obs, cfg.seed + i, d)
-                for i, d in enumerate(dirs)
-            ]
-            results = [f.result() for f in futures]
-    for chain, directory in zip(results, dirs):
+    for i in range(chains):
+        directory = cfg.output / f"chain{i}"
+        chain = gibbs_run(
+            obs,
+            structures.design_set,
+            structures.basis,
+            structures.prior,
+            cfg.hyper,
+            iterations=cfg.iterations,
+            burn_in=cfg.burn_in,
+            thin=cfg.thin,
+            seed=cfg.seed + i,
+            writer=chainio.ChainWriter(directory),
+        )
         for selector in trace or []:
             summary = predict.trace_summary(chain, selector)
             safe = selector.replace("[", "_").replace("]", "").replace(",", "_")
@@ -171,7 +157,7 @@ def cmd_predict(cfg: RunConfig, chain_dir: str | None) -> int:
     if not (directory / "manifest.json").exists():
         raise ChainStateError(f"no fitted chain at {directory}")
     chain = chainio.read_chain(directory)
-    structures = build_structures(cfg)
+    structures = build_design_structures(cfg)
     _, aligned = load_data(cfg, structures)
     surface = predict.posterior_y(
         chain,
@@ -279,7 +265,7 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
         if not (d / "manifest.json").exists():
             raise ChainStateError(f"no fitted chain at {d}")
 
-    structures = build_structures(cfg)
+    structures = build_design_structures(cfg)
     _, aligned_full = load_data(cfg, structures)
 
     # evaluation cells: variable-1 locations observed by survey 1
@@ -342,7 +328,7 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
 
 def cmd_basis(cfg: RunConfig) -> int:
     _require_inputs(cfg, need_observations=False)
-    structures = build_structures(cfg)
+    structures = build_design_structures(cfg)
     out = cfg.output / "basis"
     out.mkdir(parents=True, exist_ok=True)
     basis = structures.basis

@@ -7,7 +7,7 @@ Paths are resolved relative to the config file's directory.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +69,6 @@ class RunConfig:
     hyper: Hyperparams
     truth: TruthBlock | None = None
     rls_surveys: tuple[Path, ...] = ()
-    extras: dict = field(default_factory=dict)
 
     def validate_sampler(self) -> None:
         if self.iterations <= self.burn_in:

@@ -66,11 +66,10 @@ class StudyDesign:
 
 @dataclass(frozen=True)
 class ArealGraph:
-    """Areal units and their symmetric adjacency, with per-time active subsets."""
+    """Areal units and their symmetric adjacency."""
 
     units: tuple[str, ...]
     edges: frozenset[tuple[int, int]]  # (i, j) with i < j, dense unit indices
-    per_time_active: dict[int, tuple[int, ...]] | None = None
 
     def __post_init__(self):
         n = len(self.units)
@@ -83,17 +82,6 @@ class ArealGraph:
                 raise ValidationError("edge endpoint is not a declared unit")
             if i > j:
                 raise ValidationError("edges must be stored as (i, j) with i < j")
-
-    def unit_index(self, unit: str) -> int:
-        try:
-            return self.units.index(unit)
-        except ValueError:
-            raise ValidationError(f"unknown unit {unit!r}") from None
-
-    def active_units(self, t: int) -> tuple[int, ...]:
-        if self.per_time_active is None:
-            return tuple(range(len(self.units)))
-        return self.per_time_active.get(t, tuple(range(len(self.units))))
 
     def adjacency(self, unit_indices: tuple[int, ...] | None = None) -> np.ndarray:
         """0/1 symmetric adjacency over the given units (default: all)."""
@@ -245,11 +233,7 @@ def load_observations(
     return ObservationSet(design, tuple(obs))
 
 
-def build_adjacency(
-    edge_file: str | Path,
-    units: list[str],
-    per_time_active: dict[int, tuple[int, ...]] | None = None,
-) -> ArealGraph:
+def build_adjacency(edge_file: str | Path, units: list[str]) -> ArealGraph:
     """Read edges.csv (header unit_a,unit_b) into a symmetric, irreflexive graph."""
     index = {u: i for i, u in enumerate(units)}
     if len(index) != len(units):
@@ -265,7 +249,7 @@ def build_adjacency(
             raise ValidationError(f"{edge_file}:{k}: self-loop on unit {a!r}")
         i, j = sorted((index[a], index[b]))
         edges.add((i, j))
-    return ArealGraph(tuple(units), frozenset(edges), per_time_active)
+    return ArealGraph(tuple(units), frozenset(edges))
 
 
 @dataclass(frozen=True)

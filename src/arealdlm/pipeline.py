@@ -26,33 +26,43 @@ from .prior import PriorStructure, build_prior_structure
 
 
 @dataclass(frozen=True)
-class ModelStructures:
-    """Everything derivable from the config without observations."""
+class DesignStructures:
+    """Graph, stacked design and basis: what prediction and scoring read."""
 
     graph: ArealGraph
     design_set: DesignSet
     basis: BasisSystem
+
+
+@dataclass(frozen=True)
+class ModelStructures(DesignStructures):
+    """Everything derivable from the config without observations."""
+
     prior: PriorStructure
 
 
-def build_structures(cfg: RunConfig) -> ModelStructures:
+def build_design_structures(cfg: RunConfig) -> DesignStructures:
     units = scan_units(cfg.covariates, cfg.design.p)
     graph = build_adjacency(cfg.edges, units)
     design_set = assemble_design(cfg.covariates, cfg.design, graph)
-    basis = build_basis_system(design_set)
+    return DesignStructures(graph, design_set, build_basis_system(design_set))
+
+
+def build_structures(cfg: RunConfig) -> ModelStructures:
+    base = build_design_structures(cfg)
     prior = build_prior_structure(
-        design_set,
-        basis,
+        base.design_set,
+        base.basis,
         form=cfg.prior_form,
         pooled=cfg.pooled,
         eps=cfg.epsilon,
     )
-    return ModelStructures(graph, design_set, basis, prior)
+    return ModelStructures(base.graph, base.design_set, base.basis, prior)
 
 
 def load_data(
     cfg: RunConfig,
-    structures: ModelStructures,
+    structures: DesignStructures,
     observations_path=None,
 ) -> tuple[ObservationSet, AlignedData]:
     """Load (and transform) an observation file against the built structures."""

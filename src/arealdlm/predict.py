@@ -137,8 +137,6 @@ def rls(
     truth_draws: np.ndarray,
     full_predictions: np.ndarray,
     survey_predictions: dict[int, np.ndarray],
-    labels: list | None = None,
-    survey_labels: dict[int, list] | None = None,
 ) -> dict[int, float]:
     """Relative leave-one-survey-out criterion per survey.
 
@@ -152,14 +150,6 @@ def rls(
     n = truth_draws.shape[1]
     if full_predictions.shape != (n,):
         raise ValidationError("full predictions are misaligned with the truth draws")
-    if survey_labels is not None and labels is not None:
-        for m, lab in survey_labels.items():
-            if list(lab) != list(labels):
-                missing = sorted(set(labels) - set(lab))
-                extra = sorted(set(lab) - set(labels))
-                raise ValidationError(
-                    f"survey {m} predictions are misaligned: missing={missing} extra={extra}"
-                )
     denom = float(np.sum((truth_draws - full_predictions) ** 2))
     if denom == 0.0:
         raise ValidationError("degenerate criterion: full-chain residuals are all zero")

@@ -2,15 +2,18 @@
 
 The latent-coefficient prior covariance K*_t is chosen so that the implied
 reduced-rank structure is as close as possible (Frobenius norm) to a target
-precision matrix, typically the graph Laplacian. Innovation covariances W*_t
-follow from the first-order dynamics and are lifted to the nearest positive
-semi-definite matrix when the recursion turns them indefinite.
+precision matrix, typically the graph Laplacian. Every K* is built on one
+path: the middle matrix S'PS (averaged over t when pooled) goes through
+``best_positive_approximant``, then ``_floor_covariance``, then is inverted
+for the inverted form. Innovation covariances W*_t follow from the
+first-order dynamics and are lifted to the nearest positive semi-definite
+matrix when the recursion turns them indefinite.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,9 +27,9 @@ log = logging.getLogger(__name__)
 PRIOR_FORMS = ("inverted", "direct")
 
 
-def car_precision(graph: ArealGraph, t: int | None = None) -> np.ndarray:
-    """Graph-Laplacian precision D - A over the units active at time t."""
-    a = graph.adjacency(graph.active_units(t) if t is not None else None)
+def car_precision(graph: ArealGraph) -> np.ndarray:
+    """Graph-Laplacian precision D - A over all units."""
+    a = graph.adjacency()
     return np.diag(a.sum(axis=1)) - a
 
 
@@ -63,47 +66,27 @@ def _auto_eps(approximant: np.ndarray) -> float:
     return 1e-8 * max(float(np.trace(approximant)) / r, 1.0)
 
 
-def _invert_approximant(
-    approximant: np.ndarray, eps: float | None
-) -> tuple[np.ndarray, float]:
-    """Invert, adding eps*I only when the approximant is singular.
+def _floor_covariance(
+    mat: np.ndarray, eps: float | None, name: str, eps_log: list[tuple[str, float]]
+) -> np.ndarray:
+    """Add eps*I when a covariance is singular at working precision.
 
-    Returns (inverse, eps_applied) with eps_applied = 0.0 when no
-    regularization was needed.
+    Keeps every emitted covariance invertible so the same matrix can drive
+    both simulation and the variance full conditional.
     """
-    values = np.linalg.eigvalsh(approximant)
+    values = np.linalg.eigvalsh(mat)
     scale = max(float(values.max()), 1.0)
     if values.min() > PSD_FLOOR * scale:
-        return symmetrize(np.linalg.inv(approximant)), 0.0
-    applied = _auto_eps(approximant) if eps is None else eps
+        return mat
+    applied = _auto_eps(mat) if eps is None else eps
     if applied <= 0.0:
-        raise ValidationError(
-            "singular approximant requires a positive regularization epsilon"
-        )
-    lifted = approximant + applied * np.eye(approximant.shape[0])
-    return symmetrize(np.linalg.inv(lifted)), applied
+        raise ValidationError(f"{name} is singular and epsilon is zero")
+    eps_log.append((name, applied))
+    return mat + applied * np.eye(mat.shape[0])
 
 
-def kstar(
-    s_t: np.ndarray, p_t: np.ndarray, eps: float | None = None
-) -> tuple[np.ndarray, float]:
-    """Optimal prior covariance for one time point (inverted parameterization).
-
-    K* = { A+(S' P S) + eps I }^-1 with eps applied only when the positive
-    approximant is singular. Returns (K*, eps_applied).
-    """
-    middle = best_positive_approximant(s_t.T @ p_t @ s_t)
-    return _invert_approximant(middle, eps)
-
-
-def kstar_pooled(
-    s_list: list[np.ndarray], p_list: list[np.ndarray], eps: float | None = None
-) -> tuple[np.ndarray, float]:
-    """Pooled optimal prior covariance across time points.
-
-    K* = { A+( (1/T) sum_t S_t' P_t S_t ) + eps I }^-1; reduces to the
-    single-t form when one pair is supplied.
-    """
+def _pooled_middle(s_list: list[np.ndarray], p_list: list[np.ndarray]) -> np.ndarray:
+    """(1/T) sum_t S_t' P_t S_t, accumulated in list order."""
     if len(s_list) != len(p_list) or not s_list:
         raise ValidationError("need matching nonempty basis and target lists")
     ranks = {s.shape[1] for s in s_list}
@@ -112,15 +95,33 @@ def kstar_pooled(
     acc = np.zeros((s_list[0].shape[1],) * 2)
     for s_t, p_t in zip(s_list, p_list):
         acc += s_t.T @ p_t @ s_t
-    middle = best_positive_approximant(acc / len(s_list))
-    return _invert_approximant(middle, eps)
+    return acc / len(s_list)
 
 
-def kstar_direct(
-    s_t: np.ndarray, p_t: np.ndarray
+def _kstar(
+    middle: np.ndarray,
+    form: str,
+    eps: float | None,
+    name: str,
+    eps_log: list[tuple[str, float]],
 ) -> np.ndarray:
-    """Non-inverted minimizer: the positive approximant of S' P S itself."""
-    return best_positive_approximant(s_t.T @ p_t @ s_t)
+    """K* from the middle matrix S'PS: A+(S'PS), floored, inverted when form == "inverted"."""
+    k = _floor_covariance(best_positive_approximant(middle), eps, name, eps_log)
+    return symmetrize(np.linalg.inv(k)) if form == "inverted" else k
+
+
+def kstar_pooled(
+    s_list: list[np.ndarray], p_list: list[np.ndarray], eps: float | None = None
+) -> tuple[np.ndarray, float]:
+    """Pooled optimal prior covariance across time points (inverted form).
+
+    K* = { A+( (1/T) sum_t S_t' P_t S_t ) + eps I }^-1 with eps applied only
+    when the positive approximant is singular; one pair gives the single-t
+    minimizer. Returns (K*, eps_applied).
+    """
+    eps_log: list[tuple[str, float]] = []
+    k = _kstar(_pooled_middle(s_list, p_list), "inverted", eps, "K*", eps_log)
+    return k, eps_log[0][1] if eps_log else 0.0
 
 
 def wstar(k_t: np.ndarray, k_prev: np.ndarray) -> tuple[np.ndarray, float | None]:
@@ -149,7 +150,6 @@ class PriorStructure:
 
     k_star: dict[int, np.ndarray]
     w_star: dict[int, np.ndarray]
-    targets: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
     lift_log: tuple[tuple[str, float], ...] = ()
     eps_log: tuple[tuple[str, float], ...] = ()
     form: str = "inverted"
@@ -166,25 +166,6 @@ class PriorStructure:
             t: float(np.trace(w) / np.trace(self.k_star[t]))
             for t, w in sorted(self.w_star.items())
         }
-
-
-def _floor_covariance(
-    mat: np.ndarray, eps: float | None, name: str, eps_log: list[tuple[str, float]]
-) -> np.ndarray:
-    """Add eps*I when a covariance is singular at working precision.
-
-    Keeps every emitted covariance invertible so the same matrix can drive
-    both simulation and the variance full conditional.
-    """
-    values = np.linalg.eigvalsh(mat)
-    scale = max(float(values.max()), 1.0)
-    if values.min() > PSD_FLOOR * scale:
-        return mat
-    applied = _auto_eps(mat) if eps is None else eps
-    if applied <= 0.0:
-        raise ValidationError(f"{name} is singular and epsilon is zero")
-    eps_log.append((name, applied))
-    return mat + applied * np.eye(mat.shape[0])
 
 
 def _unchanged(k_t: np.ndarray, k_prev: np.ndarray) -> bool:
@@ -217,32 +198,15 @@ def build_prior_structure(
     lift_log: list[tuple[str, float]] = []
     eps_log: list[tuple[str, float]] = []
 
-    k_star: dict[int, np.ndarray] = {}
     if pooled:
-        if form == "inverted":
-            shared, applied = kstar_pooled(
-                [basis.s[t] for t in times], [targets[t] for t in times], eps
-            )
-            if applied:
-                eps_log.append(("K*", applied))
-        else:
-            acc = np.zeros((basis.r, basis.r))
-            for t in times:
-                acc += basis.s[t].T @ targets[t] @ basis.s[t]
-            shared = best_positive_approximant(acc / len(times))
-            shared = _floor_covariance(shared, eps, "K*", eps_log)
-        for t in times:
-            k_star[t] = shared
+        middle = _pooled_middle([basis.s[t] for t in times], [targets[t] for t in times])
+        shared = _kstar(middle, form, eps, "K*", eps_log)
+        k_star = {t: shared for t in times}
     else:
-        for t in times:
-            if form == "inverted":
-                k_star[t], applied = kstar(basis.s[t], targets[t], eps)
-                if applied:
-                    eps_log.append((f"K*_{t}", applied))
-            else:
-                k_star[t] = _floor_covariance(
-                    kstar_direct(basis.s[t], targets[t]), eps, f"K*_{t}", eps_log
-                )
+        k_star = {
+            t: _kstar(basis.s[t].T @ targets[t] @ basis.s[t], form, eps, f"K*_{t}", eps_log)
+            for t in times
+        }
 
     if len(times) > 1 and all(_unchanged(k_star[t], k_star[t - 1]) for t in times[1:]):
         log.warning(
@@ -260,7 +224,6 @@ def build_prior_structure(
     return PriorStructure(
         k_star=k_star,
         w_star=w_star,
-        targets=targets,
         lift_log=tuple(lift_log),
         eps_log=tuple(eps_log),
         form=form,

@@ -330,10 +330,6 @@ class PosteriorChain:
     def num_draws(self) -> int:
         return self.eta.shape[0]
 
-    def xi_at(self, j: int, t: int) -> np.ndarray:
-        lo, hi = self.xi_offsets[t]
-        return self.xi[j, lo:hi]
-
 
 class _Precomputed:
     """Constant per-time pieces reused across every Gibbs iteration."""
@@ -438,6 +434,14 @@ def gibbs_run(
     pre = _Precomputed(design_set, basis, prior, aligned, hyper)
     rng = np.random.default_rng(seed)
     state = _initial_state(pre, rng)
+    meta = {
+        "sweep_order": ["eta", "xi", "beta", "sigma_k2", "sigma_xi2"],
+        "move_types": "gibbs",
+        "r": pre.r,
+        "p": pre.p,
+        "T": pre.T,
+        "n": pre.n_total,
+    }
     if writer is not None:
         writer.configure(
             seed=seed,
@@ -445,12 +449,7 @@ def gibbs_run(
             burn_in=burn_in,
             thin=thin,
             xi_offsets={str(t): list(v) for t, v in pre.xi_offsets.items()},
-            sweep_order=["eta", "xi", "beta", "sigma_k2", "sigma_xi2"],
-            move_types="gibbs",
-            r=pre.r,
-            p=pre.p,
-            T=pre.T,
-            n=pre.n_total,
+            **meta,
         )
 
     num_draws = (iterations - burn_in + thin - 1) // thin
@@ -559,14 +558,7 @@ def gibbs_run(
         iterations=iterations,
         burn_in=burn_in,
         thin=thin,
-        meta={
-            "sweep_order": ["eta", "xi", "beta", "sigma_k2", "sigma_xi2"],
-            "move_types": "gibbs",
-            "r": pre.r,
-            "p": pre.p,
-            "T": pre.T,
-            "n": pre.n_total,
-        },
+        meta=meta,
     )
     if writer is not None:
         writer.finalize(chain)

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -98,6 +99,14 @@ class TestValidateAndFit:
         m0 = json.loads((tmp_path / "out" / "chain0" / "manifest.json").read_text())
         m1 = json.loads((tmp_path / "out" / "chain1" / "manifest.json").read_text())
         assert m1["seed"] == m0["seed"] + 1
+        # chain i of a multi-chain fit is the solo fit with seed + i
+        solo = tmp_path / "solo"
+        seed = str(m0["seed"] + 1)
+        assert main(["fit", "--config", str(cfg), "--seed", seed, "--output", str(solo)]) == 0
+        for name in ("eta", "beta", "xi", "sigma_k2", "sigma_xi2"):
+            a = (tmp_path / "out" / "chain1" / f"{name}.csv").read_bytes()
+            b = (solo / "chain0" / f"{name}.csv").read_bytes()
+            assert a == b
 
     def test_masked_unit_prediction_finite(self, tmp_path):
         cfg = write_project(
@@ -174,6 +183,13 @@ class TestBasisPriorDumps:
         assert manifest["r"] == 2
         s1 = np.loadtxt(out / "S_t001.csv", delimiter=",")
         assert s1.shape == (8, 2)
+
+    def test_basis_builds_no_prior(self, tmp_path, caplog):
+        # constant covariates freeze the prior's latent path; basis must not say so
+        cfg = write_project(tmp_path)
+        with caplog.at_level(logging.WARNING):
+            assert main(["basis", "--config", str(cfg)]) == 0
+        assert not [r for r in caplog.records if "latent path is frozen" in r.getMessage()]
 
     def test_prior_dump_with_lift_log(self, tmp_path):
         cfg = write_project(tmp_path)

@@ -151,18 +151,6 @@ class TestRls:
         scaled = rls(3.0 * draws, 3.0 * full, {1: 3.0 * single})[1]
         assert scaled == pytest.approx(base, rel=1e-12)
 
-    def test_misaligned_labels_listed(self):
-        draws = np.zeros((3, 2))
-        draws[0] = [1.0, 2.0]
-        with pytest.raises(ValidationError, match="missing.*extra"):
-            rls(
-                draws,
-                np.zeros(2),
-                {1: np.zeros(2)},
-                labels=["a", "b"],
-                survey_labels={1: ["a", "c"]},
-            )
-
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValidationError, match="misaligned"):
             rls(np.zeros((3, 2)) + 1.0, np.zeros(2), {1: np.zeros(3)})

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from arealdlm.basis import build_basis_system, mi_basis
 from arealdlm.data import ArealGraph, StudyDesign
 from arealdlm.errors import ValidationError
+from arealdlm.linops import symmetrize
 from arealdlm.prior import (
     best_positive_approximant,
     build_prior_structure,
     car_precision,
     frobenius_objective,
-    kstar,
     kstar_pooled,
     wstar,
 )
@@ -103,7 +103,7 @@ class TestKstar:
         rng = np.random.default_rng(3)
         s = random_orthonormal(rng, 4, 4)
         p = random_pd(rng, 4)
-        k, eps = kstar(s, p)
+        k, eps = kstar_pooled([s], [p])
         assert eps == 0.0
         assert np.allclose(k, np.linalg.inv(s.T @ p @ s), atol=1e-10)
         assert frobenius_objective(p, s, k, inverted=True) < 1e-18
@@ -125,7 +125,7 @@ class TestKstar:
         rng = np.random.default_rng(5)
         s = random_orthonormal(rng, 6, 2)
         p = random_pd(rng, 6)
-        k, _ = kstar(s, p)
+        k, _ = kstar_pooled([s], [p])
         best = frobenius_objective(p, s, k, inverted=True)
         for _ in range(10_000):
             cand = random_pd(rng, 2, jitter=float(rng.uniform(0.01, 1.0)))
@@ -136,7 +136,7 @@ class TestKstar:
         s = random_orthonormal(rng, 5, 2)
         # target supported on the second basis column only: S'PS = diag(0, 1)
         p = np.outer(s[:, 1], s[:, 1])
-        k, eps = kstar(s, p)
+        k, eps = kstar_pooled([s], [p])
         assert eps > 0
         assert np.all(np.isfinite(k))
         assert np.linalg.eigvalsh(k).min() > 0
@@ -147,7 +147,7 @@ class TestKstarPooled:
         rng = np.random.default_rng(7)
         s = random_orthonormal(rng, 6, 3)
         p = random_pd(rng, 6)
-        single, _ = kstar(s, p)
+        single = symmetrize(np.linalg.inv(best_positive_approximant(s.T @ p @ s)))
         pooled, _ = kstar_pooled([s], [p])
         assert np.array_equal(single, pooled)
 
@@ -155,7 +155,7 @@ class TestKstarPooled:
         rng = np.random.default_rng(8)
         s = random_orthonormal(rng, 6, 3)
         p = random_pd(rng, 6)
-        single, _ = kstar(s, p)
+        single, _ = kstar_pooled([s], [p])
         pooled, _ = kstar_pooled([s, s], [p, p])
         assert np.allclose(pooled, single, atol=1e-12)
 
@@ -246,6 +246,48 @@ class TestBuildPriorStructure:
         assert np.array_equal(pooled.k_star[1], pooled.k_star[2])
         with pytest.raises(ValidationError, match="unknown prior form"):
             build_prior_structure(design_set, basis, form="banana")
+
+
+class TestFormRelations:
+    """How the inverted, direct and pooled modes relate on one design."""
+
+    @pytest.fixture
+    def design(self):
+        graph = random_connected_graph(12, 10, seed=30)
+        design = StudyDesign(1, ((1, 4),), 2, 3)
+        design_set = make_design_set(graph, design, seed=31, time_varying=True)
+        return design_set, build_basis_system(design_set)
+
+    def test_inverted_is_inverse_of_direct(self, design):
+        design_set, basis = design
+        inverted = build_prior_structure(design_set, basis, form="inverted")
+        direct = build_prior_structure(design_set, basis, form="direct")
+        for prior in (inverted, direct):
+            assert not [name for name, _ in prior.eps_log if name.startswith("K*")]
+        for t in inverted.times:
+            assert np.array_equal(
+                inverted.k_star[t], symmetrize(np.linalg.inv(direct.k_star[t]))
+            )
+
+    def test_pooled_matches_kstar_pooled(self, design):
+        design_set, basis = design
+        prior = build_prior_structure(design_set, basis, pooled=True)
+        assert not [name for name, _ in prior.eps_log if name.startswith("K*")]
+        times = prior.times
+        expected, applied = kstar_pooled(
+            [basis.s[t] for t in times],
+            [design_set.stacked_car_precision(t) for t in times],
+        )
+        assert applied == 0.0
+        for t in times:
+            assert np.array_equal(prior.k_star[t], expected)
+
+    @pytest.mark.parametrize("form", ["inverted", "direct"])
+    def test_zero_eps_on_singular_approximant_raises(self, design, form):
+        design_set, basis = design
+        zero = {t: np.zeros((design_set.N_t(t),) * 2) for t in basis.times}
+        with pytest.raises(ValidationError, match="K\\*_1 is singular and epsilon is zero"):
+            build_prior_structure(design_set, basis, targets=zero, form=form, eps=0.0)
 
 
 class TestFrozenPathWarning:
