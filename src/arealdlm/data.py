@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -83,17 +84,33 @@ class ArealGraph:
             if i > j:
                 raise ValidationError("edges must be stored as (i, j) with i < j")
 
-    def adjacency(self, unit_indices: tuple[int, ...] | None = None) -> np.ndarray:
-        """0/1 symmetric adjacency over the given units (default: all)."""
-        if unit_indices is None:
-            unit_indices = tuple(range(len(self.units)))
-        pos = {u: k for k, u in enumerate(unit_indices)}
-        a = np.zeros((len(unit_indices), len(unit_indices)))
-        for i, j in self.edges:
-            if i in pos and j in pos:
-                a[pos[i], pos[j]] = 1.0
-                a[pos[j], pos[i]] = 1.0
-        return a
+    @cached_property
+    def edge_array(self) -> np.ndarray:
+        """The edges as a sorted E x 2 array of (i, j) unit indices.
+
+        Sorted, so the order does not depend on how the edge set was built.
+        """
+        return np.array(sorted(self.edges), dtype=np.intp).reshape(-1, 2)
+
+    def edge_index(self, unit_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(row, col) positions of the edges among the given units, one entry per edge."""
+        pos = np.full(len(self.units), -1, dtype=np.intp)
+        pos[unit_indices] = np.arange(len(unit_indices))
+        i, j = pos[self.edge_array[:, 0]], pos[self.edge_array[:, 1]]
+        keep = (i >= 0) & (j >= 0)
+        return i[keep], j[keep]
+
+    def adjacency(self) -> np.ndarray:
+        """0/1 symmetric adjacency over all units."""
+        return dense_adjacency(len(self.units), *self.edge_array.T)
+
+
+def dense_adjacency(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """n x n 0/1 symmetric matrix with ones at (rows, cols) and (cols, rows)."""
+    a = np.zeros((n, n))
+    a[rows, cols] = 1.0
+    a[cols, rows] = 1.0
+    return a
 
 
 @dataclass(frozen=True)
@@ -270,21 +287,25 @@ class DesignSet:
     def N_t(self, t: int) -> int:
         return len(self.layout[t])
 
-    def prediction_units(self, variable: int, t: int) -> tuple[int, ...]:
-        return tuple(u for ell, u in self.layout[t] if ell == variable)
+    def edge_index(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """(row, col) positions of the time-t edges, one entry per edge.
+
+        Two rows are adjacent when they hold the same variable and their
+        units share an edge; the pairs define the block-diagonal adjacency.
+        """
+        layout = np.asarray(self.layout[t], dtype=np.intp).reshape(-1, 2)
+        rows, cols = [], []
+        for ell in self.design.active_variables(t):
+            (at,) = np.nonzero(layout[:, 0] == ell)
+            i, j = self.graph.edge_index(layout[at, 1])
+            rows.append(at[i])
+            cols.append(at[j])
+        empty = np.zeros(0, dtype=np.intp)
+        return np.concatenate(rows or [empty]), np.concatenate(cols or [empty])
 
     def stacked_adjacency(self, t: int) -> np.ndarray:
         """Block-diagonal N_t x N_t adjacency over the (variable, unit) rows."""
-        n = self.N_t(t)
-        a = np.zeros((n, n))
-        offset = 0
-        for ell in self.design.active_variables(t):
-            units = self.prediction_units(ell, t)
-            block = self.graph.adjacency(units)
-            m = len(units)
-            a[offset : offset + m, offset : offset + m] = block
-            offset += m
-        return a
+        return dense_adjacency(self.N_t(t), *self.edge_index(t))
 
     def stacked_car_precision(self, t: int) -> np.ndarray:
         a = self.stacked_adjacency(t)

@@ -19,6 +19,8 @@ log = logging.getLogger(__name__)
 # Eigenvalues above -PSD_FLOOR * scale count as numerical noise; below is
 # genuine indefiniteness.
 PSD_FLOOR = 1e-10
+# Eigenvalues closer than this form one degenerate cluster.
+CLUSTER_GAP = 1e-10
 
 
 @dataclass
@@ -73,7 +75,7 @@ def sign_fix_columns(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
 
 
 def order_eigh_descending(
-    values: np.ndarray, vectors: np.ndarray, cluster_gap: float = 1e-10
+    values: np.ndarray, vectors: np.ndarray, cluster_gap: float = CLUSTER_GAP
 ) -> tuple[np.ndarray, np.ndarray]:
     """Order eigenpairs by descending eigenvalue with deterministic ties.
 

@@ -85,17 +85,12 @@ def _floor_covariance(
     return mat + applied * np.eye(mat.shape[0])
 
 
-def _pooled_middle(s_list: list[np.ndarray], p_list: list[np.ndarray]) -> np.ndarray:
-    """(1/T) sum_t S_t' P_t S_t, accumulated in list order."""
-    if len(s_list) != len(p_list) or not s_list:
-        raise ValidationError("need matching nonempty basis and target lists")
-    ranks = {s.shape[1] for s in s_list}
-    if len(ranks) != 1:
-        raise ValidationError(f"mismatched basis ranks across time: {sorted(ranks)}")
-    acc = np.zeros((s_list[0].shape[1],) * 2)
-    for s_t, p_t in zip(s_list, p_list):
-        acc += s_t.T @ p_t @ s_t
-    return acc / len(s_list)
+def _pooled_middle(middles: list[np.ndarray]) -> np.ndarray:
+    """(1/T) sum_t S_t' P_t S_t from the r x r terms S_t' P_t S_t, accumulated in list order."""
+    acc = np.zeros_like(middles[0])
+    for middle in middles:
+        acc += middle
+    return acc / len(middles)
 
 
 def _kstar(
@@ -119,8 +114,14 @@ def kstar_pooled(
     when the positive approximant is singular; one pair gives the single-t
     minimizer. Returns (K*, eps_applied).
     """
+    if len(s_list) != len(p_list) or not s_list:
+        raise ValidationError("need matching nonempty basis and target lists")
+    ranks = {s.shape[1] for s in s_list}
+    if len(ranks) != 1:
+        raise ValidationError(f"mismatched basis ranks across time: {sorted(ranks)}")
+    middle = _pooled_middle([s.T @ p @ s for s, p in zip(s_list, p_list)])
     eps_log: list[tuple[str, float]] = []
-    k = _kstar(_pooled_middle(s_list, p_list), "inverted", eps, "K*", eps_log)
+    k = _kstar(middle, "inverted", eps, "K*", eps_log)
     return k, eps_log[0][1] if eps_log else 0.0
 
 
@@ -184,29 +185,28 @@ def build_prior_structure(
 ) -> PriorStructure:
     """Assemble K*_t and W*_t from the basis and per-time target precisions.
 
-    Targets default to the stacked graph-Laplacian precision. All emitted
-    matrices are invertible: singular approximants and singular post-lift
-    innovation covariances receive a recorded eps*I floor. Logs one warning
-    when K*_t never changes over time, since W* is then the floor alone.
+    Targets default to the stacked graph-Laplacian precision, built inside
+    the per-t loop so that one N_t x N_t target is alive at a time. All
+    emitted matrices are invertible: singular approximants and singular
+    post-lift innovation covariances receive a recorded eps*I floor. Logs one
+    warning when K*_t never changes over time, since W* is then the floor alone.
     """
     if form not in PRIOR_FORMS:
         raise ValidationError(f"unknown prior form {form!r}")
     design = design_set.design
     times = list(range(1, design.T + 1))
-    if targets is None:
-        targets = {t: design_set.stacked_car_precision(t) for t in times}
     lift_log: list[tuple[str, float]] = []
     eps_log: list[tuple[str, float]] = []
 
+    def middle(t: int) -> np.ndarray:
+        target = design_set.stacked_car_precision(t) if targets is None else targets[t]
+        return basis.s[t].T @ target @ basis.s[t]
+
     if pooled:
-        middle = _pooled_middle([basis.s[t] for t in times], [targets[t] for t in times])
-        shared = _kstar(middle, form, eps, "K*", eps_log)
+        shared = _kstar(_pooled_middle([middle(t) for t in times]), form, eps, "K*", eps_log)
         k_star = {t: shared for t in times}
     else:
-        k_star = {
-            t: _kstar(basis.s[t].T @ targets[t] @ basis.s[t], form, eps, f"K*_{t}", eps_log)
-            for t in times
-        }
+        k_star = {t: _kstar(middle(t), form, eps, f"K*_{t}", eps_log) for t in times}
 
     if len(times) > 1 and all(_unchanged(k_star[t], k_star[t - 1]) for t in times[1:]):
         log.warning(

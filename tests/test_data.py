@@ -17,7 +17,7 @@ from arealdlm.data import (
 )
 from arealdlm.errors import MissingInputError, ValidationError
 
-from util import write_lines
+from util import gapped_two_variable_design, write_lines
 
 
 def two_var_design(p=2, r=1):
@@ -136,6 +136,25 @@ class TestBuildAdjacency:
         assert np.array_equal(a, a.T)
         assert np.all(np.diag(a) == 0)
         assert set(np.unique(a)) <= {0.0, 1.0}
+
+
+class TestStackedAdjacency:
+    def test_matches_pairwise_oracle(self):
+        # every pair of rows: adjacent iff same variable and an edge joins the units
+        design_set = gapped_two_variable_design(30, r=2, seed=3)
+        edges = design_set.graph.edges
+        for t in (1, 2):
+            layout = design_set.layout[t]
+            oracle = np.array(
+                [
+                    [float(la == lb and (min(ua, ub), max(ua, ub)) in edges) for lb, ub in layout]
+                    for la, ua in layout
+                ]
+            )
+            assert np.array_equal(design_set.stacked_adjacency(t), oracle)
+            rows, cols = design_set.edge_index(t)
+            assert rows.size == int(oracle.sum()) // 2
+            assert np.all(oracle[rows, cols] == 1.0)
 
 
 class TestApplyTransform:

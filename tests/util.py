@@ -67,6 +67,33 @@ def make_design_set(
     return DesignSet(design, graph, layout, matrices, row_lookup)
 
 
+def gapped_two_variable_design(n_units: int, r: int, seed: int = 0) -> DesignSet:
+    """L = 2 stacked design (p = 3, T = 2) with gaps and an isolated unit.
+
+    The graph is a random connected graph over n_units - 1 units plus one
+    unit without edges; at t = 2 variable 2 has no rows for a tenth of the
+    connected units.
+    """
+    connected = random_connected_graph(n_units - 1, n_units, seed)
+    graph = ArealGraph(connected.units + ("isolated",), connected.edges)
+    design = StudyDesign(2, ((1, 2), (1, 2)), 3, r)
+    rng = np.random.default_rng(seed + 1)
+    dropped = set(rng.choice(n_units - 1, size=n_units // 10, replace=False).tolist())
+    layout, matrices, row_lookup = {}, {}, {}
+    for t in (1, 2):
+        rows = [
+            (ell, u)
+            for ell in (1, 2)
+            for u in range(n_units)
+            if not (t == 2 and ell == 2 and u in dropped)
+        ]
+        layout[t] = tuple(rows)
+        matrices[t] = np.hstack([np.ones((len(rows), 1)), rng.normal(size=(len(rows), 2))])
+        for pos, (ell, u) in enumerate(rows):
+            row_lookup[(ell, t, graph.units[u])] = pos
+    return DesignSet(design, graph, layout, matrices, row_lookup)
+
+
 def toy_structures(
     n_units: int = 8,
     L: int = 1,
