@@ -176,8 +176,8 @@ class BasisSystem:
         return sorted(self.s)
 
 
-def build_basis_system(design_set: DesignSet, r: int | None = None) -> BasisSystem:
-    """Construct the basis for every time point.
+def build_basis_system(design_set: DesignSet) -> BasisSystem:
+    """Construct the rank ``design.r`` basis for every time point.
 
     Each t takes the dense eigensolver below ``LANCZOS_MIN_DIM`` complement
     dimensions (or when r is not well below N_t - p) and Lanczos above; a
@@ -186,7 +186,7 @@ def build_basis_system(design_set: DesignSet, r: int | None = None) -> BasisSyst
     are closer than ``CLUSTER_GAP``: there the basis is not unique.
     """
     design = design_set.design
-    r = design.r if r is None else r
+    r = design.r
     s: dict[int, np.ndarray] = {}
     eigvals: dict[int, np.ndarray] = {}
     solver: dict[int, str] = {}
@@ -204,7 +204,8 @@ def build_basis_system(design_set: DesignSet, r: int | None = None) -> BasisSyst
         values, vectors = pairs
         if values.size > r and values[r - 1] - values[r] < CLUSTER_GAP:
             straddled.append(t)
-        s[t], eigvals[t] = vectors[:, :r], values[:r]
+        # a contiguous copy, so S_t does not keep the solver's eigenvectors alive
+        s[t], eigvals[t] = np.ascontiguousarray(vectors[:, :r]), values[:r]
     if straddled:
         log.warning(
             "eigenvalues %d and %d coincide at t=%s: a degenerate cluster "

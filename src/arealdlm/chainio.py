@@ -2,8 +2,11 @@
 
 One CSV row per stored draw; floats are written with 17 significant digits so
 values round-trip exactly and identical runs produce byte-identical files.
-Buffered rows are flushed periodically so an interrupted run leaves a
-readable partial chain behind.
+``ChainWriter.flush`` appends the rows a ``PosteriorChain`` has stored since
+the last flush, straight from its draw arrays, and rewrites the manifest, so
+an interrupted run leaves a readable partial chain behind. The manifest
+gains ``num_draws`` once every iteration has run. A finished in-memory chain
+is written in one shot by ``ChainWriter(directory).finalize(chain)``.
 """
 
 from __future__ import annotations
@@ -22,10 +25,12 @@ _FLOAT_FMT = "%.17g"
 _FILES = ("eta", "beta", "xi", "sigma_k2", "sigma_xi2")
 
 
-def _headers(T: int, r: int, p: int, xi_offsets: dict[int, tuple[int, int]]):
+def _headers(chain: PosteriorChain) -> dict[str, list[str]]:
+    _, T, r = chain.eta.shape
+    p = chain.beta.shape[2]
     xi_cols = []
-    for t in sorted(xi_offsets):
-        lo, hi = xi_offsets[t]
+    for t in sorted(chain.xi_offsets):
+        lo, hi = chain.xi_offsets[t]
         xi_cols.extend(f"t{t}_i{i}" for i in range(hi - lo))
     return {
         "eta": [f"t{t}_k{k}" for t in range(1, T + 1) for k in range(r)],
@@ -36,93 +41,52 @@ def _headers(T: int, r: int, p: int, xi_offsets: dict[int, tuple[int, int]]):
     }
 
 
+def _manifest(chain: PosteriorChain, completed_iterations: int) -> dict:
+    """Run metadata of ``chain`` after ``completed_iterations`` iterations."""
+    manifest = {
+        "format_version": FORMAT_VERSION,
+        "seed": chain.seed,
+        "iterations": chain.iterations,
+        "burn_in": chain.burn_in,
+        "thin": chain.thin,
+        "xi_offsets": {str(t): list(v) for t, v in chain.xi_offsets.items()},
+        **chain.meta,
+        "completed_iterations": completed_iterations,
+    }
+    if completed_iterations == chain.iterations:
+        manifest["num_draws"] = chain.num_draws
+    return manifest
+
+
 class ChainWriter:
-    """Streams stored draws into a chain directory."""
+    """Appends the stored rows of one chain to a chain directory."""
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._buffers: dict[str, list[np.ndarray]] = {name: [] for name in _FILES}
-        self._handles = None
-        self._manifest: dict = {"format_version": FORMAT_VERSION}
+        self._written = None  # rows on disk; None until the headers are written
 
-    def configure(self, **manifest_fields) -> None:
-        """Record run metadata (seed, dims, sweep order) before draws arrive."""
-        self._manifest.update(manifest_fields)
-
-    def _open(self, T: int, r: int, p: int) -> None:
-        xi_offsets = {
-            int(t): tuple(v) for t, v in self._manifest.get("xi_offsets", {}).items()
-        }
-        headers = _headers(T, r, p, xi_offsets)
-        self._handles = {}
-        for name in _FILES:
-            fh = (self.directory / f"{name}.csv").open("w", encoding="utf-8")
-            fh.write(",".join(headers[name]) + "\n")
-            self._handles[name] = fh
-
-    def append_draw(self, eta, beta, xi, sigma_k2, sigma_xi2) -> None:
-        if self._handles is None:
-            T, r = eta.shape
-            self._open(T, r, beta.shape[1])
-        self._buffers["eta"].append(np.ravel(eta))
-        self._buffers["beta"].append(np.ravel(beta))
-        self._buffers["xi"].append(np.ravel(xi))
-        self._buffers["sigma_k2"].append(np.atleast_1d(sigma_k2))
-        self._buffers["sigma_xi2"].append(np.ravel(sigma_xi2))
-
-    def flush(self, completed_iterations: int | None = None) -> None:
-        if self._handles is not None:
+    def flush(self, chain: PosteriorChain, stored: int, completed_iterations: int) -> None:
+        """Append rows [written, stored) of ``chain`` and rewrite the manifest."""
+        if self._written is None:
+            for name, header in _headers(chain).items():
+                path = self.directory / f"{name}.csv"
+                path.write_text(",".join(header) + "\n", encoding="utf-8")
+            self._written = 0
+        if stored > self._written:
             for name in _FILES:
-                rows = self._buffers[name]
-                if rows:
-                    np.savetxt(self._handles[name], np.vstack(rows), fmt=_FLOAT_FMT, delimiter=",")
-                    self._handles[name].flush()
-                self._buffers[name] = []
-        if completed_iterations is not None:
-            self._manifest["completed_iterations"] = completed_iterations
-        self._write_manifest()
-
-    def _write_manifest(self) -> None:
-        path = self.directory / "manifest.json"
-        path.write_text(json.dumps(self._manifest, sort_keys=True, indent=2) + "\n")
+                rows = getattr(chain, name)[self._written : stored]
+                with (self.directory / f"{name}.csv").open("a", encoding="utf-8") as fh:
+                    np.savetxt(fh, rows.reshape(len(rows), -1), fmt=_FLOAT_FMT, delimiter=",")
+            self._written = stored
+        manifest = _manifest(chain, completed_iterations)
+        (self.directory / "manifest.json").write_text(
+            json.dumps(manifest, sort_keys=True, indent=2) + "\n"
+        )
 
     def finalize(self, chain: PosteriorChain) -> None:
-        self._manifest.update(
-            {
-                "seed": chain.seed,
-                "iterations": chain.iterations,
-                "burn_in": chain.burn_in,
-                "thin": chain.thin,
-                "num_draws": chain.num_draws,
-                "completed_iterations": chain.iterations,
-                "xi_offsets": {str(t): list(v) for t, v in chain.xi_offsets.items()},
-                **{k: v for k, v in chain.meta.items()},
-            }
-        )
-        self.flush()
-        for fh in (self._handles or {}).values():
-            fh.close()
-        self._handles = None
-
-
-def write_chain(chain: PosteriorChain, directory: str | Path) -> Path:
-    """Persist a finished in-memory chain in one shot."""
-    writer = ChainWriter(directory)
-    writer.configure(
-        seed=chain.seed,
-        iterations=chain.iterations,
-        burn_in=chain.burn_in,
-        thin=chain.thin,
-        xi_offsets={str(t): list(v) for t, v in chain.xi_offsets.items()},
-        **chain.meta,
-    )
-    for j in range(chain.num_draws):
-        writer.append_draw(
-            chain.eta[j], chain.beta[j], chain.xi[j], chain.sigma_k2[j], chain.sigma_xi2[j]
-        )
-    writer.finalize(chain)
-    return Path(directory)
+        """Write every remaining row and the complete manifest."""
+        self.flush(chain, chain.num_draws, chain.iterations)
 
 
 def _load_csv(path: Path, allow_empty_cols: bool) -> np.ndarray:

@@ -175,18 +175,6 @@ class ObservationSet:
     def n(self) -> int:
         return len(self.observations)
 
-    def n_t(self, t: int) -> int:
-        return sum(1 for o in self.observations if o.time == t)
-
-    def count_by_time(self) -> dict[int, int]:
-        out = {t: 0 for t in range(1, self.design.T + 1)}
-        for o in self.observations:
-            out[o.time] += 1
-        return out
-
-    def keys(self) -> set[tuple[int, int, str]]:
-        return {(o.variable, o.time, o.unit) for o in self.observations}
-
 
 def _open_csv(path: str | Path, expected_header: list[str]) -> list[dict]:
     path = Path(path)

@@ -107,6 +107,21 @@ def order_eigh_descending(
     return vals, vecs
 
 
+def _eigh_psd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Eigenpairs of a symmetric matrix whose Cholesky failed, plus their scale.
+
+    Eigenvalues below -PSD_FLOOR * scale are genuine indefiniteness, an error;
+    anything above is numerical noise for the caller to clip.
+    """
+    values, vectors = np.linalg.eigh(a)
+    scale = max(np.max(np.abs(values)), 1.0)
+    if values.min() < -PSD_FLOOR * scale:
+        raise np.linalg.LinAlgError(
+            f"matrix is indefinite (min eigenvalue {values.min():.3e})"
+        )
+    return values, vectors, scale
+
+
 def inv_spd(a: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive (semi-)definite matrix.
 
@@ -119,12 +134,7 @@ def inv_spd(a: np.ndarray) -> np.ndarray:
     try:
         c = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        values, vectors = np.linalg.eigh(a)
-        scale = max(np.max(np.abs(values)), 1.0)
-        if values.min() < -PSD_FLOOR * scale:
-            raise np.linalg.LinAlgError(
-                f"matrix is indefinite (min eigenvalue {values.min():.3e})"
-            )
+        values, vectors, scale = _eigh_psd(a)
         log.warning("inv_spd: cholesky failed, using eigenvalue pseudo-inverse")
         inv_vals = np.zeros_like(values)
         keep = values > PSD_FLOOR * scale
@@ -146,12 +156,7 @@ def chol_psd(a: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        values, vectors = np.linalg.eigh(a)
-        scale = max(np.max(np.abs(values)), 1.0)
-        if values.min() < -PSD_FLOOR * scale:
-            raise np.linalg.LinAlgError(
-                f"matrix is indefinite (min eigenvalue {values.min():.3e})"
-            )
+        values, vectors, _ = _eigh_psd(a)
         return vectors * np.sqrt(np.clip(values, 0.0, None))
 
 

@@ -6,9 +6,20 @@ conditionals. All observation-side updates exploit the diagonal measurement
 covariance, so every dense factorization in the per-iteration path is r x r
 or p x p.
 
+Each per-time constant has one builder: ``_information`` gives S'V^-1 and
+S'V^-1 S, ``_beta_moments`` the regression-coefficient posterior covariance,
+its factor and X'V^-1, and ``_scale_factors`` the factors of K*_1 and W*_t.
+The public conditionals call them on every call; ``gibbs_run`` calls them
+once per chain and passes the results in, so one sweep is the public
+conditionals with the constants hoisted. A time with nothing observed needs
+no branch: the empty products give zero information.
+
 Sweep order per iteration: coefficient path, then fine-scale field per time,
 then regression coefficients per time, then the coefficient-scale variance,
-then the per-time fine-scale variances.
+then the per-time fine-scale variances. ``gibbs_run`` stores each kept draw
+in the arrays of the ``PosteriorChain`` it returns, and a
+``chainio.ChainWriter`` appends the new rows from those arrays every
+``flush_every`` iterations.
 """
 
 from __future__ import annotations
@@ -71,7 +82,13 @@ class FilterResult:
     means_pred: np.ndarray  # (T, r)
     covs_filt: np.ndarray  # (T, r, r)
     covs_pred: np.ndarray  # (T, r, r)
-    covs_pred_inv: np.ndarray = field(repr=False, default=None)  # cached for reuse
+    covs_pred_inv: np.ndarray = field(repr=False)  # reused by the backward pass
+
+
+def _information(s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S' V^-1, S' V^-1 S) for diagonal V; zeros when nothing is observed."""
+    sv = s.T / v
+    return sv, sv @ s
 
 
 def _filter_core(
@@ -83,8 +100,9 @@ def _filter_core(
 ) -> FilterResult:
     """Information-form filter from the observation sufficient statistics.
 
-    h_seq[i] = S_i' V_i^-1 z_i (zeros when nothing observed), g_seq[i] =
-    S_i' V_i^-1 S_i; m_seq[i] propagates state i to i+1.
+    h_seq[i] = S_i' V_i^-1 z_i and g_seq[i] = S_i' V_i^-1 S_i (see
+    ``_information``); m_seq[i] propagates state i to i+1. A time whose
+    information is zero keeps its predicted moments.
     """
     T = len(h_seq)
     r = k1.shape[0]
@@ -105,7 +123,7 @@ def _filter_core(
         covs_pred[i] = rr
         rr_inv = inv_spd(rr)
         covs_pred_inv[i] = rr_inv
-        if h_seq[i].size == 0 or not np.any(g_seq[i]):
+        if not np.any(g_seq[i]):
             means_filt[i] = a
             covs_filt[i] = rr
         else:
@@ -160,16 +178,22 @@ def kalman_filter(
         v = np.asarray(v_seq[i], dtype=float)
         if s.shape != (z.size, r) or v.shape != (z.size,):
             raise ValidationError(f"non-conformable observation block at index {i}")
-        if z.size and not (
-            np.all(np.isfinite(z)) and np.all(np.isfinite(s)) and np.all(np.isfinite(v))
-        ):
+        if not (np.all(np.isfinite(z)) and np.all(np.isfinite(s)) and np.all(np.isfinite(v))):
             raise ValidationError(f"non-finite filter input at index {i}")
-        if z.size and not np.all(v > 0):
+        if not np.all(v > 0):
             raise ValidationError(f"measurement variances must be positive at index {i}")
-        sv = s.T / v if z.size else np.zeros((r, 0))
-        h_seq.append(sv @ z if z.size else np.zeros(r))
-        g_seq.append(sv @ s if z.size else np.zeros((r, r)))
+        sv, g = _information(s, v)
+        h_seq.append(sv @ z)
+        g_seq.append(g)
     return _filter_core(h_seq, g_seq, m_seq, k1, w_seq)
+
+
+def _backward_step(
+    filtered: FilterResult, m: np.ndarray, i: int, following: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gain and mean of state i given the filter and state i+1 = ``following``."""
+    gain = filtered.covs_filt[i] @ m.T @ filtered.covs_pred_inv[i + 1]
+    return gain, filtered.means_filt[i] + gain @ (following - filtered.means_pred[i + 1])
 
 
 def backward_sample(
@@ -180,9 +204,7 @@ def backward_sample(
     draw = np.zeros((T, r))
     draw[T - 1] = draw_mvn(rng, filtered.means_filt[T - 1], filtered.covs_filt[T - 1])
     for i in range(T - 2, -1, -1):
-        rr_inv = filtered.covs_pred_inv[i + 1]
-        gain = filtered.covs_filt[i] @ m_seq[i].T @ rr_inv
-        mean = filtered.means_filt[i] + gain @ (draw[i + 1] - filtered.means_pred[i + 1])
+        gain, mean = _backward_step(filtered, m_seq[i], i, draw[i + 1])
         cov = symmetrize(
             filtered.covs_filt[i] - gain @ filtered.covs_pred[i + 1] @ gain.T
         )
@@ -196,8 +218,7 @@ def smoother_means(filtered: FilterResult, m_seq: list[np.ndarray]) -> np.ndarra
     means = np.zeros((T, r))
     means[T - 1] = filtered.means_filt[T - 1]
     for i in range(T - 2, -1, -1):
-        gain = filtered.covs_filt[i] @ m_seq[i].T @ filtered.covs_pred_inv[i + 1]
-        means[i] = filtered.means_filt[i] + gain @ (means[i + 1] - filtered.means_pred[i + 1])
+        means[i] = _backward_step(filtered, m_seq[i], i, means[i + 1])[1]
     return means
 
 
@@ -222,6 +243,15 @@ def sample_xi(
     return mean + np.sqrt(var) * rng.standard_normal(resid.shape[0])
 
 
+def _beta_moments(
+    x: np.ndarray, v: np.ndarray, hyper: Hyperparams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(posterior covariance, its factor, X' V^-1) of the coefficients at one time."""
+    xv = x.T / v
+    cov = inv_spd(xv @ x + np.eye(x.shape[1]) / hyper.sigma_beta2)
+    return cov, chol_psd(cov), xv
+
+
 def sample_beta(
     z_t: np.ndarray,
     x_t: np.ndarray,
@@ -235,20 +265,22 @@ def sample_beta(
 ) -> np.ndarray:
     """Regression-coefficient full conditional (conjugate Gaussian).
 
-    ``precomputed`` optionally carries (posterior covariance, its cholesky
-    factor, X' V^-1) so repeated calls inside the sampler skip the constant
-    factorizations; results are identical either way.
+    ``precomputed`` optionally carries ``_beta_moments(x_t, v_t, hyper)`` so
+    repeated calls inside the sampler skip the constant factorizations;
+    results are identical either way.
     """
     p = x_t.shape[1]
-    if precomputed is None:
-        xv = x_t.T / v_t
-        cov = inv_spd(xv @ x_t + np.eye(p) / hyper.sigma_beta2)
-        factor = chol_psd(cov)
-    else:
-        cov, factor, xv = precomputed
+    cov, factor, xv = precomputed or _beta_moments(x_t, v_t, hyper)
     resid = z_t - xi_t - s_t @ eta_t
     mean = cov @ (xv @ resid + hyper.mu_beta_vector(p) / hyper.sigma_beta2)
     return mean + factor @ rng.standard_normal(p)
+
+
+def _scale_factors(
+    k1_star: np.ndarray, w_star_seq: list[np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Factors of K*_1 and of each W*_t, shared by the scale update and the initial path."""
+    return chol_psd(k1_star), [chol_psd(w) for w in w_star_seq]
 
 
 def _quad_form_spd(chol_factor: np.ndarray, vec: np.ndarray) -> float:
@@ -267,11 +299,7 @@ def sigma_k_posterior(
 ) -> tuple[float, float]:
     """(shape, rate) of the inverse-gamma full conditional for the scale variance."""
     T, r = eta.shape
-    if chol_factors is None:
-        k1_factor = chol_psd(k1_star)
-        w_factors = [chol_psd(w) for w in w_star_seq]
-    else:
-        k1_factor, w_factors = chol_factors
+    k1_factor, w_factors = chol_factors or _scale_factors(k1_star, w_star_seq)
     shape = T * r / 2.0 + hyper.alpha_k
     rate = hyper.beta_k + _quad_form_spd(k1_factor, eta[0]) / 2.0
     for i in range(T - 1):
@@ -354,6 +382,8 @@ class _Precomputed:
         self.sv = []  # S' V^-1
         self.g = []  # S' V^-1 S
         self.beta_pre = []  # (cov, factor, X' V^-1)
+        self.xi_offsets = {}
+        start = 0
         for t in self.times:
             idx = aligned.obs_idx[t]
             x_t = design_set.matrices[t][idx]
@@ -363,44 +393,29 @@ class _Precomputed:
             self.s_obs.append(s_t)
             self.z.append(aligned.z[t])
             self.v.append(v_t)
-            if idx.size:
-                sv = s_t.T / v_t
-                xv = x_t.T / v_t
-                self.sv.append(sv)
-                self.g.append(sv @ s_t)
-                cov = inv_spd(xv @ x_t + np.eye(self.p) / hyper.sigma_beta2)
-                self.beta_pre.append((cov, chol_psd(cov), xv))
-            else:
-                self.sv.append(np.zeros((self.r, 0)))
-                self.g.append(np.zeros((self.r, self.r)))
-                cov = np.eye(self.p) * hyper.sigma_beta2
-                self.beta_pre.append((cov, chol_psd(cov), np.zeros((self.p, 0))))
+            sv, g = _information(s_t, v_t)
+            self.sv.append(sv)
+            self.g.append(g)
+            self.beta_pre.append(_beta_moments(x_t, v_t, hyper))
+            self.xi_offsets[t] = (start, start + aligned.n_t(t))
+            start += aligned.n_t(t)
+        self.n_total = start
         self.m_seq = [np.eye(self.r) for _ in self.times[1:]]  # M_t = I_r, see basis
         self.k1_star = prior.k_star[1]
         self.w_star_seq = [prior.w_star[t] for t in self.times[1:]]
-        self.k1_factor = chol_psd(self.k1_star)
-        self.w_factors = [chol_psd(w) for w in self.w_star_seq]
-        self.n_by_t = [aligned.n_t(t) for t in self.times]
-        self.n_total = int(sum(self.n_by_t))
-        offsets = {}
-        start = 0
-        for t, n_t in zip(self.times, self.n_by_t):
-            offsets[t] = (start, start + n_t)
-            start += n_t
-        self.xi_offsets = offsets
+        self.scale_factors = _scale_factors(self.k1_star, self.w_star_seq)
 
 
 def _initial_state(pre: _Precomputed, rng: np.random.Generator) -> ModelState:
     """Zero fixed effects and fine-scale field, unit variances, prior coefficients."""
+    k1_factor, w_factors = pre.scale_factors
     eta = np.zeros((pre.T, pre.r))
-    eta[0] = draw_mvn(rng, np.zeros(pre.r), pre.k1_star)
+    eta[0] = k1_factor @ rng.standard_normal(pre.r)
     for i in range(pre.T - 1):
-        eta[i + 1] = pre.m_seq[i] @ eta[i] + draw_mvn(
-            rng, np.zeros(pre.r), pre.w_star_seq[i]
-        )
+        eta[i + 1] = pre.m_seq[i] @ eta[i] + w_factors[i] @ rng.standard_normal(pre.r)
     return ModelState(
         eta=eta,
-        xi=[np.zeros(n) for n in pre.n_by_t],
+        xi=[np.zeros(z.size) for z in pre.z],
         beta=np.zeros((pre.T, pre.p)),
         sigma_k2=1.0,
         sigma_xi2=np.ones(pre.T),
@@ -422,9 +437,9 @@ def gibbs_run(
 ) -> PosteriorChain:
     """Run one Gibbs chain and return the stored draws.
 
-    When ``writer`` is given (see chainio.ChainWriter), stored draws are
-    streamed to disk every ``flush_every`` iterations so interrupted runs
-    remain inspectable.
+    When ``writer`` is given (see chainio.ChainWriter), the rows stored since
+    its last flush are appended to disk every ``flush_every`` iterations, so
+    interrupted runs remain inspectable.
     """
     if iterations <= burn_in:
         raise ValidationError("iterations must exceed burn_in")
@@ -434,41 +449,35 @@ def gibbs_run(
     pre = _Precomputed(design_set, basis, prior, aligned, hyper)
     rng = np.random.default_rng(seed)
     state = _initial_state(pre, rng)
-    meta = {
-        "sweep_order": ["eta", "xi", "beta", "sigma_k2", "sigma_xi2"],
-        "move_types": "gibbs",
-        "r": pre.r,
-        "p": pre.p,
-        "T": pre.T,
-        "n": pre.n_total,
-    }
-    if writer is not None:
-        writer.configure(
-            seed=seed,
-            iterations=iterations,
-            burn_in=burn_in,
-            thin=thin,
-            xi_offsets={str(t): list(v) for t, v in pre.xi_offsets.items()},
-            **meta,
-        )
-
     num_draws = (iterations - burn_in + thin - 1) // thin
-    eta_draws = np.zeros((num_draws, pre.T, pre.r))
-    beta_draws = np.zeros((num_draws, pre.T, pre.p))
-    xi_draws = np.zeros((num_draws, pre.n_total))
-    sk_draws = np.zeros(num_draws)
-    sx_draws = np.zeros((num_draws, pre.T))
+    chain = PosteriorChain(
+        eta=np.zeros((num_draws, pre.T, pre.r)),
+        beta=np.zeros((num_draws, pre.T, pre.p)),
+        xi=np.zeros((num_draws, pre.n_total)),
+        sigma_k2=np.zeros(num_draws),
+        sigma_xi2=np.zeros((num_draws, pre.T)),
+        xi_offsets=pre.xi_offsets,
+        seed=seed,
+        iterations=iterations,
+        burn_in=burn_in,
+        thin=thin,
+        meta={
+            "sweep_order": ["eta", "xi", "beta", "sigma_k2", "sigma_xi2"],
+            "move_types": "gibbs",
+            "r": pre.r,
+            "p": pre.p,
+            "T": pre.T,
+            "n": pre.n_total,
+        },
+    )
     stored = 0
 
     for it in range(iterations):
         # latent coefficient path
-        h_seq = []
-        for i in range(pre.T):
-            if pre.n_by_t[i]:
-                z_tilde = pre.z[i] - pre.x_obs[i] @ state.beta[i] - state.xi[i]
-                h_seq.append(pre.sv[i] @ z_tilde)
-            else:
-                h_seq.append(np.zeros(pre.r))
+        h_seq = [
+            pre.sv[i] @ (pre.z[i] - pre.x_obs[i] @ state.beta[i] - state.xi[i])
+            for i in range(pre.T)
+        ]
         filt = _filter_core(
             h_seq,
             pre.g,
@@ -480,17 +489,16 @@ def gibbs_run(
 
         # fine-scale field
         for i in range(pre.T):
-            if pre.n_by_t[i]:
-                state.xi[i] = sample_xi(
-                    pre.z[i],
-                    pre.x_obs[i],
-                    state.beta[i],
-                    pre.s_obs[i],
-                    state.eta[i],
-                    pre.v[i],
-                    state.sigma_xi2[i],
-                    rng,
-                )
+            state.xi[i] = sample_xi(
+                pre.z[i],
+                pre.x_obs[i],
+                state.beta[i],
+                pre.s_obs[i],
+                state.eta[i],
+                pre.v[i],
+                state.sigma_xi2[i],
+                rng,
+            )
 
         # regression coefficients
         for i in range(pre.T):
@@ -514,7 +522,7 @@ def gibbs_run(
             pre.m_seq,
             hyper,
             rng,
-            chol_factors=(pre.k1_factor, pre.w_factors),
+            chol_factors=pre.scale_factors,
         )
         for i in range(pre.T):
             state.sigma_xi2[i] = sample_sigma_xi(state.xi[i], hyper, rng)
@@ -528,38 +536,15 @@ def gibbs_run(
             raise ChainStateError(f"non-finite sampler state at iteration {it}")
 
         if it >= burn_in and (it - burn_in) % thin == 0:
-            eta_draws[stored] = state.eta
-            beta_draws[stored] = state.beta
-            xi_draws[stored] = (
-                np.concatenate(state.xi) if pre.n_total else np.zeros(0)
-            )
-            sk_draws[stored] = state.sigma_k2
-            sx_draws[stored] = state.sigma_xi2
-            if writer is not None:
-                writer.append_draw(
-                    eta_draws[stored],
-                    beta_draws[stored],
-                    xi_draws[stored],
-                    sk_draws[stored],
-                    sx_draws[stored],
-                )
+            chain.eta[stored] = state.eta
+            chain.beta[stored] = state.beta
+            chain.xi[stored] = np.concatenate(state.xi)
+            chain.sigma_k2[stored] = state.sigma_k2
+            chain.sigma_xi2[stored] = state.sigma_xi2
             stored += 1
         if writer is not None and (it + 1) % flush_every == 0:
-            writer.flush(completed_iterations=it + 1)
+            writer.flush(chain, stored, it + 1)
 
-    chain = PosteriorChain(
-        eta=eta_draws,
-        beta=beta_draws,
-        xi=xi_draws,
-        sigma_k2=sk_draws,
-        sigma_xi2=sx_draws,
-        xi_offsets=pre.xi_offsets,
-        seed=seed,
-        iterations=iterations,
-        burn_in=burn_in,
-        thin=thin,
-        meta=meta,
-    )
     if writer is not None:
         writer.finalize(chain)
     return chain

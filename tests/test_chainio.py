@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from arealdlm.chainio import ChainWriter, read_chain, write_chain
+from arealdlm.chainio import ChainWriter, read_chain
 from arealdlm.errors import ChainStateError
 from arealdlm.predict import simulate
 from arealdlm.sampler import Hyperparams, gibbs_run
@@ -32,7 +34,7 @@ def assert_chains_equal(a, b):
 
 class TestRoundTrip:
     def test_write_then_read(self, small_chain, tmp_path):
-        write_chain(small_chain, tmp_path / "chain")
+        ChainWriter(tmp_path / "chain").finalize(small_chain)
         loaded = read_chain(tmp_path / "chain")
         assert_chains_equal(small_chain, loaded)
 
@@ -50,35 +52,26 @@ class TestRoundTrip:
         )
         loaded = read_chain(tmp_path / "streamed")
         assert_chains_equal(chain, loaded)
+        ChainWriter(tmp_path / "one_shot").finalize(chain)
+        for name in ("eta", "beta", "xi", "sigma_k2", "sigma_xi2", "manifest"):
+            suffix = ".json" if name == "manifest" else ".csv"
+            assert (tmp_path / "streamed" / f"{name}{suffix}").read_bytes() == (
+                tmp_path / "one_shot" / f"{name}{suffix}"
+            ).read_bytes()
 
     def test_partial_flush_is_readable(self, small_chain, tmp_path):
         # simulate an interrupted run: flush mid-way, never finalize
-        writer = ChainWriter(tmp_path / "partial")
-        writer.configure(
-            seed=small_chain.seed,
-            iterations=small_chain.iterations,
-            burn_in=small_chain.burn_in,
-            thin=small_chain.thin,
-            xi_offsets={str(t): list(v) for t, v in small_chain.xi_offsets.items()},
-            **small_chain.meta,
-        )
-        for j in range(120):
-            writer.append_draw(
-                small_chain.eta[j],
-                small_chain.beta[j],
-                small_chain.xi[j],
-                small_chain.sigma_k2[j],
-                small_chain.sigma_xi2[j],
-            )
-            if (j + 1) % 100 == 0:
-                writer.flush(completed_iterations=j + 1)
+        ChainWriter(tmp_path / "partial").flush(small_chain, 100, 100)
         partial = read_chain(tmp_path / "partial")
         assert partial.num_draws == 100  # only the flushed rows are on disk
         assert np.array_equal(partial.eta, small_chain.eta[:100])
+        manifest = json.loads((tmp_path / "partial" / "manifest.json").read_text())
+        assert manifest["completed_iterations"] == 100
+        assert "num_draws" not in manifest  # written once the run completes
 
     def test_byte_identical_for_same_chain(self, small_chain, tmp_path):
-        write_chain(small_chain, tmp_path / "a")
-        write_chain(small_chain, tmp_path / "b")
+        ChainWriter(tmp_path / "a").finalize(small_chain)
+        ChainWriter(tmp_path / "b").finalize(small_chain)
         for name in ("eta", "beta", "xi", "sigma_k2", "sigma_xi2"):
             assert (tmp_path / "a" / f"{name}.csv").read_bytes() == (
                 tmp_path / "b" / f"{name}.csv"
@@ -88,9 +81,7 @@ class TestRoundTrip:
         ).read_bytes()
 
     def test_manifest_fields(self, small_chain, tmp_path):
-        import json
-
-        write_chain(small_chain, tmp_path / "chain")
+        ChainWriter(tmp_path / "chain").finalize(small_chain)
         manifest = json.loads((tmp_path / "chain" / "manifest.json").read_text())
         for key in ("format_version", "seed", "iterations", "burn_in", "thin",
                     "sweep_order", "move_types", "r", "p", "T", "n"):

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ class TestLoadObservations:
         design = StudyDesign(1, ((1, 1),), 1, 1)
         out = load_observations(obs_file, design)
         assert out.n == 2
-        assert out.n_t(1) == 2
 
     def test_zero_variance_rejected(self, tmp_path):
         obs_file = tmp_path / "obs.csv"
@@ -67,7 +67,7 @@ class TestLoadObservations:
         obs_file = tmp_path / "obs.csv"
         write_lines(obs_file, "variable,time,unit,z,v", lines)
         out = load_observations(obs_file, design)
-        counts = out.count_by_time()
+        counts = Counter(o.time for o in out.observations)
         for t in range(1, 16):
             assert counts[t] == 3
         for t in range(16, 24):

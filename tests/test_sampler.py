@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from arealdlm.data import align_observations
 from arealdlm.errors import ChainStateError, ValidationError
+from arealdlm.linops import draw_mvn
 from arealdlm.predict import simulate
 from arealdlm.sampler import (
     Hyperparams,
@@ -423,8 +425,6 @@ class TestGibbsRun:
             burn_in=500,
             seed=24,
         )
-        from arealdlm.data import align_observations
-
         aligned = align_observations(design_set, truth.observations)
         for t in range(1, 4):
             idx = aligned.obs_idx[t]
@@ -432,6 +432,63 @@ class TestGibbsRun:
             s = basis.s[t][idx]
             smooth = chain.beta[:, t - 1, :] @ x.T + chain.eta[:, t - 1, :] @ s.T
             assert np.max(np.abs(smooth.mean(axis=0) - aligned.z[t])) < 1e-3
+
+    def test_first_draw_replays_public_conditionals(self):
+        # the sweep is the public conditionals: iteration 0 replayed through
+        # them on one generator, with no precomputed constants, gives the
+        # stored draw bit for bit; time 2 is wholly unobserved
+        graph, design, design_set, basis, prior = toy_structures(
+            n_units=6, T=3, p=2, r=2, seed=31
+        )
+        mask = {(ell, 2, graph.units[u]) for ell, u in design_set.layout[2]}
+        truth = simulate(
+            design_set, basis, prior, np.array([0.3, -0.2]), 1.0, 0.05, 0.1,
+            missing_mask=mask, seed=32,
+        )
+        hyper = Hyperparams()
+        chain = gibbs_run(
+            truth.observations, design_set, basis, prior, hyper,
+            iterations=1, burn_in=0, seed=33,
+        )
+
+        aligned = align_observations(design_set, truth.observations)
+        assert aligned.n_t(2) == 0
+        T, r, p = 3, 2, 2
+        idx = [aligned.obs_idx[t] for t in range(1, T + 1)]
+        x = [design_set.matrices[t][idx[t - 1]] for t in range(1, T + 1)]
+        s = [basis.s[t][idx[t - 1]] for t in range(1, T + 1)]
+        z = [aligned.z[t] for t in range(1, T + 1)]
+        v = [aligned.v[t] for t in range(1, T + 1)]
+        m_seq = [np.eye(r) for _ in range(T - 1)]
+        k1 = prior.k_star[1]
+        w = [prior.w_star[t] for t in range(2, T + 1)]
+        rng = np.random.default_rng(33)
+        # initial path from the prior (the first sweep overwrites it)
+        draw_mvn(rng, np.zeros(r), k1)
+        for w_t in w:
+            draw_mvn(rng, np.zeros(r), w_t)
+        beta = np.zeros((T, p))
+        xi = [np.zeros(z_t.size) for z_t in z]
+        sigma_k2, sigma_xi2 = 1.0, np.ones(T)
+
+        z_tilde = [z[i] - x[i] @ beta[i] - xi[i] for i in range(T)]
+        filt = kalman_filter(z_tilde, s, m_seq, sigma_k2 * k1, [sigma_k2 * w_t for w_t in w], v)
+        eta = backward_sample(filt, m_seq, rng)
+        xi = [
+            sample_xi(z[i], x[i], beta[i], s[i], eta[i], v[i], sigma_xi2[i], rng)
+            for i in range(T)
+        ]
+        for i in range(T):
+            beta[i] = sample_beta(z[i], x[i], xi[i], s[i], eta[i], v[i], hyper, rng)
+        sigma_k2 = sample_sigma_k(eta, k1, w, m_seq, hyper, rng)
+        sigma_xi2 = np.array([sample_sigma_xi(xi_t, hyper, rng) for xi_t in xi])
+
+        assert chain.num_draws == 1
+        assert np.array_equal(chain.eta[0], eta)
+        assert np.array_equal(chain.xi[0], np.concatenate(xi))
+        assert np.array_equal(chain.beta[0], beta)
+        assert chain.sigma_k2[0] == sigma_k2
+        assert np.array_equal(chain.sigma_xi2[0], sigma_xi2)
 
     def test_burn_in_validation(self):
         graph, design, design_set, basis, prior = toy_structures(n_units=6, T=2, p=2, r=2, seed=25)
