@@ -5,7 +5,6 @@ from .basis import (
     build_basis_system,
     confounding_report,
     mi_basis,
-    mi_operator,
 )
 from .data import (
     AlignedData,

@@ -33,24 +33,6 @@ log = logging.getLogger(__name__)
 LANCZOS_MIN_DIM = 500
 
 
-def mi_operator(x: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """(I - P_X) A (I - P_X) with P_X the projector onto the columns of x."""
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    n = x.shape[0]
-    if a.shape != (n, n):
-        raise ValidationError(f"adjacency must be {n}x{n}, got {a.shape}")
-    if not np.allclose(a, a.T):
-        raise ValidationError("adjacency matrix must be symmetric")
-    gram = x.T @ x
-    sv = np.linalg.svd(gram, compute_uv=False)
-    if sv.size == 0 or sv[-1] <= x.shape[1] * np.finfo(float).eps * sv[0]:
-        raise ValidationError("rank-deficient design")
-    proj = x @ np.linalg.solve(gram, x.T)
-    resid = np.eye(n) - proj
-    return symmetrize(resid @ a @ resid)
-
-
 def _complement_basis(x: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the orthogonal complement of col(x)."""
     u, s, _ = np.linalg.svd(x, full_matrices=True)

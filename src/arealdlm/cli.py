@@ -17,7 +17,7 @@ import numpy as np
 
 from . import chainio, predict
 from .config import RunConfig, load_config
-from .data import load_observations
+from .data import AlignedData, load_observations
 from .errors import ChainStateError, MissingInputError, ValidationError
 from .pipeline import build_design_structures, build_structures, load_data
 from .sampler import gibbs_run
@@ -92,12 +92,24 @@ def _require_inputs(cfg: RunConfig, need_observations: bool = True) -> None:
             raise MissingInputError(f"input file not found: {p}")
 
 
+def _warn_unobserved_times(aligned: AlignedData, T: int) -> None:
+    """One WARNING naming every time with no observations at all."""
+    empty = [t for t in range(1, T + 1) if aligned.n_t(t) == 0]
+    if empty:
+        log.warning(
+            "no observations at time(s) %s: beta_t there comes from its vague "
+            "prior alone, so predictions at those times are not informed by data",
+            ", ".join(map(str, empty)),
+        )
+
+
 def cmd_validate(cfg: RunConfig) -> int:
     report = {"config": "ok"}
     _require_inputs(cfg)
     structures = build_structures(cfg)
     obs, aligned = load_data(cfg, structures)
     design = cfg.design
+    _warn_unobserved_times(aligned, design.T)
     report.update(
         {
             "units": len(structures.graph.units),
@@ -159,6 +171,7 @@ def cmd_predict(cfg: RunConfig, chain_dir: str | None) -> int:
     chain = chainio.read_chain(directory)
     structures = build_design_structures(cfg)
     _, aligned = load_data(cfg, structures)
+    _warn_unobserved_times(aligned, cfg.design.T)
     surface = predict.posterior_y(
         chain,
         structures.design_set,

@@ -3,12 +3,15 @@
 Everything here is small-matrix (rank-r or rank-p) work. The solve/inverse
 helpers record the dimension of every dense factorization into any active
 ``SolveTracker`` so tests can assert that the sampler hot path never touches
-an N x N system.
+an N x N system. ``inv``, ``inv_spd`` and ``chol_psd`` also take a
+``(k, n, n)`` stack: one batched call, k recorded entries of size n, and the
+same result as k separate calls.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -29,8 +32,8 @@ class SolveTracker:
 
     dims: list[int] = field(default_factory=list)
 
-    def record(self, n: int) -> None:
-        self.dims.append(int(n))
+    def record(self, n: int, count: int = 1) -> None:
+        self.dims.extend([int(n)] * count)
 
     @property
     def max_dim(self) -> int:
@@ -51,13 +54,15 @@ def track_dense_solves():
         _active_trackers.remove(tracker)
 
 
-def _record(n: int) -> None:
+def _record(a: np.ndarray) -> None:
+    """Record one entry per square matrix of ``a`` (one matrix or a stack)."""
+    count = math.prod(a.shape[:-2])
     for tracker in _active_trackers:
-        tracker.record(n)
+        tracker.record(a.shape[-1], count)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    return (a + a.T) / 2.0
+    return (a + a.swapaxes(-1, -2)) / 2.0
 
 
 def sign_fix_columns(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -122,15 +127,23 @@ def _eigh_psd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return values, vectors, scale
 
 
-def inv_spd(a: np.ndarray) -> np.ndarray:
-    """Inverse of a symmetric positive (semi-)definite matrix.
+def inv(a: np.ndarray) -> np.ndarray:
+    """Inverse by LU of a nonsingular square matrix, or of each matrix of a stack."""
+    _record(a)
+    return np.linalg.inv(a)
 
-    Cholesky first; if that fails (singular or slightly indefinite input),
-    fall back to an eigenvalue pseudo-inverse with tiny negatives clipped.
-    Genuine indefiniteness (min eigenvalue < -PSD_FLOOR * scale) is an error.
-    """
-    a = symmetrize(a)
-    _record(a.shape[0])
+
+def _per_matrix(one, a: np.ndarray) -> np.ndarray:
+    """Apply ``one`` to every matrix of a stack (the fallback of a failed batch)."""
+    return np.stack([one(m) for m in a]) if a.ndim > 2 else one(a)
+
+
+def _inv_from_factor(c: np.ndarray) -> np.ndarray:
+    y = np.linalg.inv(c)
+    return symmetrize(y.swapaxes(-1, -2) @ y)
+
+
+def _inv_spd_one(a: np.ndarray) -> np.ndarray:
     try:
         c = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -140,24 +153,46 @@ def inv_spd(a: np.ndarray) -> np.ndarray:
         keep = values > PSD_FLOOR * scale
         inv_vals[keep] = 1.0 / values[keep]
         return symmetrize((vectors * inv_vals) @ vectors.T)
-    ident = np.eye(a.shape[0])
-    y = np.linalg.solve(c, ident)
-    return symmetrize(y.T @ y)
+    return _inv_from_factor(c)
 
 
-def chol_psd(a: np.ndarray) -> np.ndarray:
-    """A factor F with F F' = a for symmetric PSD a.
+def inv_spd(a: np.ndarray) -> np.ndarray:
+    """Inverse of a symmetric positive (semi-)definite matrix, or of each in a stack.
 
-    Cholesky when positive definite, otherwise an eigenvalue square root with
-    negatives below the noise floor clipped to zero.
+    Cholesky first; if that fails (singular or slightly indefinite input),
+    fall back to an eigenvalue pseudo-inverse with tiny negatives clipped and
+    one WARNING per such matrix. Genuine indefiniteness (min eigenvalue
+    < -PSD_FLOOR * scale) is an error.
     """
     a = symmetrize(a)
-    _record(a.shape[0])
+    _record(a)
+    try:
+        c = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return _per_matrix(_inv_spd_one, a)
+    return _inv_from_factor(c)
+
+
+def _chol_psd_one(a: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         values, vectors, _ = _eigh_psd(a)
         return vectors * np.sqrt(np.clip(values, 0.0, None))
+
+
+def chol_psd(a: np.ndarray) -> np.ndarray:
+    """A factor F with F F' = a for symmetric PSD a, or for each matrix of a stack.
+
+    Cholesky when positive definite, otherwise an eigenvalue square root with
+    negatives below the noise floor clipped to zero.
+    """
+    a = symmetrize(a)
+    _record(a)
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return _per_matrix(_chol_psd_one, a)
 
 
 def draw_mvn(rng: np.random.Generator, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:

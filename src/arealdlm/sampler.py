@@ -6,20 +6,30 @@ conditionals. All observation-side updates exploit the diagonal measurement
 covariance, so every dense factorization in the per-iteration path is r x r
 or p x p.
 
-Each per-time constant has one builder: ``_information`` gives S'V^-1 and
-S'V^-1 S, ``_beta_moments`` the regression-coefficient posterior covariance,
-its factor and X'V^-1, and ``_scale_factors`` the factors of K*_1 and W*_t.
-The public conditionals call them on every call; ``gibbs_run`` calls them
-once per chain and passes the results in, so one sweep is the public
-conditionals with the constants hoisted. A time with nothing observed needs
-no branch: the empty products give zero information.
+Only the step of the forward filter that needs the step before runs once per
+time, as one r x r inverse (``_filter_core``). Everything else is a
+(T, r, r) or (T, p, p) stack handled by one batched call: the
+predicted-covariance inverses, the backward gains, covariances and their
+factors, and the conjugate draws. Within a sweep the cell arrays are flat
+over all observed cells, time-major, with one ``(start, stop)`` row block per
+time (the layout of ``PosteriorChain.xi``); ``sample_xi``, ``sample_beta``
+and ``sample_sigma_xi`` take those blocks and draw every time in one call,
+bit for bit the per-time calls in time order.
 
-Sweep order per iteration: coefficient path, then fine-scale field per time,
-then regression coefficients per time, then the coefficient-scale variance,
-then the per-time fine-scale variances. ``gibbs_run`` stores each kept draw
-in the arrays of the ``PosteriorChain`` it returns, and a
-``chainio.ChainWriter`` appends the new rows from those arrays every
-``flush_every`` iterations.
+Each constant has one builder: ``_information`` gives S'V^-1 and S'V^-1 S,
+``_beta_moments`` the stacked regression-coefficient posterior covariances,
+their factors and X'V^-1, and ``_scale_factors`` the factors of K*_1 and
+W*_t and their inverses. The public conditionals call them on every call;
+``gibbs_run`` calls them once per chain and passes the results in, so one
+sweep is the public conditionals with the constants hoisted. A time with
+nothing observed needs no branch: the empty products give zero information.
+
+Sweep order per iteration: coefficient path, then the fine-scale field, then
+the regression coefficients, then the coefficient-scale variance, then the
+fine-scale variances (each of the last four for all times at once, in time
+order). ``gibbs_run`` stores each kept draw in the arrays of the
+``PosteriorChain`` it returns, and a ``chainio.ChainWriter`` appends the new
+rows from those arrays every ``flush_every`` iterations.
 """
 
 from __future__ import annotations
@@ -32,7 +42,7 @@ import numpy as np
 from .basis import BasisSystem
 from .data import AlignedData, DesignSet, ObservationSet, align_observations
 from .errors import ChainStateError, ValidationError
-from .linops import chol_psd, draw_mvn, inv_spd, symmetrize
+from .linops import chol_psd, inv, inv_spd, symmetrize
 from .prior import PriorStructure
 
 log = logging.getLogger(__name__)
@@ -68,7 +78,7 @@ class ModelState:
     """One configuration of all latent variables and variance parameters."""
 
     eta: np.ndarray  # (T, r)
-    xi: list[np.ndarray]  # per time, length n_t
+    xi: np.ndarray  # flat over observed cells, time-major (see PosteriorChain)
     beta: np.ndarray  # (T, p)
     sigma_k2: float
     sigma_xi2: np.ndarray  # (T,)
@@ -91,6 +101,11 @@ def _information(s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sv, sv @ s
 
 
+def _stack(mats, r: int) -> np.ndarray:
+    """A list of r x r matrices (possibly empty) as one (k, r, r) array."""
+    return np.reshape(np.asarray(mats, dtype=float), (-1, r, r))
+
+
 def _filter_core(
     h_seq: list[np.ndarray],
     g_seq: list[np.ndarray],
@@ -98,40 +113,41 @@ def _filter_core(
     k1: np.ndarray,
     w_seq: list[np.ndarray],
 ) -> FilterResult:
-    """Information-form filter from the observation sufficient statistics.
+    """Covariance-form filter from the observation sufficient statistics.
 
     h_seq[i] = S_i' V_i^-1 z_i and g_seq[i] = S_i' V_i^-1 S_i (see
-    ``_information``); m_seq[i] propagates state i to i+1. A time whose
-    information is zero keeps its predicted moments.
+    ``_information``); m_seq[i] propagates state i to i+1. The one step per
+    time that needs the step before is a single r x r inverse: from the
+    predicted mean a and covariance R, the filtered moments are
+    (I + R G)^-1 R and (I + R G)^-1 (a + R h). I + R G is nonsingular for
+    any PSD R, so a singular innovation needs no special case, and a time
+    with nothing observed (G = 0, h = 0) keeps its predicted moments
+    exactly. The covariances are symmetrized after the loop, and the
+    predicted-covariance inverses the backward pass needs are one batched
+    inverse.
     """
     T = len(h_seq)
     r = k1.shape[0]
+    ident = np.eye(r)
     means_filt = np.zeros((T, r))
     means_pred = np.zeros((T, r))
     covs_filt = np.zeros((T, r, r))
     covs_pred = np.zeros((T, r, r))
-    covs_pred_inv = np.zeros((T, r, r))
+    mean, cov = np.zeros(r), k1
     for i in range(T):
-        if i == 0:
-            a = np.zeros(r)
-            rr = symmetrize(k1)
-        else:
+        if i > 0:
             m = m_seq[i - 1]
-            a = m @ means_filt[i - 1]
-            rr = symmetrize(m @ covs_filt[i - 1] @ m.T + w_seq[i - 1])
-        means_pred[i] = a
-        covs_pred[i] = rr
-        rr_inv = inv_spd(rr)
-        covs_pred_inv[i] = rr_inv
-        if not np.any(g_seq[i]):
-            means_filt[i] = a
-            covs_filt[i] = rr
-        else:
-            prec = rr_inv + g_seq[i]
-            p_filt = inv_spd(prec)
-            covs_filt[i] = p_filt
-            means_filt[i] = p_filt @ (rr_inv @ a + h_seq[i])
-    return FilterResult(means_filt, means_pred, covs_filt, covs_pred, covs_pred_inv)
+            mean = m @ means_filt[i - 1]
+            cov = m @ covs_filt[i - 1] @ m.T + w_seq[i - 1]
+        means_pred[i] = mean
+        covs_pred[i] = cov
+        shrink = inv(ident + cov @ g_seq[i])
+        covs_filt[i] = shrink @ cov
+        means_filt[i] = shrink @ (mean + cov @ h_seq[i])
+    covs_pred = symmetrize(covs_pred)
+    return FilterResult(
+        means_filt, means_pred, symmetrize(covs_filt), covs_pred, inv_spd(covs_pred)
+    )
 
 
 def kalman_filter(
@@ -188,38 +204,56 @@ def kalman_filter(
     return _filter_core(h_seq, g_seq, m_seq, k1, w_seq)
 
 
-def _backward_step(
-    filtered: FilterResult, m: np.ndarray, i: int, following: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gain and mean of state i given the filter and state i+1 = ``following``."""
-    gain = filtered.covs_filt[i] @ m.T @ filtered.covs_pred_inv[i + 1]
-    return gain, filtered.means_filt[i] + gain @ (following - filtered.means_pred[i + 1])
+def _backward_gains(
+    filtered: FilterResult, m_seq: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gains J_i = P_i M_i' R_{i+1}^-1, offsets, and P_i M_i', stacked over time.
+
+    The mean of state i < T-1 given the filter and state i+1 = x is
+    offset_i + J_i x, with offset_i = m_i - J_i a_{i+1}; the last offset is
+    the last filtered mean.
+    """
+    T, r = filtered.means_filt.shape
+    cross = filtered.covs_filt[:-1] @ _stack(m_seq, r).swapaxes(-1, -2)
+    gains = cross @ filtered.covs_pred_inv[1:]
+    offsets = filtered.means_filt.copy()
+    offsets[:-1] -= (gains @ filtered.means_pred[1:, :, None])[..., 0]
+    return gains, offsets, cross
 
 
 def backward_sample(
     filtered: FilterResult, m_seq: list[np.ndarray], rng: np.random.Generator
 ) -> np.ndarray:
-    """Draw one state trajectory from the joint smoothing distribution."""
+    """Draw one state trajectory from the joint smoothing distribution.
+
+    The gains and the backward covariances P_i - J_i M_i P_i of all times are
+    stacks, factored by one stacked Cholesky, so the recursion itself is
+    matrix-vector products. The T x r normals are one block, used from the
+    last time back: the same stream as one r-vector per time.
+    """
     T, r = filtered.means_filt.shape
-    draw = np.zeros((T, r))
-    draw[T - 1] = draw_mvn(rng, filtered.means_filt[T - 1], filtered.covs_filt[T - 1])
+    gains, offsets, cross = _backward_gains(filtered, m_seq)
+    covs = filtered.covs_filt.copy()
+    covs[:-1] -= gains @ cross.swapaxes(-1, -2)
+    normals = rng.standard_normal((T, r))[::-1]
+    draw = offsets + (chol_psd(covs) @ normals[..., None])[..., 0]
     for i in range(T - 2, -1, -1):
-        gain, mean = _backward_step(filtered, m_seq[i], i, draw[i + 1])
-        cov = symmetrize(
-            filtered.covs_filt[i] - gain @ filtered.covs_pred[i + 1] @ gain.T
-        )
-        draw[i] = draw_mvn(rng, mean, cov)
+        draw[i] += gains[i] @ draw[i + 1]
     return draw
 
 
 def smoother_means(filtered: FilterResult, m_seq: list[np.ndarray]) -> np.ndarray:
     """Fixed-interval smoothed means implied by the backward recursion."""
-    T, r = filtered.means_filt.shape
-    means = np.zeros((T, r))
-    means[T - 1] = filtered.means_filt[T - 1]
+    T = filtered.means_filt.shape[0]
+    gains, means, _ = _backward_gains(filtered, m_seq)
     for i in range(T - 2, -1, -1):
-        means[i] = _backward_step(filtered, m_seq[i], i, means[i + 1])[1]
+        means[i] += gains[i] @ means[i + 1]
     return means
+
+
+def _one_block(n: int, *per_time):
+    """The single-time call as a one-block call: blocks, then each per-time value as a row."""
+    return [(0, n)], *(np.reshape(value, (1, -1)) for value in per_time)
 
 
 def sample_xi(
@@ -231,24 +265,43 @@ def sample_xi(
     v_t: np.ndarray,
     sigma_xi2_t: float,
     rng: np.random.Generator,
+    blocks: list[tuple[int, int]] | None = None,
 ) -> np.ndarray:
     """Fine-scale field full conditional: elementwise Gaussian.
 
     Posterior precision is 1/v + 1/sigma_xi2 per observed cell, with mean
     pulled toward the residual after fixed effects and the basis term.
+
+    With ``blocks`` (one ``(start, stop)`` row range per time) the cell
+    arrays hold several times in the flat time-major layout, and ``beta_t``,
+    ``eta_t`` and ``sigma_xi2_t`` hold one row or entry per time. The draw is
+    that of the per-time calls in time order, bit for bit.
     """
-    resid = z_t - x_t @ beta_t - s_t @ eta_t
-    var = 1.0 / (1.0 / v_t + 1.0 / sigma_xi2_t)
+    if blocks is None:
+        blocks, beta_t, eta_t, sigma_xi2_t = _one_block(z_t.shape[0], beta_t, eta_t, sigma_xi2_t)
+    resid = np.empty(z_t.shape[0])
+    for i, (a, b) in enumerate(blocks):
+        resid[a:b] = z_t[a:b] - x_t[a:b] @ beta_t[i] - s_t[a:b] @ eta_t[i]
+    sigma2 = np.repeat(np.ravel(sigma_xi2_t), [b - a for a, b in blocks])
+    var = 1.0 / (1.0 / v_t + 1.0 / sigma2)
     mean = var * resid / v_t
     return mean + np.sqrt(var) * rng.standard_normal(resid.shape[0])
 
 
 def _beta_moments(
-    x: np.ndarray, v: np.ndarray, hyper: Hyperparams
+    x: np.ndarray,
+    v: np.ndarray,
+    hyper: Hyperparams,
+    blocks: list[tuple[int, int]] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(posterior covariance, its factor, X' V^-1) of the coefficients at one time."""
+    """(posterior covariances, their factors, X' V^-1) of the coefficients.
+
+    The covariances and factors are (k, p, p) stacks, one per row block
+    (default: all rows are one time), each from one batched call.
+    """
     xv = x.T / v
-    cov = inv_spd(xv @ x + np.eye(x.shape[1]) / hyper.sigma_beta2)
+    gram = np.stack([xv[:, a:b] @ x[a:b] for a, b in blocks or [(0, x.shape[0])]])
+    cov = inv_spd(gram + np.eye(x.shape[1]) / hyper.sigma_beta2)
     return cov, chol_psd(cov), xv
 
 
@@ -262,31 +315,42 @@ def sample_beta(
     hyper: Hyperparams,
     rng: np.random.Generator,
     precomputed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    blocks: list[tuple[int, int]] | None = None,
 ) -> np.ndarray:
     """Regression-coefficient full conditional (conjugate Gaussian).
 
-    ``precomputed`` optionally carries ``_beta_moments(x_t, v_t, hyper)`` so
-    repeated calls inside the sampler skip the constant factorizations;
-    results are identical either way.
+    ``precomputed`` optionally carries ``_beta_moments(x_t, v_t, hyper,
+    blocks)`` so repeated calls inside the sampler skip the constant
+    factorizations; results are identical either way. ``blocks`` works as in
+    ``sample_xi``; the result then has one row per time.
     """
+    single = blocks is None
+    if single:
+        blocks, eta_t = _one_block(z_t.shape[0], eta_t)
     p = x_t.shape[1]
-    cov, factor, xv = precomputed or _beta_moments(x_t, v_t, hyper)
-    resid = z_t - xi_t - s_t @ eta_t
-    mean = cov @ (xv @ resid + hyper.mu_beta_vector(p) / hyper.sigma_beta2)
-    return mean + factor @ rng.standard_normal(p)
+    cov, factor, xv = precomputed or _beta_moments(x_t, v_t, hyper, blocks)
+    info = np.stack(
+        [
+            xv[:, a:b] @ (z_t[a:b] - xi_t[a:b] - s_t[a:b] @ eta_t[i])
+            for i, (a, b) in enumerate(blocks)
+        ]
+    )
+    mean = (cov @ (info + hyper.mu_beta_vector(p) / hyper.sigma_beta2)[..., None])[..., 0]
+    draw = mean + (factor @ rng.standard_normal((len(blocks), p))[..., None])[..., 0]
+    return draw[0] if single else draw
 
 
 def _scale_factors(
     k1_star: np.ndarray, w_star_seq: list[np.ndarray]
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Factors of K*_1 and of each W*_t, shared by the scale update and the initial path."""
-    return chol_psd(k1_star), [chol_psd(w) for w in w_star_seq]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Factors of K*_1 and of each W*_t, and the inverses of those factors.
 
-
-def _quad_form_spd(chol_factor: np.ndarray, vec: np.ndarray) -> float:
-    """vec' A^-1 vec given the cholesky factor of A."""
-    y = np.linalg.solve(chol_factor, vec)
-    return float(y @ y)
+    Both are (T, r, r) stacks with K*_1 first, each from one batched call;
+    the initial path uses the factors and the scale update the inverses.
+    """
+    r = k1_star.shape[0]
+    factors = chol_psd(np.concatenate((k1_star[None], _stack(w_star_seq, r))))
+    return factors, inv(factors)
 
 
 def sigma_k_posterior(
@@ -295,16 +359,21 @@ def sigma_k_posterior(
     w_star_seq: list[np.ndarray],
     m_seq: list[np.ndarray],
     hyper: Hyperparams,
-    chol_factors: tuple[np.ndarray, list[np.ndarray]] | None = None,
+    scale_factors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, float]:
-    """(shape, rate) of the inverse-gamma full conditional for the scale variance."""
+    """(shape, rate) of the inverse-gamma full conditional for the scale variance.
+
+    ``scale_factors`` optionally carries ``_scale_factors(k1_star,
+    w_star_seq)``; the quadratic forms are then products with the inverse
+    factors, with no solve.
+    """
     T, r = eta.shape
-    k1_factor, w_factors = chol_factors or _scale_factors(k1_star, w_star_seq)
+    _, inverses = scale_factors or _scale_factors(k1_star, w_star_seq)
+    innovations = eta.copy()
+    innovations[1:] -= (_stack(m_seq, r) @ eta[:-1, :, None])[..., 0]
+    whitened = (inverses @ innovations[..., None])[..., 0]
     shape = T * r / 2.0 + hyper.alpha_k
-    rate = hyper.beta_k + _quad_form_spd(k1_factor, eta[0]) / 2.0
-    for i in range(T - 1):
-        u = eta[i + 1] - m_seq[i] @ eta[i]
-        rate += _quad_form_spd(w_factors[i], u) / 2.0
+    rate = hyper.beta_k + float(np.vdot(whitened, whitened)) / 2.0
     return shape, rate
 
 
@@ -315,22 +384,39 @@ def sample_sigma_k(
     m_seq: list[np.ndarray],
     hyper: Hyperparams,
     rng: np.random.Generator,
-    chol_factors: tuple[np.ndarray, list[np.ndarray]] | None = None,
+    scale_factors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
-    shape, rate = sigma_k_posterior(eta, k1_star, w_star_seq, m_seq, hyper, chol_factors)
+    shape, rate = sigma_k_posterior(eta, k1_star, w_star_seq, m_seq, hyper, scale_factors)
     return rate / rng.gamma(shape)
 
 
-def sigma_xi_posterior(xi_t: np.ndarray, hyper: Hyperparams) -> tuple[float, float]:
-    """(shape, rate) of the inverse-gamma full conditional for one time point."""
-    n_t = xi_t.shape[0]
-    return n_t / 2.0 + hyper.alpha_xi, hyper.beta_xi + float(xi_t @ xi_t) / 2.0
+def sigma_xi_posterior(
+    xi_t: np.ndarray, hyper: Hyperparams, blocks: list[tuple[int, int]] | None = None
+):
+    """(shape, rate) of the inverse-gamma full conditional for one time point.
+
+    With ``blocks`` (as in ``sample_xi``) shape and rate are arrays, one
+    entry per time. Sums of squares accumulate in cell order either way, so
+    both forms give the same bits.
+    """
+    per_time = blocks is None
+    if per_time:
+        blocks = [(0, xi_t.shape[0])]
+    counts = np.array([b - a for a, b in blocks])
+    cell_time = np.repeat(np.arange(len(blocks)), counts)
+    squares = np.bincount(cell_time, weights=xi_t * xi_t, minlength=len(blocks))
+    shape = counts / 2.0 + hyper.alpha_xi
+    rate = hyper.beta_xi + squares / 2.0
+    return (float(shape[0]), float(rate[0])) if per_time else (shape, rate)
 
 
 def sample_sigma_xi(
-    xi_t: np.ndarray, hyper: Hyperparams, rng: np.random.Generator
-) -> float:
-    shape, rate = sigma_xi_posterior(xi_t, hyper)
+    xi_t: np.ndarray,
+    hyper: Hyperparams,
+    rng: np.random.Generator,
+    blocks: list[tuple[int, int]] | None = None,
+):
+    shape, rate = sigma_xi_posterior(xi_t, hyper, blocks)
     return rate / rng.gamma(shape)
 
 
@@ -360,7 +446,11 @@ class PosteriorChain:
 
 
 class _Precomputed:
-    """Constant per-time pieces reused across every Gibbs iteration."""
+    """Constant pieces reused across every Gibbs iteration.
+
+    Cell arrays are flat over all observed cells, time-major, with
+    ``blocks[i]`` the row range of time i (the layout of ``PosteriorChain.xi``).
+    """
 
     def __init__(
         self,
@@ -375,47 +465,43 @@ class _Precomputed:
         self.r = basis.r
         self.p = design.p
         self.times = list(range(1, self.T + 1))
-        self.x_obs = []
-        self.s_obs = []
-        self.z = []
-        self.v = []
-        self.sv = []  # S' V^-1
-        self.g = []  # S' V^-1 S
-        self.beta_pre = []  # (cov, factor, X' V^-1)
+        x_obs, s_obs = [], []
+        self.sv = []  # S' V^-1 per time
+        self.g = []  # S' V^-1 S per time
         self.xi_offsets = {}
         start = 0
         for t in self.times:
             idx = aligned.obs_idx[t]
-            x_t = design_set.matrices[t][idx]
-            s_t = basis.s[t][idx]
-            v_t = aligned.v[t]
-            self.x_obs.append(x_t)
-            self.s_obs.append(s_t)
-            self.z.append(aligned.z[t])
-            self.v.append(v_t)
-            sv, g = _information(s_t, v_t)
+            x_obs.append(design_set.matrices[t][idx])
+            s_obs.append(basis.s[t][idx])
+            sv, g = _information(s_obs[-1], aligned.v[t])
             self.sv.append(sv)
             self.g.append(g)
-            self.beta_pre.append(_beta_moments(x_t, v_t, hyper))
             self.xi_offsets[t] = (start, start + aligned.n_t(t))
             start += aligned.n_t(t)
         self.n_total = start
-        self.m_seq = [np.eye(self.r) for _ in self.times[1:]]  # M_t = I_r, see basis
+        self.blocks = list(self.xi_offsets.values())
+        self.x = np.concatenate(x_obs)
+        self.s = np.concatenate(s_obs)
+        self.z = np.concatenate([aligned.z[t] for t in self.times])
+        self.v = np.concatenate([aligned.v[t] for t in self.times])
+        self.beta_pre = _beta_moments(self.x, self.v, hyper, self.blocks)
+        self.m_seq = np.broadcast_to(np.eye(self.r), (self.T - 1, self.r, self.r))  # M_t = I_r, see basis
         self.k1_star = prior.k_star[1]
-        self.w_star_seq = [prior.w_star[t] for t in self.times[1:]]
+        self.w_star_seq = _stack([prior.w_star[t] for t in self.times[1:]], self.r)
         self.scale_factors = _scale_factors(self.k1_star, self.w_star_seq)
 
 
 def _initial_state(pre: _Precomputed, rng: np.random.Generator) -> ModelState:
     """Zero fixed effects and fine-scale field, unit variances, prior coefficients."""
-    k1_factor, w_factors = pre.scale_factors
+    factors, _ = pre.scale_factors
     eta = np.zeros((pre.T, pre.r))
-    eta[0] = k1_factor @ rng.standard_normal(pre.r)
+    eta[0] = factors[0] @ rng.standard_normal(pre.r)
     for i in range(pre.T - 1):
-        eta[i + 1] = pre.m_seq[i] @ eta[i] + w_factors[i] @ rng.standard_normal(pre.r)
+        eta[i + 1] = pre.m_seq[i] @ eta[i] + factors[i + 1] @ rng.standard_normal(pre.r)
     return ModelState(
         eta=eta,
-        xi=[np.zeros(z.size) for z in pre.z],
+        xi=np.zeros(pre.n_total),
         beta=np.zeros((pre.T, pre.p)),
         sigma_k2=1.0,
         sigma_xi2=np.ones(pre.T),
@@ -475,44 +561,27 @@ def gibbs_run(
     for it in range(iterations):
         # latent coefficient path
         h_seq = [
-            pre.sv[i] @ (pre.z[i] - pre.x_obs[i] @ state.beta[i] - state.xi[i])
-            for i in range(pre.T)
+            pre.sv[i] @ (pre.z[a:b] - pre.x[a:b] @ state.beta[i] - state.xi[a:b])
+            for i, (a, b) in enumerate(pre.blocks)
         ]
         filt = _filter_core(
             h_seq,
             pre.g,
             pre.m_seq,
             state.sigma_k2 * pre.k1_star,
-            [state.sigma_k2 * w for w in pre.w_star_seq],
+            state.sigma_k2 * pre.w_star_seq,
         )
         state.eta = backward_sample(filt, pre.m_seq, rng)
 
-        # fine-scale field
-        for i in range(pre.T):
-            state.xi[i] = sample_xi(
-                pre.z[i],
-                pre.x_obs[i],
-                state.beta[i],
-                pre.s_obs[i],
-                state.eta[i],
-                pre.v[i],
-                state.sigma_xi2[i],
-                rng,
-            )
-
-        # regression coefficients
-        for i in range(pre.T):
-            state.beta[i] = sample_beta(
-                pre.z[i],
-                pre.x_obs[i],
-                state.xi[i],
-                pre.s_obs[i],
-                state.eta[i],
-                pre.v[i],
-                hyper,
-                rng,
-                precomputed=pre.beta_pre[i],
-            )
+        # fine-scale field and regression coefficients, all times at once
+        state.xi = sample_xi(
+            pre.z, pre.x, state.beta, pre.s, state.eta, pre.v, state.sigma_xi2, rng,
+            blocks=pre.blocks,
+        )
+        state.beta = sample_beta(
+            pre.z, pre.x, state.xi, pre.s, state.eta, pre.v, hyper, rng,
+            precomputed=pre.beta_pre, blocks=pre.blocks,
+        )
 
         # variances
         state.sigma_k2 = sample_sigma_k(
@@ -522,10 +591,9 @@ def gibbs_run(
             pre.m_seq,
             hyper,
             rng,
-            chol_factors=pre.scale_factors,
+            scale_factors=pre.scale_factors,
         )
-        for i in range(pre.T):
-            state.sigma_xi2[i] = sample_sigma_xi(state.xi[i], hyper, rng)
+        state.sigma_xi2 = sample_sigma_xi(state.xi, hyper, rng, blocks=pre.blocks)
 
         if not (
             np.isfinite(state.sigma_k2)
@@ -538,7 +606,7 @@ def gibbs_run(
         if it >= burn_in and (it - burn_in) % thin == 0:
             chain.eta[stored] = state.eta
             chain.beta[stored] = state.beta
-            chain.xi[stored] = np.concatenate(state.xi)
+            chain.xi[stored] = state.xi
             chain.sigma_k2[stored] = state.sigma_k2
             chain.sigma_xi2[stored] = state.sigma_xi2
             stored += 1

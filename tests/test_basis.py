@@ -16,7 +16,6 @@ from arealdlm.basis import (
     build_basis_system,
     confounding_report,
     mi_basis,
-    mi_operator,
 )
 from arealdlm.data import StudyDesign
 from arealdlm.errors import ValidationError
@@ -25,6 +24,7 @@ from util import (
     cycle_graph,
     gapped_two_variable_design,
     make_design_set,
+    mi_operator,
     random_connected_graph,
     toy_structures,
 )

@@ -124,6 +124,39 @@ class TestValidateAndFit:
             mspe = float(row.split(",")[4])
             assert np.isfinite(mspe) and mspe > 0
 
+    def test_unobserved_time_warned_by_validate_and_predict(self, tmp_path, caplog):
+        # beta_t at a time with no observations comes from its vague prior alone
+        def unobserved_warnings(cfg):
+            found = []
+            for command in ("validate", "fit", "predict"):
+                caplog.clear()
+                with caplog.at_level(logging.WARNING):
+                    assert main([command, "--config", str(cfg)]) == 0
+                found += [
+                    (command, r.getMessage())
+                    for r in caplog.records
+                    if r.levelno == logging.WARNING and "no observations at time" in r.getMessage()
+                ]
+            return found
+
+        (tmp_path / "plain").mkdir()
+        plain = write_project(tmp_path / "plain", iterations=40, burn_in=10)
+        assert main(["simulate", "--config", str(plain)]) == 0
+        assert unobserved_warnings(plain) == []
+
+        cfg = write_project(tmp_path, iterations=40, burn_in=10)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        lines = (tmp_path / "obs.csv").read_text().splitlines()
+        kept = [row for row in lines[1:] if row.split(",")[1] != "2"]
+        assert len(kept) == 8 * 2
+        (tmp_path / "obs.csv").write_text("\n".join([lines[0]] + kept) + "\n")
+        found = unobserved_warnings(cfg)
+        assert [command for command, _ in found] == ["validate", "predict"]
+        assert all("time(s) 2:" in message for _, message in found)
+        rows = (tmp_path / "out" / "predictions.csv").read_text().splitlines()
+        assert rows[0] == (tmp_path / "plain" / "out" / "predictions.csv").read_text().splitlines()[0]
+        assert len(rows) == 1 + 8 * 3
+
 
 class TestExitCodes:
     def test_usage_error(self):

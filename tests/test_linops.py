@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from arealdlm.linops import (
     chol_psd,
     draw_mvn,
+    inv,
     inv_spd,
     order_eigh_descending,
     sign_fix_columns,
@@ -99,3 +102,41 @@ class TestTracker:
                 inv_spd(np.eye(4))
         assert outer.max_dim == 4
         assert inner.dims == [4]
+
+
+class TestStacks:
+    @staticmethod
+    def stack(k=6, r=5, singular=None):
+        rng = np.random.default_rng(5)
+        g = rng.normal(size=(k, r, r))
+        a = g @ g.swapaxes(-1, -2) + 0.3 * np.eye(r)
+        if singular is not None:
+            a[singular] = np.diag([2.0] + [0.0] * (r - 1))
+        return a
+
+    @pytest.mark.parametrize("singular", [None, 2])
+    def test_equal_to_per_matrix_calls(self, singular, caplog):
+        a = self.stack(singular=singular)
+        with caplog.at_level(logging.WARNING, logger="arealdlm.linops"):
+            with track_dense_solves() as tracker:
+                inv_stack, chol_stack = inv_spd(a), chol_psd(a)
+        assert tracker.dims == [5] * 12
+        stack_warnings = len(caplog.records)
+        assert stack_warnings == (0 if singular is None else 1)
+        for i, matrix in enumerate(a):
+            assert np.array_equal(inv_stack[i], inv_spd(matrix))
+            assert np.array_equal(chol_stack[i], chol_psd(matrix))
+        assert len(caplog.records) == 2 * stack_warnings
+
+    def test_singular_member_takes_the_fallback(self):
+        a = self.stack(singular=2)
+        f = chol_psd(a)
+        assert np.allclose(f @ f.swapaxes(-1, -2), a, atol=1e-12)
+        assert np.allclose(inv_spd(a)[2], np.diag([0.5] + [0.0] * 4), atol=1e-12)
+
+    def test_inv_of_stack(self):
+        a = self.stack()
+        with track_dense_solves() as tracker:
+            out = inv(a)
+        assert tracker.dims == [5] * 6
+        assert np.allclose(out @ a, np.eye(5), atol=1e-10)

@@ -3,7 +3,7 @@ import pytest
 
 from arealdlm.data import align_observations
 from arealdlm.errors import ChainStateError, ValidationError
-from arealdlm.linops import draw_mvn
+from arealdlm.linops import draw_mvn, track_dense_solves
 from arealdlm.predict import simulate
 from arealdlm.sampler import (
     Hyperparams,
@@ -514,3 +514,29 @@ class TestGibbsRun:
                 poisoned, design_set, basis, prior, Hyperparams(),
                 iterations=10, burn_in=1, seed=30,
             )
+
+    def test_tracker_sees_every_factorization(self, monkeypatch):
+        # each np.linalg factorization call inside one chain (on one matrix or
+        # one stack) is at most max(r, p) = 3 wide, and the tracker holds at
+        # least one entry per call, so no factorization escapes it
+        graph, design, design_set, basis, prior = toy_structures(
+            n_units=8, T=4, p=2, r=3, seed=34, time_varying=True
+        )
+        truth = simulate(design_set, basis, prior, np.array([0.3, -0.2]), 1.0, 0.05, 0.1, seed=35)
+        calls = []
+        for name in ("cholesky", "solve", "inv", "eigh"):
+            original = getattr(np.linalg, name)
+
+            def counted(a, *args, _original=original, **kwargs):
+                calls.append(np.shape(a)[-1])
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        with track_dense_solves() as tracker:
+            gibbs_run(
+                truth.observations, design_set, basis, prior, Hyperparams(),
+                iterations=20, burn_in=5, seed=36,
+            )
+        assert calls
+        assert len(tracker.dims) >= len(calls)
+        assert max(calls) <= 3 and tracker.max_dim <= 3

@@ -6,6 +6,8 @@ import numpy as np
 
 from arealdlm.basis import build_basis_system
 from arealdlm.data import ArealGraph, DesignSet, Observation, ObservationSet, StudyDesign
+from arealdlm.errors import ValidationError
+from arealdlm.linops import symmetrize
 from arealdlm.prior import build_prior_structure
 
 
@@ -92,6 +94,28 @@ def gapped_two_variable_design(n_units: int, r: int, seed: int = 0) -> DesignSet
         for pos, (ell, u) in enumerate(rows):
             row_lookup[(ell, t, graph.units[u])] = pos
     return DesignSet(design, graph, layout, matrices, row_lookup)
+
+
+def mi_operator(x: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Dense (I - P_X) A (I - P_X), P_X the projector onto the columns of x.
+
+    The N x N Moran operator whose leading eigenpairs the basis builders
+    compute without forming it; the oracle of the basis tests.
+    """
+    x = np.asarray(x, dtype=float)
+    a = np.asarray(a, dtype=float)
+    n = x.shape[0]
+    if a.shape != (n, n):
+        raise ValidationError(f"adjacency must be {n}x{n}, got {a.shape}")
+    if not np.allclose(a, a.T):
+        raise ValidationError("adjacency matrix must be symmetric")
+    gram = x.T @ x
+    sv = np.linalg.svd(gram, compute_uv=False)
+    if sv.size == 0 or sv[-1] <= x.shape[1] * np.finfo(float).eps * sv[0]:
+        raise ValidationError("rank-deficient design")
+    proj = x @ np.linalg.solve(gram, x.T)
+    resid = np.eye(n) - proj
+    return symmetrize(resid @ a @ resid)
 
 
 def toy_structures(
