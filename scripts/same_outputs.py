@@ -11,7 +11,8 @@ into one directory per tree. Both trees then run ``simulate``, ``validate``,
 
 Cases: the benchmark inputs of ``perfbench/run.py`` for ``profile`` and
 ``wide`` (seed 1), and the ``tests/test_cli.py`` project plain, with
-``pooled = true`` and with ``prior_form = direct``.
+``pooled = true``, with ``prior_form = direct`` and with a simulation mask
+(``missing_units`` plus ``missing_fraction``).
 
 Every output file (chains, manifests, predictions, truth, ``basis/``,
 ``prior/``) is compared byte for byte. Command logs are compared after the
@@ -47,10 +48,11 @@ def write_cases(inputs: Path, new_src: Path) -> dict[str, int]:
         (inputs / name).mkdir()
         write_inputs(WORKLOADS[name], 1, inputs / name)
         chains[name] = count
-    for name, extra in (("project", ""), ("pooled", "pooled = true"),
-                        ("direct", "prior_form = direct")):
+    masked = "missing_units = u0\nmissing_fraction = 0.3\nmissing_seed = 4"
+    for name, model, truth in (("project", "", ""), ("pooled", "pooled = true", ""),
+                               ("direct", "prior_form = direct", ""), ("masked", "", masked)):
         (inputs / name).mkdir()
-        write_project(inputs / name, model_extra=extra)
+        write_project(inputs / name, model_extra=model, truth_extra=truth)
         chains[name] = 2
     return chains
 

@@ -43,7 +43,6 @@ from .sampler import (
 )
 from .predict import (
     PredictionSurface,
-    SyntheticTruth,
     posterior_y,
     rls,
     simulate,

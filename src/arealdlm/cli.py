@@ -190,25 +190,31 @@ def cmd_predict(cfg: RunConfig, chain_dir: str | None) -> int:
 def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.truth is None:
         raise ValidationError("simulate needs a [truth] section in the config")
+    if any(spec.kind != "identity" for spec in cfg.transforms.values()):
+        raise ValidationError(
+            "simulate emits model-scale values; use identity transforms "
+            "in simulation configs"
+        )
     _require_inputs(cfg, need_observations=False)
     structures = build_structures(cfg)
     design_set = structures.design_set
     truth_cfg = cfg.truth
 
-    mask: set[tuple[int, int, str]] = set()
+    units = structures.graph.units
     for unit in truth_cfg.missing_units:
-        if unit not in structures.graph.units:
+        if unit not in units:
             raise ValidationError(f"[truth] missing_units: unknown unit {unit!r}")
-        for t in range(1, cfg.design.T + 1):
-            for ell, u in design_set.layout[t]:
-                if structures.graph.units[u] == unit:
-                    mask.add((ell, t, unit))
-    if truth_cfg.missing_fraction > 0:
-        mask_rng = np.random.default_rng(truth_cfg.missing_seed)
-        for t in range(1, cfg.design.T + 1):
-            for ell, u in design_set.layout[t]:
-                if mask_rng.random() < truth_cfg.missing_fraction:
-                    mask.add((ell, t, structures.graph.units[u]))
+    # one uniform per prediction row when missing_fraction > 0, whether or
+    # not the row's unit is masked anyway
+    fraction = truth_cfg.missing_fraction
+    mask_rng = np.random.default_rng(truth_cfg.missing_seed)
+    mask = {
+        (ell, t, units[u])
+        for t in range(1, cfg.design.T + 1)
+        for ell, u in design_set.layout[t]
+        if (fraction > 0 and mask_rng.random() < fraction)
+        or units[u] in truth_cfg.missing_units
+    }
 
     truth = predict.simulate(
         design_set,
@@ -222,17 +228,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
         seed=truth_cfg.seed,
     )
 
-    # observation file on the raw scale of the declared transforms
+    # identity transforms only (checked above): the model scale is the raw scale
     cfg.observations.parent.mkdir(parents=True, exist_ok=True)
     with cfg.observations.open("w", encoding="utf-8") as fh:
         fh.write("variable,time,unit,z,v\n")
         for o in truth.observations.observations:
-            spec = cfg.transforms[o.variable]
-            if spec.kind != "identity":
-                raise ValidationError(
-                    "simulate emits model-scale values; use identity transforms "
-                    "in simulation configs"
-                )
             fh.write(f"{o.variable},{o.time},{o.unit},{o.z:.17g},{o.v:.17g}\n")
 
     truth_dir = cfg.output / "truth"
@@ -241,9 +241,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         fh.write("variable,time,unit,y\n")
         for t in range(1, cfg.design.T + 1):
             for pos, (ell, u) in enumerate(design_set.layout[t]):
-                fh.write(
-                    f"{ell},{t},{structures.graph.units[u]},{truth.y[t][pos]:.17g}\n"
-                )
+                fh.write(f"{ell},{t},{units[u]},{truth.y[t][pos]:.17g}\n")
     np.savetxt(truth_dir / "truth_eta.csv", truth.eta, fmt="%.17g", delimiter=",")
     (truth_dir / "truth_params.json").write_text(
         json.dumps(

@@ -80,19 +80,46 @@ class RunConfig:
 
 
 def _parse_window(text: str) -> tuple[int, int]:
-    try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
-    except ValueError:
-        raise ValidationError(f"bad window {text!r}; expected first:last") from None
+    lo, sep, hi = text.partition(":")
+    if not sep:
+        raise ValueError("expected first:last")
+    return int(lo), int(hi)
 
 
-def _get(parser, section, key, default=None, required=False):
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text.lower() == "true"
+
+
+def _parse_epsilon(text: str) -> float | None:
+    return None if text == "auto" else float(text)
+
+
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.split(","))
+
+
+def _parse_names(text: str) -> tuple[str, ...]:
+    return tuple(x.strip() for x in text.split(",") if x.strip())
+
+
+def _get(parser, section, key, convert=str, default=None):
+    """``[section] key`` read by ``convert``; a key without a default is required.
+
+    Every config value goes through here, so a value ``convert`` rejects is a
+    ValidationError that names ``[section] key``.
+    """
     if parser.has_option(section, key):
-        return parser.get(section, key)
-    if required:
+        text = parser.get(section, key)
+    elif default is None:
         raise ValidationError(f"config is missing [{section}] {key}")
-    return default
+    else:
+        text = default
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ValidationError(f"[{section}] {key}: bad value {text!r} ({exc})") from None
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -109,138 +136,86 @@ def load_config(path: str | Path) -> RunConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ValidationError(f"unknown config section [{section}]")
+        for key in parser.options(section):
+            if _SECTIONS[section] is not None and key not in _SECTIONS[section]:
+                raise ValidationError(f"unknown key [{section}] {key}")
+    for section in ("design", "paths", "sampler"):
+        if not parser.has_section(section):
+            raise ValidationError(f"config is missing the [{section}] section")
 
     base = path.parent
 
     # design
-    if not parser.has_section("design"):
-        raise ValidationError("config is missing the [design] section")
-    num_variables = int(_get(parser, "design", "variables", required=True))
-    p = int(_get(parser, "design", "p", required=True))
-    r = int(_get(parser, "design", "r", required=True))
+    num_variables = _get(parser, "design", "variables", int)
+    p = _get(parser, "design", "p", int)
+    r = _get(parser, "design", "r", int)
     windows = []
     design_keys = {"variables", "p", "r"}
     for ell in range(1, num_variables + 1):
         key = f"window_{ell}"
         design_keys.add(key)
-        windows.append(_parse_window(_get(parser, "design", key, required=True)))
+        windows.append(_get(parser, "design", key, _parse_window))
     for key in parser.options("design"):
         if key not in design_keys:
             raise ValidationError(f"unknown key [design] {key}")
     design = StudyDesign(num_variables, tuple(windows), p, r)
 
-    # paths
-    if not parser.has_section("paths"):
-        raise ValidationError("config is missing the [paths] section")
-    for key in parser.options("paths"):
-        if key not in _SECTIONS["paths"]:
-            raise ValidationError(f"unknown key [paths] {key}")
     paths = {
-        key: base / _get(parser, "paths", key, required=True)
+        key: base / _get(parser, "paths", key)
         for key in ("observations", "covariates", "edges", "output")
     }
 
     # transforms
     transforms = {ell: TransformSpec("identity") for ell in range(1, num_variables + 1)}
-    if parser.has_section("transforms"):
-        for key in parser.options("transforms"):
-            if not key.startswith("variable_"):
-                raise ValidationError(f"unknown key [transforms] {key}")
-            ell = int(key.split("_", 1)[1])
-            if not 1 <= ell <= num_variables:
-                raise ValidationError(f"[transforms] {key}: no such variable")
-            transforms[ell] = TransformSpec(parser.get("transforms", key))
-
-    # model
-    for key in parser.options("model") if parser.has_section("model") else []:
-        if key not in _SECTIONS["model"]:
-            raise ValidationError(f"unknown key [model] {key}")
-    prior_form = _get(parser, "model", "prior_form", "inverted")
-    pooled_text = _get(parser, "model", "pooled", "false").lower()
-    if pooled_text not in ("true", "false"):
-        raise ValidationError(f"[model] pooled must be true or false, got {pooled_text!r}")
-    eps_text = _get(parser, "model", "epsilon", "auto")
-    epsilon = None if eps_text == "auto" else float(eps_text)
-
-    # sampler
-    if not parser.has_section("sampler"):
-        raise ValidationError("config is missing the [sampler] section")
-    for key in parser.options("sampler"):
-        if key not in _SECTIONS["sampler"]:
-            raise ValidationError(f"unknown key [sampler] {key}")
-    iterations = int(_get(parser, "sampler", "iterations", required=True))
-    burn_in = int(_get(parser, "sampler", "burn_in", required=True))
-    thin = int(_get(parser, "sampler", "thin", "1"))
-    seed = int(_get(parser, "sampler", "seed", "0"))
+    for key in parser.options("transforms") if parser.has_section("transforms") else []:
+        prefix, _, number = key.partition("_")
+        if prefix != "variable" or not number.isdigit():
+            raise ValidationError(f"unknown key [transforms] {key}")
+        if not 1 <= int(number) <= num_variables:
+            raise ValidationError(f"[transforms] {key}: no such variable")
+        transforms[int(number)] = _get(parser, "transforms", key, TransformSpec)
 
     # hyperparams
-    for key in parser.options("hyperparams") if parser.has_section("hyperparams") else []:
-        if key not in _SECTIONS["hyperparams"]:
-            raise ValidationError(f"unknown key [hyperparams] {key}")
-    mu_parts = [x.strip() for x in _get(parser, "hyperparams", "mu_beta", "0").split(",")]
-    if len(mu_parts) == 1:
-        mu_beta: float | tuple = float(mu_parts[0])
-    elif len(mu_parts) == p:
-        mu_beta = np.array([float(x) for x in mu_parts])
-    else:
+    mu_beta = _get(parser, "hyperparams", "mu_beta", _parse_floats, "0")
+    if len(mu_beta) not in (1, p):
         raise ValidationError(f"[hyperparams] mu_beta needs 1 or {p} values")
     hyper = Hyperparams(
-        mu_beta=mu_beta,
-        sigma_beta2=float(_get(parser, "hyperparams", "sigma_beta2", "1e15")),
-        alpha_xi=float(_get(parser, "hyperparams", "alpha_xi", "2")),
-        beta_xi=float(_get(parser, "hyperparams", "beta_xi", "1")),
-        alpha_k=float(_get(parser, "hyperparams", "alpha_k", "2")),
-        beta_k=float(_get(parser, "hyperparams", "beta_k", "1")),
+        mu_beta=mu_beta[0] if len(mu_beta) == 1 else np.array(mu_beta),
+        sigma_beta2=_get(parser, "hyperparams", "sigma_beta2", float, "1e15"),
+        alpha_xi=_get(parser, "hyperparams", "alpha_xi", float, "2"),
+        beta_xi=_get(parser, "hyperparams", "beta_xi", float, "1"),
+        alpha_k=_get(parser, "hyperparams", "alpha_k", float, "2"),
+        beta_k=_get(parser, "hyperparams", "beta_k", float, "1"),
     )
 
     # truth
     truth = None
     if parser.has_section("truth"):
-        for key in parser.options("truth"):
-            if key not in _SECTIONS["truth"]:
-                raise ValidationError(f"unknown key [truth] {key}")
-        beta = tuple(
-            float(x) for x in _get(parser, "truth", "beta", required=True).split(",")
-        )
+        beta = _get(parser, "truth", "beta", _parse_floats)
         if len(beta) != p:
             raise ValidationError(f"[truth] beta needs {p} values, got {len(beta)}")
-        v_text = _get(parser, "truth", "v", required=True)
-        parts = [x.strip() for x in v_text.split(",")]
-        if len(parts) == 1:
-            v = {ell: float(parts[0]) for ell in range(1, num_variables + 1)}
-        elif len(parts) == num_variables:
-            v = {ell: float(x) for ell, x in enumerate(parts, start=1)}
-        else:
+        v = _get(parser, "truth", "v", _parse_floats)
+        if len(v) == 1:
+            v = v * num_variables
+        elif len(v) != num_variables:
             raise ValidationError(
-                f"[truth] v needs 1 or {num_variables} values, got {len(parts)}"
+                f"[truth] v needs 1 or {num_variables} values, got {len(v)}"
             )
-        missing_units = tuple(
-            u.strip()
-            for u in _get(parser, "truth", "missing_units", "").split(",")
-            if u.strip()
-        )
         truth = TruthBlock(
             beta=beta,
-            sigma_k2=float(_get(parser, "truth", "sigma_k2", required=True)),
-            sigma_xi2=float(_get(parser, "truth", "sigma_xi2", required=True)),
-            v=v,
-            missing_units=missing_units,
-            missing_fraction=float(_get(parser, "truth", "missing_fraction", "0")),
-            missing_seed=int(_get(parser, "truth", "missing_seed", "0")),
-            seed=int(_get(parser, "truth", "seed", "0")),
+            sigma_k2=_get(parser, "truth", "sigma_k2", float),
+            sigma_xi2=_get(parser, "truth", "sigma_xi2", float),
+            v=dict(enumerate(v, start=1)),
+            missing_units=_get(parser, "truth", "missing_units", _parse_names, ""),
+            missing_fraction=_get(parser, "truth", "missing_fraction", float, "0"),
+            missing_seed=_get(parser, "truth", "missing_seed", int, "0"),
+            seed=_get(parser, "truth", "seed", int, "0"),
         )
 
     # rls
     rls_surveys: tuple[Path, ...] = ()
     if parser.has_section("rls"):
-        for key in parser.options("rls"):
-            if key not in _SECTIONS["rls"]:
-                raise ValidationError(f"unknown key [rls] {key}")
-        rls_surveys = tuple(
-            base / s.strip()
-            for s in _get(parser, "rls", "surveys", required=True).split(",")
-            if s.strip()
-        )
+        rls_surveys = tuple(base / s for s in _get(parser, "rls", "surveys", _parse_names))
 
     cfg = RunConfig(
         observations=paths["observations"],
@@ -249,13 +224,13 @@ def load_config(path: str | Path) -> RunConfig:
         output=paths["output"],
         design=design,
         transforms=transforms,
-        prior_form=prior_form,
-        pooled=pooled_text == "true",
-        epsilon=epsilon,
-        iterations=iterations,
-        burn_in=burn_in,
-        thin=thin,
-        seed=seed,
+        prior_form=_get(parser, "model", "prior_form", str, "inverted"),
+        pooled=_get(parser, "model", "pooled", _parse_bool, "false"),
+        epsilon=_get(parser, "model", "epsilon", _parse_epsilon, "auto"),
+        iterations=_get(parser, "sampler", "iterations", int),
+        burn_in=_get(parser, "sampler", "burn_in", int),
+        thin=_get(parser, "sampler", "thin", int, "1"),
+        seed=_get(parser, "sampler", "seed", int, "0"),
         hyper=hyper,
         truth=truth,
         rls_surveys=rls_surveys,

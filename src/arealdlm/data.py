@@ -187,7 +187,30 @@ def _open_csv(path: str | Path, expected_header: list[str]) -> list[dict]:
                 f"{path}: expected header {','.join(expected_header)}, "
                 f"got {','.join(reader.fieldnames or [])}"
             )
-        return list(reader)
+        rows = list(reader)
+    for k, row in enumerate(rows, start=2):
+        if None in row or None in row.values():  # too many or too few fields
+            raise ValidationError(f"{path}:{k}: expected {len(expected_header)} fields")
+    return rows
+
+
+def _finite(text: str, where: str) -> float:
+    """``text`` as a finite float, or a ValidationError located at ``where`` (file:line)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ValidationError(f"{where}: {text!r} is not a finite number")
+    return value
+
+
+def _index(text: str, where: str) -> int:
+    """``text`` as an integer index, or a ValidationError located at ``where``."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"{where}: bad index {text!r}") from None
 
 
 def load_observations(
@@ -207,31 +230,29 @@ def load_observations(
     seen: set[tuple[int, int, str]] = set()
     obs: list[Observation] = []
     for k, row in enumerate(rows, start=2):
-        try:
-            ell = int(row["variable"])
-            t = int(row["time"])
-        except ValueError as exc:
-            raise ValidationError(f"{obs_file}:{k}: bad index ({exc})") from None
+        where = f"{obs_file}:{k}"
+        ell = _index(row["variable"], where)
+        t = _index(row["time"], where)
         unit = row["unit"].strip()
-        z = float(row["z"])
-        v = float(row["v"])
+        z = _finite(row["z"], where)
+        v = _finite(row["v"], where)
         if not design.in_window(ell, t):
             raise ValidationError(
-                f"{obs_file}:{k}: ({ell},{t}) outside the window for variable {ell}"
+                f"{where}: ({ell},{t}) outside the window for variable {ell}"
             )
         key = (ell, t, unit)
         if key in seen:
-            raise ValidationError(f"{obs_file}:{k}: duplicate observation {key}")
+            raise ValidationError(f"{where}: duplicate observation {key}")
         seen.add(key)
         if transforms is not None:
             z, v = apply_transform(z, v, transforms.get(ell, TransformSpec("identity")))
         if not v > 0.0:
-            raise ValidationError(f"{obs_file}:{k}: nonpositive variance for {key}")
+            raise ValidationError(f"{where}: nonpositive variance for {key}")
         if not (np.isfinite(z) and np.isfinite(v)):
-            raise ValidationError(f"{obs_file}:{k}: non-finite value for {key}")
+            raise ValidationError(f"{where}: non-finite value for {key}")
         if design_set is not None and key not in design_set.row_lookup:
             raise ValidationError(
-                f"{obs_file}:{k}: {key} is not a prediction location "
+                f"{where}: {key} is not a prediction location "
                 "(unknown unit or missing covariate row)"
             )
         obs.append(Observation(ell, t, unit, z, v))
@@ -379,19 +400,20 @@ def assemble_design(
     per_cell: dict[tuple[int, int, str], np.ndarray] = {}
     units_at: dict[tuple[int, int], list[int]] = {}
     for k, row in enumerate(rows, start=2):
-        ell = int(row["variable"])
-        t = int(row["time"])
+        where = f"{covariate_file}:{k}"
+        ell = _index(row["variable"], where)
+        t = _index(row["time"], where)
         unit = row["unit"].strip()
         if unit not in unit_index:
-            raise ValidationError(f"{covariate_file}:{k}: unknown unit {unit!r}")
+            raise ValidationError(f"{where}: unknown unit {unit!r}")
         if not design.in_window(ell, t):
             raise ValidationError(
-                f"{covariate_file}:{k}: ({ell},{t}) outside the window for variable {ell}"
+                f"{where}: ({ell},{t}) outside the window for variable {ell}"
             )
         key = (ell, t, unit)
         if key in per_cell:
-            raise ValidationError(f"{covariate_file}:{k}: duplicate covariate row {key}")
-        per_cell[key] = np.array([float(row[f"x{j}"]) for j in range(1, design.p + 1)])
+            raise ValidationError(f"{where}: duplicate covariate row {key}")
+        per_cell[key] = np.array([_finite(row[f"x{j}"], where) for j in range(1, design.p + 1)])
         units_at.setdefault((ell, t), []).append(unit_index[unit])
 
     layout: dict[int, tuple[tuple[int, int], ...]] = {}

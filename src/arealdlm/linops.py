@@ -24,6 +24,8 @@ log = logging.getLogger(__name__)
 PSD_FLOOR = 1e-10
 # Eigenvalues closer than this form one degenerate cluster.
 CLUSTER_GAP = 1e-10
+# Eigenvector entries at most this large in magnitude do not fix a sign.
+SIGN_TOL = 1e-12
 
 
 @dataclass
@@ -65,27 +67,25 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.swapaxes(-1, -2)) / 2.0
 
 
-def sign_fix_columns(vectors: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Flip column signs so the first entry with |entry| > tol is positive.
+def sign_fix_columns(vectors: np.ndarray) -> np.ndarray:
+    """Flip column signs so the first entry with |entry| > SIGN_TOL is positive.
 
     Resolves the sign indeterminacy of eigenvectors deterministically.
     """
     out = vectors.copy()
     for j in range(out.shape[1]):
         col = out[:, j]
-        nz = np.nonzero(np.abs(col) > tol)[0]
+        nz = np.nonzero(np.abs(col) > SIGN_TOL)[0]
         if nz.size and col[nz[0]] < 0:
             out[:, j] = -col
     return out
 
 
-def order_eigh_descending(
-    values: np.ndarray, vectors: np.ndarray, cluster_gap: float = CLUSTER_GAP
-) -> tuple[np.ndarray, np.ndarray]:
+def order_eigh_descending(values: np.ndarray, vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Order eigenpairs by descending eigenvalue with deterministic ties.
 
     Columns are sign-fixed first; within a cluster of eigenvalues closer than
-    ``cluster_gap`` the columns are sorted in descending lexicographic order
+    ``CLUSTER_GAP`` the columns are sorted in descending lexicographic order
     of their entries, so degenerate eigenspaces come out reproducibly (and
     eigh of an exact identity stays the identity).
     """
@@ -97,7 +97,7 @@ def order_eigh_descending(
     n = vals.size
     while start < n:
         stop = start + 1
-        while stop < n and vals[stop - 1] - vals[stop] < cluster_gap:
+        while stop < n and vals[stop - 1] - vals[stop] < CLUSTER_GAP:
             stop += 1
         if stop - start > 1:
             block = vecs[:, start:stop]

@@ -23,10 +23,9 @@ from .data import (
     ObservationSet,
     TransformSpec,
 )
-from .errors import ValidationError
-from .linops import chol_psd
+from .errors import ChainStateError, ValidationError
 from .prior import PriorStructure
-from .sampler import PosteriorChain
+from .sampler import PosteriorChain, _draw_path, _path_factors, _transitions
 
 
 @dataclass(frozen=True)
@@ -57,7 +56,9 @@ def posterior_y(
     Each draw evaluates fixed effects plus the basis term plus the fine-scale
     term (stored at observed cells, drawn from its prior elsewhere);
     back-transformed summaries invert the declared link per draw before
-    averaging.
+    averaging. A chain whose fine-scale block at some t is wider or narrower
+    than the observed cells there was fitted to other observations: that is
+    a ``ChainStateError``.
     """
     design = design_set.design
     if locations is None:
@@ -69,6 +70,13 @@ def posterior_y(
     for loc in locations:
         if loc not in design_set.row_lookup:
             raise ValidationError(f"location {loc} is not a prediction location")
+    for t in range(1, design.T + 1):
+        lo, hi = chain.xi_offsets.get(t, (0, 0))
+        if hi - lo != aligned.n_t(t):
+            raise ChainStateError(
+                f"the chain holds {hi - lo} fine-scale cells at t={t} but the "
+                f"observations have {aligned.n_t(t)}; refit after changing the observations"
+            )
     if rng is None:
         rng = np.random.default_rng(chain.seed + 1)
 
@@ -166,15 +174,9 @@ def rls(
 class SyntheticTruth:
     """Forward-simulated latent fields plus the noisy observations they emit."""
 
-    seed: int
-    params: dict
     eta: np.ndarray  # (T, r)
-    xi: dict[int, np.ndarray]  # per time, over all prediction rows
     y: dict[int, np.ndarray]  # latent field per time, prediction-row order
     observations: ObservationSet
-
-    def y_at(self, design_set: DesignSet, variable: int, t: int, unit: str) -> float:
-        return float(self.y[t][design_set.row_lookup[(variable, t, unit)]])
 
 
 def simulate(
@@ -190,15 +192,17 @@ def simulate(
 ) -> SyntheticTruth:
     """Draw one world from the generative model and emit its observations.
 
-    The coefficient path uses the finalized prior covariances (so fitting the
-    emitted data is fitting the exactly-matching model); measurement noise
-    variance comes from ``v_schedule`` (scalar or per-variable).
+    The coefficient path is the sampler's prior path draw on the finalized
+    prior covariances (so fitting the emitted data is fitting the
+    exactly-matching model); measurement noise variance comes from
+    ``v_schedule`` (scalar or per-variable). The normals are drawn in a fixed
+    order: the path, then per time the fine-scale field and one noise draw
+    per prediction row.
     """
     design = design_set.design
     rng = np.random.default_rng(seed)
     missing_mask = missing_mask or set()
     T = design.T
-    r = basis.r
     beta = np.asarray(true_beta, dtype=float)
     if beta.ndim == 1:
         beta = np.tile(beta, (T, 1))
@@ -215,21 +219,15 @@ def simulate(
             return float(v_schedule[variable])
         return float(v_schedule)
 
-    eta = np.zeros((T, r))
-    eta[0] = chol_psd(true_sigma_k2 * prior.k_star[1]) @ rng.standard_normal(r)
-    for t in range(2, T + 1):
-        shock = rng.standard_normal(r)
-        eta[t - 1] = eta[t - 2] + chol_psd(
-            true_sigma_k2 * prior.w_star[t]
-        ) @ shock
+    w_star = [prior.w_star[t] for t in range(2, T + 1)]
+    factors = _path_factors(prior.k_star[1], w_star, true_sigma_k2)
+    eta = _draw_path(factors, _transitions(basis), rng)
 
-    xi: dict[int, np.ndarray] = {}
     y: dict[int, np.ndarray] = {}
     observations: list[Observation] = []
     for t in range(1, T + 1):
-        n_rows = design_set.N_t(t)
-        xi[t] = np.sqrt(sigma_xi2[t - 1]) * rng.standard_normal(n_rows)
-        y[t] = design_set.matrices[t] @ beta[t - 1] + basis.s[t] @ eta[t - 1] + xi[t]
+        xi_t = np.sqrt(sigma_xi2[t - 1]) * rng.standard_normal(design_set.N_t(t))
+        y[t] = design_set.matrices[t] @ beta[t - 1] + basis.s[t] @ eta[t - 1] + xi_t
         # one noise draw per prediction row, consumed even for masked cells,
         # so the realized world is invariant to the mask
         for pos, (ell, u) in enumerate(design_set.layout[t]):
@@ -240,20 +238,7 @@ def simulate(
             v = v_for(ell)
             z = float(y[t][pos] + np.sqrt(v) * noise)
             observations.append(Observation(ell, t, unit, z, v))
-    obs_set = ObservationSet(design, tuple(observations))
-    return SyntheticTruth(
-        seed=seed,
-        params={
-            "beta": beta,
-            "sigma_k2": float(true_sigma_k2),
-            "sigma_xi2": sigma_xi2,
-            "v_schedule": v_schedule,
-        },
-        eta=eta,
-        xi=xi,
-        y=y,
-        observations=obs_set,
-    )
+    return SyntheticTruth(eta, y, ObservationSet(design, tuple(observations)))
 
 
 @dataclass(frozen=True)

@@ -24,12 +24,19 @@ W*_t and their inverses. The public conditionals call them on every call;
 sweep is the public conditionals with the constants hoisted. A time with
 nothing observed needs no branch: the empty products give zero information.
 
+The latent path follows eta_1 ~ N(0, sigma_k2 K*_1) and eta_t = M_t
+eta_{t-1} + u_t with u_t ~ N(0, sigma_k2 W*_t). ``_transitions`` is the one
+source of the M_t stack, for the filter, the backward pass, the scale update
+and the prior draws alike. ``_draw_path`` is the one prior draw of a path,
+from the factors of ``_path_factors``: the chain's initial state uses it at
+unit scale, and ``predict.simulate`` at the true scale.
+
 Sweep order per iteration: coefficient path, then the fine-scale field, then
 the regression coefficients, then the coefficient-scale variance, then the
 fine-scale variances (each of the last four for all times at once, in time
 order). ``gibbs_run`` stores each kept draw in the arrays of the
 ``PosteriorChain`` it returns, and a ``chainio.ChainWriter`` appends the new
-rows from those arrays every ``flush_every`` iterations.
+rows from those arrays every ``FLUSH_EVERY`` iterations.
 """
 
 from __future__ import annotations
@@ -46,6 +53,9 @@ from .linops import chol_psd, inv, inv_spd, symmetrize
 from .prior import PriorStructure
 
 log = logging.getLogger(__name__)
+
+# Iterations between two appends of a chain writer.
+FLUSH_EVERY = 100
 
 
 @dataclass(frozen=True)
@@ -340,16 +350,37 @@ def sample_beta(
     return draw[0] if single else draw
 
 
+def _transitions(basis: BasisSystem) -> np.ndarray:
+    """The (T-1, r, r) stack of M_2..M_T, each I_r (see ``basis``)."""
+    r = basis.r
+    return np.broadcast_to(np.eye(r), (len(basis.times) - 1, r, r))
+
+
+def _path_factors(k1_star: np.ndarray, w_star_seq, sigma_k2: float = 1.0) -> np.ndarray:
+    """Factors of sigma_k2 K*_1 and each sigma_k2 W*_t from one chol_psd; a zero scale is legal."""
+    r = k1_star.shape[0]
+    return chol_psd(sigma_k2 * np.concatenate((k1_star[None], _stack(w_star_seq, r))))
+
+
+def _draw_path(factors: np.ndarray, m_seq: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """eta_1 = F_1 z_1, eta_t = M_t eta_{t-1} + F_t z_t, with the T x r normals as one block."""
+    T, r, _ = factors.shape
+    normals = rng.standard_normal((T, r))
+    eta = np.zeros((T, r))
+    eta[0] = factors[0] @ normals[0]
+    for i in range(T - 1):
+        eta[i + 1] = m_seq[i] @ eta[i] + factors[i + 1] @ normals[i + 1]
+    return eta
+
+
 def _scale_factors(
     k1_star: np.ndarray, w_star_seq: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Factors of K*_1 and of each W*_t, and the inverses of those factors.
+    """``_path_factors`` at unit scale, and the inverses of those factors.
 
-    Both are (T, r, r) stacks with K*_1 first, each from one batched call;
-    the initial path uses the factors and the scale update the inverses.
+    The initial path uses the factors and the scale update the inverses.
     """
-    r = k1_star.shape[0]
-    factors = chol_psd(np.concatenate((k1_star[None], _stack(w_star_seq, r))))
+    factors = _path_factors(k1_star, w_star_seq)
     return factors, inv(factors)
 
 
@@ -486,21 +517,20 @@ class _Precomputed:
         self.z = np.concatenate([aligned.z[t] for t in self.times])
         self.v = np.concatenate([aligned.v[t] for t in self.times])
         self.beta_pre = _beta_moments(self.x, self.v, hyper, self.blocks)
-        self.m_seq = np.broadcast_to(np.eye(self.r), (self.T - 1, self.r, self.r))  # M_t = I_r, see basis
+        self.m_seq = _transitions(basis)
         self.k1_star = prior.k_star[1]
         self.w_star_seq = _stack([prior.w_star[t] for t in self.times[1:]], self.r)
         self.scale_factors = _scale_factors(self.k1_star, self.w_star_seq)
 
 
 def _initial_state(pre: _Precomputed, rng: np.random.Generator) -> ModelState:
-    """Zero fixed effects and fine-scale field, unit variances, prior coefficients."""
-    factors, _ = pre.scale_factors
-    eta = np.zeros((pre.T, pre.r))
-    eta[0] = factors[0] @ rng.standard_normal(pre.r)
-    for i in range(pre.T - 1):
-        eta[i + 1] = pre.m_seq[i] @ eta[i] + factors[i + 1] @ rng.standard_normal(pre.r)
+    """Zero fixed effects and fine-scale field, unit variances, prior coefficients.
+
+    The first sweep overwrites the path before anything reads it; drawing it
+    still fixes where the chain's random stream starts.
+    """
     return ModelState(
-        eta=eta,
+        eta=_draw_path(pre.scale_factors[0], pre.m_seq, rng),
         xi=np.zeros(pre.n_total),
         beta=np.zeros((pre.T, pre.p)),
         sigma_k2=1.0,
@@ -519,12 +549,11 @@ def gibbs_run(
     thin: int = 1,
     seed: int = 0,
     writer=None,
-    flush_every: int = 100,
 ) -> PosteriorChain:
     """Run one Gibbs chain and return the stored draws.
 
     When ``writer`` is given (see chainio.ChainWriter), the rows stored since
-    its last flush are appended to disk every ``flush_every`` iterations, so
+    its last flush are appended to disk every ``FLUSH_EVERY`` iterations, so
     interrupted runs remain inspectable.
     """
     if iterations <= burn_in:
@@ -610,7 +639,7 @@ def gibbs_run(
             chain.sigma_k2[stored] = state.sigma_k2
             chain.sigma_xi2[stored] = state.sigma_xi2
             stored += 1
-        if writer is not None and (it + 1) % flush_every == 0:
+        if writer is not None and (it + 1) % FLUSH_EVERY == 0:
             writer.flush(chain, stored, it + 1)
 
     if writer is not None:

@@ -48,7 +48,7 @@ class TestRoundTrip:
         writer = ChainWriter(tmp_path / "streamed")
         chain = gibbs_run(
             truth.observations, design_set, basis, prior, Hyperparams(),
-            iterations=230, burn_in=30, seed=45, writer=writer, flush_every=100,
+            iterations=230, burn_in=30, seed=45, writer=writer,
         )
         loaded = read_chain(tmp_path / "streamed")
         assert_chains_equal(chain, loaded)

@@ -203,6 +203,56 @@ class TestExitCodes:
         main(["simulate", "--config", str(cfg)])
         assert main(["predict", "--config", str(cfg)]) == 4
 
+    def test_predict_refuses_chain_fitted_to_other_rows(self, tmp_path, capsys):
+        # one observation row fewer shifts every later fine-scale column
+        cfg = write_project(tmp_path, iterations=30, burn_in=10)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        assert main(["fit", "--config", str(cfg)]) == 0
+        lines = (tmp_path / "obs.csv").read_text().splitlines()
+        (tmp_path / "obs.csv").write_text("\n".join(lines[:5] + lines[6:]) + "\n")
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg)]) == 4
+        assert "fine-scale cells at t=1" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "predictions.csv").exists()
+
+    def test_simulate_refuses_transform_before_writing(self, tmp_path):
+        cfg = write_project(tmp_path)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        before = (tmp_path / "obs.csv").read_bytes()
+        cfg.write_text(cfg.read_text() + "\n[transforms]\nvariable_1 = logit\n")
+        assert main(["simulate", "--config", str(cfg)]) == 3
+        assert (tmp_path / "obs.csv").read_bytes() == before
+
+    @pytest.mark.parametrize(
+        "file, edit, where",
+        [
+            ("run.ini", ("iterations = 80", "iterations = eighty"), "[sampler] iterations"),
+            ("run.ini", ("\np = 2\n", "\np = two\n"), "[design] p"),
+            ("obs.csv", (3, "abc"), "obs.csv:2"),
+            ("cov.csv", (4, "abc"), "cov.csv:2"),
+            ("cov.csv", (4, "nan"), "cov.csv:2"),
+            ("obs.csv", (4, None), "obs.csv:2"),
+        ],
+        ids=["config-int", "config-p", "z", "covariate", "nan-covariate", "short-row"],
+    )
+    def test_malformed_value_is_located(self, tmp_path, capsys, file, edit, where):
+        cfg = write_project(tmp_path)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        path = tmp_path / file
+        if file == "run.ini":
+            path.write_text(path.read_text().replace(*edit))
+        else:  # one field of the first data row: replaced, or dropped for None
+            lines = path.read_text().splitlines()
+            fields = lines[1].split(",")
+            fields[edit[0]:edit[0] + 1] = [] if edit[1] is None else [edit[1]]
+            lines[1] = ",".join(fields)
+            path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["validate", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert where in err
+        assert "Traceback" not in err
+
 
 class TestBasisPriorDumps:
     def test_basis_dump(self, tmp_path):

@@ -92,6 +92,16 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match="expected first:last"):
             load_config(write_config(tmp_path, bad))
 
+    def test_unparseable_value_names_its_key(self, tmp_path):
+        bad = BASE.replace("alpha_k = 2", "alpha_k = two")
+        with pytest.raises(ValidationError, match=r"\[hyperparams\] alpha_k: bad value 'two'"):
+            load_config(write_config(tmp_path, bad))
+
+    def test_transform_key_without_variable_number(self, tmp_path):
+        bad = BASE.replace("variable_2 = log", "variable_x = log")
+        with pytest.raises(ValidationError, match=r"unknown key \[transforms\] variable_x"):
+            load_config(write_config(tmp_path, bad))
+
     def test_window_must_start_at_one(self, tmp_path):
         bad = BASE.replace("window_1 = 1:10", "window_1 = 2:10")
         with pytest.raises(ValidationError, match="earliest window must start at time 1"):

@@ -71,7 +71,8 @@ class TestPosteriorY:
         }
         for i, loc in enumerate(surface.locations):
             if loc in observed:
-                assert abs(surface.yhat[i] - truth.y_at(design_set, *loc)) < 1e-2
+                truth_y = truth.y[loc[1]][design_set.row_lookup[loc]]
+                assert abs(surface.yhat[i] - truth_y) < 1e-2
 
     def test_variance_matches_two_pass(self, fitted_toy):
         design_set, basis, _, _, chain, aligned = fitted_toy
@@ -184,12 +185,35 @@ class TestSimulate:
                 se = np.sqrt((target[i, i] * target[j, j] + target[i, j] ** 2) / n_sims)
                 assert abs(emp[i, j] - target[i, j]) <= 3 * se
 
+    def test_innovation_covariance_matches_prior(self):
+        # MC covariance oracle for the step of the path: eta_2 - eta_1 ~ N(0, sigma W*_2)
+        _, _, design_set, basis, prior = toy_structures(
+            n_units=6, T=2, p=2, r=2, seed=64, time_varying=True
+        )
+        sigma = 1.7
+        n_sims = 50_000
+        steps = np.array(
+            [
+                np.diff(
+                    simulate(design_set, basis, prior, np.zeros(2), sigma, 0.0, 0.0, seed=s).eta,
+                    axis=0,
+                )[0]
+                for s in range(n_sims)
+            ]
+        )
+        target = sigma * prior.w_star[2]
+        emp = np.cov(steps.T, ddof=1)
+        for i in range(2):
+            for j in range(2):
+                se = np.sqrt((target[i, i] * target[j, j] + target[i, j] ** 2) / n_sims)
+                assert abs(emp[i, j] - target[i, j]) <= 3 * se
+
     def test_seed_reproducibility(self):
         _, _, design_set, basis, prior = toy_structures(n_units=6, T=2, p=2, r=2, seed=65)
         a = simulate(design_set, basis, prior, np.array([0.1, 0.2]), 1.0, 0.1, 0.05, seed=66)
         b = simulate(design_set, basis, prior, np.array([0.1, 0.2]), 1.0, 0.1, 0.05, seed=66)
         assert np.array_equal(a.eta, b.eta)
-        assert all(np.array_equal(a.xi[t], b.xi[t]) for t in a.xi)
+        assert all(np.array_equal(a.y[t], b.y[t]) for t in a.y)
         assert a.observations == b.observations
 
     def test_mask_changes_coverage_not_world(self):
