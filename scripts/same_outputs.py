@@ -17,7 +17,9 @@ Cases: the benchmark inputs of ``perfbench/run.py`` for ``profile`` and
 Every output file (chains, manifests, predictions, truth, ``basis/``,
 ``prior/``) is compared byte for byte. Command logs are compared after the
 work directory is replaced by a placeholder. The script lists each differing
-file and exits 1 on any difference or failed command. A ``--work``
+file and exits 1 on any difference or failed command. A differing CSV file
+whose fields line up is listed with its largest |new - old| relative to the
+largest |old| value in the file. A ``--work``
 directory is kept for inspection; the default temporary one is removed.
 """
 
@@ -76,6 +78,27 @@ def run_tree(src: Path, inputs: Path, tree: Path, chains: dict[str, int]) -> lis
     return failures
 
 
+def relative_delta(a: Path, b: Path) -> str:
+    """``max |b - a| / max |a|`` over the numeric fields of two CSV files, or why not."""
+    rows_a, rows_b = a.read_text().splitlines(), b.read_text().splitlines()
+    if len(rows_a) != len(rows_b):
+        return "row counts differ"
+    delta, scale = 0.0, 0.0
+    for row_a, row_b in zip(rows_a, rows_b):
+        fields_a, fields_b = row_a.split(","), row_b.split(",")
+        if len(fields_a) != len(fields_b):
+            return "field counts differ"
+        for x, y in zip(fields_a, fields_b):
+            try:
+                fx, fy = float(x), float(y)
+            except ValueError:
+                if x != y:
+                    return "text differs"
+                continue
+            delta, scale = max(delta, abs(fy - fx)), max(scale, abs(fx))
+    return f"max |delta| / max |old| = {delta / scale if scale else delta:.2e}"
+
+
 def differing_files(old: Path, new: Path) -> list[str]:
     """Relative paths present in only one tree or with different bytes."""
     out = []
@@ -89,7 +112,7 @@ def differing_files(old: Path, new: Path) -> list[str]:
             if a.read_text().replace(str(old), "<work>") != b.read_text().replace(str(new), "<work>"):
                 out.append(str(rel))
         elif not filecmp.cmp(a, b, shallow=False):
-            out.append(str(rel))
+            out.append(f"{rel} ({relative_delta(a, b)})" if rel.suffix == ".csv" else str(rel))
     return out
 
 

@@ -7,19 +7,28 @@ the last flush, straight from its draw arrays, and rewrites the manifest, so
 an interrupted run leaves a readable partial chain behind. The manifest
 gains ``num_draws`` once every iteration has run. A finished in-memory chain
 is written in one shot by ``ChainWriter(directory).finalize(chain)``.
+
+``fit`` also writes ``structures.npz`` once per run: the basis (every S_t
+and its eigenvalues) with the digests of the inputs it was built from, so
+``predict`` and ``rls`` read it instead of solving the eigenproblems again.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import zipfile
 from pathlib import Path
 
 import numpy as np
 
+from .basis import BasisSystem
 from .errors import ChainStateError
 from .sampler import PosteriorChain
 
-FORMAT_VERSION = 1
+# 2: the manifest records the sha256 digests of the fit's inputs
+FORMAT_VERSION = 2
+STRUCTURES_FILE = "structures.npz"
 _FLOAT_FMT = "%.17g"
 
 _FILES = ("eta", "beta", "xi", "sigma_k2", "sigma_xi2")
@@ -61,9 +70,11 @@ def _manifest(chain: PosteriorChain, completed_iterations: int) -> dict:
 class ChainWriter:
     """Appends the stored rows of one chain to a chain directory."""
 
-    def __init__(self, directory: str | Path):
+    def __init__(self, directory: str | Path, inputs: dict | None = None):
+        """``inputs`` (the digests of ``pipeline.InputDigests.record``) go into the manifest."""
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self.inputs = inputs or {}
         self._written = None  # rows on disk; None until the headers are written
 
     def flush(self, chain: PosteriorChain, stored: int, completed_iterations: int) -> None:
@@ -79,7 +90,7 @@ class ChainWriter:
                 with (self.directory / f"{name}.csv").open("a", encoding="utf-8") as fh:
                     np.savetxt(fh, rows.reshape(len(rows), -1), fmt=_FLOAT_FMT, delimiter=",")
             self._written = stored
-        manifest = _manifest(chain, completed_iterations)
+        manifest = {**_manifest(chain, completed_iterations), **self.inputs}
         (self.directory / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n"
         )
@@ -108,6 +119,12 @@ def read_chain(directory: str | Path) -> PosteriorChain:
     if not manifest_path.exists():
         raise ChainStateError(f"no chain manifest at {directory}")
     manifest = json.loads(manifest_path.read_text())
+    version = manifest.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ChainStateError(
+            f"the chain at {directory} has format_version {version}, but this version "
+            f"reads {FORMAT_VERSION}; run fit again"
+        )
     T = manifest["T"]
     r = manifest["r"]
     p = manifest["p"]
@@ -124,7 +141,10 @@ def read_chain(directory: str | Path) -> PosteriorChain:
     n = sum(hi - lo for lo, hi in xi_offsets.values())
     meta = {
         k: manifest[k]
-        for k in ("sweep_order", "move_types", "r", "p", "T", "n")
+        for k in (
+            "sweep_order", "move_types", "r", "p", "T", "n",
+            "design_sha256", "observations_sha256", "input_sha256",
+        )
         if k in manifest
     }
     return PosteriorChain(
@@ -140,3 +160,41 @@ def read_chain(directory: str | Path) -> PosteriorChain:
         thin=manifest["thin"],
         meta=meta,
     )
+
+
+def write_structures(path: str | Path, basis: BasisSystem, inputs: dict) -> None:
+    """Write the basis and the ``inputs`` record (JSON-able) as one .npz archive.
+
+    Every member carries one fixed timestamp (``np.savez`` stamps the current
+    time), so equal structures give equal bytes. The archive is written under
+    a temporary name and renamed, so no reader sees a partial file.
+    """
+    path = Path(path)
+    arrays = {"r": np.array(basis.r), "inputs": np.array(json.dumps(inputs, sort_keys=True))}
+    for t in basis.times:
+        arrays[f"s_t{t:03d}"] = basis.s[t]
+        arrays[f"eigvals_t{t:03d}"] = basis.eigvals[t]
+    partial = path.with_name(path.name + ".partial")
+    with zipfile.ZipFile(partial, "w") as archive:
+        for name, array in arrays.items():
+            member = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
+            with archive.open(member, "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
+    os.replace(partial, path)
+
+
+def read_structures(path: str | Path) -> tuple[BasisSystem, dict]:
+    """The basis and the ``inputs`` record that ``write_structures`` stored."""
+    path = Path(path)
+    if not path.exists():
+        raise ChainStateError(f"no fitted structures at {path}; run fit first")
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            inputs = json.loads(str(archive["inputs"]))
+            times = sorted(int(name[3:]) for name in archive.files if name.startswith("s_t"))
+            s = {t: archive[f"s_t{t:03d}"] for t in times}
+            eigvals = {t: archive[f"eigvals_t{t:03d}"] for t in times}
+            r = int(archive["r"])
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        raise ChainStateError(f"cannot read the fitted structures at {path}: {exc}") from None
+    return BasisSystem(r, s, eigvals), inputs

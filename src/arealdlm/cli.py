@@ -19,7 +19,13 @@ from . import chainio, predict
 from .config import RunConfig, load_config
 from .data import AlignedData, load_observations
 from .errors import ChainStateError, MissingInputError, ValidationError
-from .pipeline import build_design_structures, build_structures, load_data
+from .pipeline import (
+    build_design_structures,
+    build_structures,
+    input_digests,
+    load_data,
+    load_design_structures,
+)
 from .sampler import gibbs_run
 
 log = logging.getLogger(__name__)
@@ -138,9 +144,13 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 def cmd_fit(cfg: RunConfig, chains: int = 1, trace: list[str] | None = None) -> int:
     _require_inputs(cfg)
+    inputs = input_digests(cfg)
     structures = build_structures(cfg)
     obs, _ = load_data(cfg, structures)
     cfg.output.mkdir(parents=True, exist_ok=True)
+    chainio.write_structures(
+        cfg.output / chainio.STRUCTURES_FILE, structures.basis, inputs.record("design_sha256")
+    )
     for i in range(chains):
         directory = cfg.output / f"chain{i}"
         chain = gibbs_run(
@@ -153,7 +163,7 @@ def cmd_fit(cfg: RunConfig, chains: int = 1, trace: list[str] | None = None) -> 
             burn_in=cfg.burn_in,
             thin=cfg.thin,
             seed=cfg.seed + i,
-            writer=chainio.ChainWriter(directory),
+            writer=chainio.ChainWriter(directory, inputs.record()),
         )
         for selector in trace or []:
             summary = predict.trace_summary(chain, selector)
@@ -168,8 +178,10 @@ def cmd_predict(cfg: RunConfig, chain_dir: str | None) -> int:
     directory = Path(chain_dir) if chain_dir else cfg.output / "chain0"
     if not (directory / "manifest.json").exists():
         raise ChainStateError(f"no fitted chain at {directory}")
+    inputs = input_digests(cfg)
+    structures = load_design_structures(cfg, inputs)
     chain = chainio.read_chain(directory)
-    structures = build_design_structures(cfg)
+    inputs.check(chain.meta, f"the chain at {directory}")
     _, aligned = load_data(cfg, structures)
     _warn_unobserved_times(aligned, cfg.design.T)
     surface = predict.posterior_y(
@@ -276,7 +288,8 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
         if not (d / "manifest.json").exists():
             raise ChainStateError(f"no fitted chain at {d}")
 
-    structures = build_design_structures(cfg)
+    inputs = input_digests(cfg)
+    structures = load_design_structures(cfg, inputs)
     _, aligned_full = load_data(cfg, structures)
 
     # evaluation cells: variable-1 locations observed by survey 1
@@ -293,6 +306,7 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
         raise ValidationError("survey 1 has no variable-1 observations to score")
 
     full_chain = chainio.read_chain(directory)
+    inputs.check(full_chain.meta, f"the chain at {directory}")
     rng = np.random.default_rng(cfg.seed + 1)
     full_surface = predict.posterior_y(
         full_chain,
@@ -306,6 +320,7 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
     survey_means = {}
     for m, d in enumerate(survey_chain_dirs, start=1):
         chain_m = chainio.read_chain(Path(d))
+        input_digests(cfg, cfg.rls_surveys[m - 1]).check(chain_m.meta, f"the chain at {d}")
         _, aligned_m = load_data(cfg, structures, observations_path=cfg.rls_surveys[m - 1])
         surface_m = predict.posterior_y(
             chain_m,

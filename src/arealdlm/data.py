@@ -176,7 +176,12 @@ class ObservationSet:
         return len(self.observations)
 
 
-def _open_csv(path: str | Path, expected_header: list[str]) -> list[dict]:
+def _open_csv(path: str | Path, expected_header: list[str]) -> list[tuple[int, dict]]:
+    """The data rows of a CSV file, each with its 1-based line number in the file.
+
+    Blank lines are skipped, so the line numbers are read from the reader
+    rather than counted.
+    """
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"input file not found: {path}")
@@ -187,8 +192,8 @@ def _open_csv(path: str | Path, expected_header: list[str]) -> list[dict]:
                 f"{path}: expected header {','.join(expected_header)}, "
                 f"got {','.join(reader.fieldnames or [])}"
             )
-        rows = list(reader)
-    for k, row in enumerate(rows, start=2):
+        rows = [(reader.line_num, row) for row in reader]
+    for k, row in rows:
         if None in row or None in row.values():  # too many or too few fields
             raise ValidationError(f"{path}:{k}: expected {len(expected_header)} fields")
     return rows
@@ -229,7 +234,7 @@ def load_observations(
     rows = _open_csv(obs_file, ["variable", "time", "unit", "z", "v"])
     seen: set[tuple[int, int, str]] = set()
     obs: list[Observation] = []
-    for k, row in enumerate(rows, start=2):
+    for k, row in rows:
         where = f"{obs_file}:{k}"
         ell = _index(row["variable"], where)
         t = _index(row["time"], where)
@@ -245,7 +250,10 @@ def load_observations(
             raise ValidationError(f"{where}: duplicate observation {key}")
         seen.add(key)
         if transforms is not None:
-            z, v = apply_transform(z, v, transforms.get(ell, TransformSpec("identity")))
+            try:
+                z, v = apply_transform(z, v, transforms.get(ell, TransformSpec("identity")))
+            except ValidationError as exc:
+                raise ValidationError(f"{where}: {exc}") from None
         if not v > 0.0:
             raise ValidationError(f"{where}: nonpositive variance for {key}")
         if not (np.isfinite(z) and np.isfinite(v)):
@@ -266,7 +274,7 @@ def build_adjacency(edge_file: str | Path, units: list[str]) -> ArealGraph:
         raise ValidationError("duplicate unit identifiers")
     rows = _open_csv(edge_file, ["unit_a", "unit_b"])
     edges: set[tuple[int, int]] = set()
-    for k, row in enumerate(rows, start=2):
+    for k, row in rows:
         a, b = row["unit_a"].strip(), row["unit_b"].strip()
         for u in (a, b):
             if u not in index:
@@ -315,10 +323,6 @@ class DesignSet:
     def stacked_adjacency(self, t: int) -> np.ndarray:
         """Block-diagonal N_t x N_t adjacency over the (variable, unit) rows."""
         return dense_adjacency(self.N_t(t), *self.edge_index(t))
-
-    def stacked_car_precision(self, t: int) -> np.ndarray:
-        a = self.stacked_adjacency(t)
-        return np.diag(a.sum(axis=1)) - a
 
 
 @dataclass(frozen=True)
@@ -371,7 +375,7 @@ def scan_units(covariate_file: str | Path, p: int) -> list[str]:
     header = ["variable", "time", "unit"] + [f"x{j}" for j in range(1, p + 1)]
     rows = _open_csv(covariate_file, header)
     seen: dict[str, None] = {}
-    for row in rows:
+    for _, row in rows:
         seen.setdefault(row["unit"].strip(), None)
     if not seen:
         raise ValidationError(f"{covariate_file}: no covariate rows")
@@ -399,7 +403,7 @@ def assemble_design(
     unit_index = {u: i for i, u in enumerate(graph.units)}
     per_cell: dict[tuple[int, int, str], np.ndarray] = {}
     units_at: dict[tuple[int, int], list[int]] = {}
-    for k, row in enumerate(rows, start=2):
+    for k, row in rows:
         where = f"{covariate_file}:{k}"
         ell = _index(row["variable"], where)
         t = _index(row["time"], where)

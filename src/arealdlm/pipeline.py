@@ -3,13 +3,22 @@
 The covariate file defines the prediction locations and the unit universe
 (first-seen order); the edge file defines adjacency among those units; the
 observation file must live inside the prediction set.
+
+``fit`` builds the structures once and stores the basis; ``predict`` and
+``rls`` rebuild only the graph and the design and take the basis from the
+store. sha256 digests of the inputs tie a stored basis and a chain to the
+files and settings they came from, and a changed input is refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+import json
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
 from .basis import BasisSystem, build_basis_system
+from .chainio import STRUCTURES_FILE, read_structures
 from .config import RunConfig
 from .data import (
     AlignedData,
@@ -22,7 +31,78 @@ from .data import (
     load_observations,
     scan_units,
 )
+from .errors import ChainStateError, MissingInputError
 from .prior import PriorStructure, build_prior_structure
+
+# digest groups: what the design (graph, X_t, basis) and the observations depend on
+_GROUPS = {
+    "design_sha256": ("covariates", "edges", "[design]"),
+    "observations_sha256": ("observations", "[transforms]"),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _json_sha256(value) -> str:
+    return _sha256(json.dumps(value, sort_keys=True).encode())
+
+
+def _file_sha256(path: Path) -> str:
+    if not path.exists():
+        raise MissingInputError(f"input file not found: {path}")
+    return _sha256(path.read_bytes())
+
+
+@dataclass(frozen=True)
+class InputDigests:
+    """sha256 of every input of a fit: file bytes, or the parsed config section.
+
+    ``sha256`` and ``sources`` are keyed by the input names of ``_GROUPS``;
+    ``sources`` says what to call each input in a message.
+    """
+
+    sha256: dict[str, str]
+    sources: dict[str, str]
+
+    def _combined(self, group: str) -> str:
+        return _json_sha256({n: self.sha256[n] for n in _GROUPS[group]})
+
+    def record(self, *groups: str) -> dict:
+        """Each group's combined sha256 and every member input's own (default: all groups)."""
+        groups = groups or tuple(_GROUPS)
+        own = {n: self.sha256[n] for g in groups for n in _GROUPS[g]}
+        return {**{g: self._combined(g) for g in groups}, "input_sha256": own}
+
+    def check(self, record: dict, what: str, *groups: str) -> None:
+        """Refuse ``what`` (ChainStateError) when a group's digest differs from ``record``'s."""
+        for group in groups or tuple(_GROUPS):
+            if record.get(group) != self._combined(group):
+                recorded = record.get("input_sha256", {})
+                changed = [
+                    self.sources[n] for n in _GROUPS[group] if recorded.get(n) != self.sha256[n]
+                ]
+                raise ChainStateError(
+                    f"{' and '.join(changed or [group])} changed since {what} was "
+                    "written; run fit again"
+                )
+
+
+def input_digests(cfg: RunConfig, observations_path: Path | None = None) -> InputDigests:
+    """Digests of the config's inputs, with ``observations_path`` as the observation file."""
+    observations = Path(observations_path or cfg.observations)
+    files = {"covariates": cfg.covariates, "edges": cfg.edges, "observations": observations}
+    settings = {
+        "[design]": asdict(cfg.design),
+        "[transforms]": {str(ell): spec.kind for ell, spec in sorted(cfg.transforms.items())},
+    }
+    sha256 = {name: _file_sha256(path) for name, path in files.items()}
+    sources = {name: str(path) for name, path in files.items()}
+    for name, parsed in settings.items():
+        sha256[name] = _json_sha256(parsed)
+        sources[name] = f"the {name} settings"
+    return InputDigests(sha256, sources)
 
 
 @dataclass(frozen=True)
@@ -41,11 +121,28 @@ class ModelStructures(DesignStructures):
     prior: PriorStructure
 
 
-def build_design_structures(cfg: RunConfig) -> DesignStructures:
+def _graph_and_design(cfg: RunConfig) -> tuple[ArealGraph, DesignSet]:
     units = scan_units(cfg.covariates, cfg.design.p)
     graph = build_adjacency(cfg.edges, units)
-    design_set = assemble_design(cfg.covariates, cfg.design, graph)
+    return graph, assemble_design(cfg.covariates, cfg.design, graph)
+
+
+def build_design_structures(cfg: RunConfig) -> DesignStructures:
+    graph, design_set = _graph_and_design(cfg)
     return DesignStructures(graph, design_set, build_basis_system(design_set))
+
+
+def load_design_structures(cfg: RunConfig, inputs: InputDigests) -> DesignStructures:
+    """Graph and design from the inputs; the basis ``fit`` stored under the output directory.
+
+    A missing store, or one built from other covariates, edges or [design]
+    settings than ``inputs`` digests, is a ChainStateError.
+    """
+    path = cfg.output / STRUCTURES_FILE
+    basis, record = read_structures(path)
+    inputs.check(record, str(path), "design_sha256")
+    graph, design_set = _graph_and_design(cfg)
+    return DesignStructures(graph, design_set, basis)
 
 
 def build_structures(cfg: RunConfig) -> ModelStructures:

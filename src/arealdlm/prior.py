@@ -85,6 +85,17 @@ def _floor_covariance(
     return mat + applied * np.eye(mat.shape[0])
 
 
+def _laplacian_middle(s: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """S'(D - A)S from the edge list (each edge once), with no N x N matrix.
+
+    It equals (S' diag(deg)) S - C - C' with C = S[rows]' S[cols], at a cost
+    of O(N r^2 + E r^2).
+    """
+    deg = np.bincount(rows, minlength=s.shape[0]) + np.bincount(cols, minlength=s.shape[0])
+    cross = s[rows].T @ s[cols]
+    return (s.T * deg) @ s - cross - cross.T
+
+
 def _pooled_middle(middles: list[np.ndarray]) -> np.ndarray:
     """(1/T) sum_t S_t' P_t S_t from the r x r terms S_t' P_t S_t, accumulated in list order."""
     acc = np.zeros_like(middles[0])
@@ -185,8 +196,9 @@ def build_prior_structure(
 ) -> PriorStructure:
     """Assemble K*_t and W*_t from the basis and per-time target precisions.
 
-    Targets default to the stacked graph-Laplacian precision, built inside
-    the per-t loop so that one N_t x N_t target is alive at a time. All
+    Targets default to the stacked graph-Laplacian precision, whose middle
+    S_t'(D - A)S_t comes from the time-t edge index without any N_t x N_t
+    matrix; explicit ``targets`` are dense N_t x N_t precisions. All
     emitted matrices are invertible: singular approximants and singular
     post-lift innovation covariances receive a recorded eps*I floor. Logs one
     warning when K*_t never changes over time, since W* is then the floor alone.
@@ -199,8 +211,9 @@ def build_prior_structure(
     eps_log: list[tuple[str, float]] = []
 
     def middle(t: int) -> np.ndarray:
-        target = design_set.stacked_car_precision(t) if targets is None else targets[t]
-        return basis.s[t].T @ target @ basis.s[t]
+        if targets is None:
+            return _laplacian_middle(basis.s[t], *design_set.edge_index(t))
+        return basis.s[t].T @ targets[t] @ basis.s[t]
 
     if pooled:
         shared = _kstar(_pooled_middle([middle(t) for t in times]), form, eps, "K*", eps_log)

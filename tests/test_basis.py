@@ -299,6 +299,44 @@ class TestStraddleWarning:
         assert "eigenvalues 1 and 2 coincide at t=1,2" in messages[0]
 
 
+class TestOneSolvePerDistinctTime:
+    """Times with the same X_t and edge index share one eigensolve."""
+
+    def _counted(self, monkeypatch, design_set):
+        import arealdlm.basis as basis_module
+
+        calls = []
+        original = basis_module._dense_pairs
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(basis_module, "_dense_pairs", counting)
+        return build_basis_system(design_set), len(calls)
+
+    def test_constant_design_solves_once(self, monkeypatch):
+        graph = random_connected_graph(8, 6, seed=0)
+        design_set = make_design_set(graph, StudyDesign(1, ((1, 3),), 2, 2), seed=1)
+        basis, calls = self._counted(monkeypatch, design_set)
+        assert calls == 1
+        monkeypatch.undo()
+        for t in (1, 2, 3):
+            a = design_set.stacked_adjacency(t)
+            s_alone, vals_alone = mi_basis(design_set.matrices[t], a, 2)
+            assert np.array_equal(basis.s[t], s_alone)
+            assert np.array_equal(basis.eigvals[t], vals_alone)
+
+    def test_changed_rows_or_covariates_solve_again(self, monkeypatch):
+        _, calls = self._counted(monkeypatch, gapped_two_variable_design(30, r=4, seed=2))
+        assert calls == 2
+        graph = random_connected_graph(8, 6, seed=0)
+        design_set = make_design_set(graph, StudyDesign(1, ((1, 3),), 2, 2), seed=1,
+                                     time_varying=True)
+        _, calls = self._counted(monkeypatch, design_set)
+        assert calls == 3
+
+
 def test_small_builds_do_not_import_scipy():
     # the criterion-10 profile size (N_t = 100) stays on the dense path
     code = """

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from arealdlm.chainio import ChainWriter, read_chain
+from arealdlm.chainio import ChainWriter, read_chain, read_structures
 from arealdlm.errors import ChainStateError
 from arealdlm.predict import simulate
 from arealdlm.sampler import Hyperparams, gibbs_run
@@ -88,3 +88,12 @@ class TestRoundTrip:
             assert key in manifest
         assert manifest["move_types"] == "gibbs"
         assert manifest["completed_iterations"] == small_chain.iterations
+
+
+class TestStructuresFile:
+    def test_unreadable_structures_refused(self, tmp_path):
+        with pytest.raises(ChainStateError, match="no fitted structures"):
+            read_structures(tmp_path / "none.npz")
+        (tmp_path / "bad.npz").write_bytes(b"not an archive")
+        with pytest.raises(ChainStateError, match="cannot read the fitted structures"):
+            read_structures(tmp_path / "bad.npz")

@@ -1,5 +1,10 @@
 import json
 import logging
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,8 +217,21 @@ class TestExitCodes:
         (tmp_path / "obs.csv").write_text("\n".join(lines[:5] + lines[6:]) + "\n")
         capsys.readouterr()
         assert main(["predict", "--config", str(cfg)]) == 4
-        assert "fine-scale cells at t=1" in capsys.readouterr().err
+        assert "obs.csv changed since the chain at" in capsys.readouterr().err
         assert not (tmp_path / "out" / "predictions.csv").exists()
+
+    def test_logit_range_error_is_located(self, tmp_path, capsys):
+        cfg = write_project(tmp_path)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        lines = (tmp_path / "obs.csv").read_text().splitlines()
+        lines[1:] = [",".join(row.split(",")[:3] + ["0.5", "0.01"]) for row in lines[1:]]
+        lines[3] = ",".join(lines[3].split(",")[:3] + ["1.5", "0.01"])
+        (tmp_path / "obs.csv").write_text("\n".join(lines) + "\n")
+        cfg.write_text(cfg.read_text() + "\n[transforms]\nvariable_1 = logit\n")
+        capsys.readouterr()
+        assert main(["validate", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "obs.csv:4: logit transform needs a value in (0,1), got 1.5" in err
 
     def test_simulate_refuses_transform_before_writing(self, tmp_path):
         cfg = write_project(tmp_path)
@@ -288,38 +306,35 @@ class TestBasisPriorDumps:
         assert k1.shape == (2, 2)
 
 
+def write_rls_project(tmp_path, iterations, burn_in):
+    """The project with two surveys, fitted fused and per survey; returns the rls argv.
+
+    The surveys split the variable-1 cells between them; the fused file is
+    their union.
+    """
+    cfg = write_project(tmp_path, iterations=iterations, burn_in=burn_in)
+    main(["simulate", "--config", str(cfg)])
+    obs_lines = (tmp_path / "obs.csv").read_text().splitlines()
+    header, rows = obs_lines[0], obs_lines[1:]
+    survey1 = [r for r in rows if r.split(",")[2] in {"u0", "u1", "u2", "u3"}]
+    survey2 = [r for r in rows if r.split(",")[2] not in {"u0", "u1", "u2", "u3"}]
+    (tmp_path / "s1.csv").write_text("\n".join([header] + survey1) + "\n")
+    (tmp_path / "s2.csv").write_text("\n".join([header] + survey2) + "\n")
+    cfg.write_text(cfg.read_text() + "\n[rls]\nsurveys = s1.csv, s2.csv\n")
+
+    assert main(["fit", "--config", str(cfg)]) == 0  # fused
+    for m in (1, 2):
+        text = cfg.read_text().replace("observations = obs.csv", f"observations = s{m}.csv")
+        alt = tmp_path / f"run_s{m}.ini"
+        alt.write_text(text)
+        assert main(["fit", "--config", str(alt), "--output", str(tmp_path / f"out_s{m}")]) == 0
+    chains = f"{tmp_path / 'out_s1' / 'chain0'},{tmp_path / 'out_s2' / 'chain0'}"
+    return ["rls", "--config", str(cfg), "--survey-chains", chains]
+
+
 class TestRlsCommand:
     def test_two_survey_rls(self, tmp_path):
-        # surveys split variable-1 cells between them; the fused file is their union
-        cfg = write_project(tmp_path, iterations=120, burn_in=40)
-        main(["simulate", "--config", str(cfg)])
-        obs_lines = (tmp_path / "obs.csv").read_text().splitlines()
-        header, rows = obs_lines[0], obs_lines[1:]
-        survey1 = [r for r in rows if r.split(",")[2] in {"u0", "u1", "u2", "u3"}]
-        survey2 = [r for r in rows if r.split(",")[2] not in {"u0", "u1", "u2", "u3"}]
-        (tmp_path / "s1.csv").write_text("\n".join([header] + survey1) + "\n")
-        (tmp_path / "s2.csv").write_text("\n".join([header] + survey2) + "\n")
-        cfg.write_text(cfg.read_text() + "\n[rls]\nsurveys = s1.csv, s2.csv\n")
-
-        assert main(["fit", "--config", str(cfg)]) == 0  # fused
-        for m in (1, 2):
-            text = cfg.read_text().replace("observations = obs.csv", f"observations = s{m}.csv")
-            alt = tmp_path / f"run_s{m}.ini"
-            alt.write_text(text)
-            assert main(["fit", "--config", str(alt), "--output", str(tmp_path / f"out_s{m}")]) == 0
-
-        assert (
-            main(
-                [
-                    "rls",
-                    "--config",
-                    str(cfg),
-                    "--survey-chains",
-                    f"{tmp_path / 'out_s1' / 'chain0'},{tmp_path / 'out_s2' / 'chain0'}",
-                ]
-            )
-            == 0
-        )
+        assert main(write_rls_project(tmp_path, iterations=120, burn_in=40)) == 0
         out = json.loads((tmp_path / "out" / "rls.json").read_text())
         assert set(out["rls"]) == {"1", "2"}
         assert out["cells"] == 4 * 3
@@ -378,3 +393,141 @@ class TestTransformPipeline:
             parts = row.split(",")
             back = float(parts[5])
             assert 0.0 < back < 1.0  # inverse link maps into the rate scale
+
+
+class TestStoredStructures:
+    """fit stores the basis with input digests; predict and rls read it.
+
+    Both refuse inputs changed since the fit.
+    """
+
+    @pytest.fixture(scope="class")
+    def fitted(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("rls_project")
+        argv = write_rls_project(root, iterations=40, burn_in=10)
+        return root, argv
+
+    @pytest.fixture
+    def project(self, fitted, tmp_path):
+        """A private copy of the fitted project: (directory, config path, rls argv)."""
+        root, argv = fitted
+        copy = tmp_path / "project"
+        shutil.copytree(root, copy)
+        argv = [a.replace(str(root), str(copy)) for a in argv]
+        return copy, copy / "run.ini", argv
+
+    def test_structures_hold_the_fitted_basis(self, project):
+        from arealdlm.chainio import read_structures
+        from arealdlm.config import load_config
+        from arealdlm.pipeline import build_design_structures
+
+        directory, cfg, _ = project
+        basis, record = read_structures(directory / "out" / "structures.npz")
+        built = build_design_structures(load_config(cfg)).basis
+        assert basis.times == built.times == [1, 2, 3]
+        for t in built.times:
+            assert np.array_equal(basis.s[t], built.s[t])
+            assert np.array_equal(basis.eigvals[t], built.eigvals[t])
+        manifest = json.loads((directory / "out" / "chain0" / "manifest.json").read_text())
+        assert manifest["format_version"] == 2
+        assert record["design_sha256"] == manifest["design_sha256"]
+        assert set(manifest["input_sha256"]) == {
+            "covariates", "edges", "[design]", "observations", "[transforms]"
+        }
+
+    def test_refit_gives_identical_structures(self, project):
+        directory, cfg, _ = project
+        before = (directory / "out" / "structures.npz").read_bytes()
+        assert main(["fit", "--config", str(cfg)]) == 0
+        assert (directory / "out" / "structures.npz").read_bytes() == before
+
+    def test_predict_and_rls_do_not_build_the_basis(self, project, monkeypatch):
+        import arealdlm.basis
+        import arealdlm.pipeline
+
+        def refuse(design_set):
+            raise AssertionError("the basis was built again")
+
+        monkeypatch.setattr(arealdlm.basis, "build_basis_system", refuse)
+        monkeypatch.setattr(arealdlm.pipeline, "build_basis_system", refuse)
+        directory, cfg, rls_argv = project
+        assert main(["predict", "--config", str(cfg)]) == 0
+        assert main(rls_argv) == 0
+
+    def test_predict_and_rls_do_not_import_scipy(self, project):
+        directory, cfg, rls_argv = project
+        code = (
+            "import sys; from arealdlm.cli import main; "
+            f"codes = main(['predict', '--config', {str(cfg)!r}]), main({rls_argv!r}); "
+            "print(*codes, 'scipy' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.splitlines()[-1] == "0 0 False"
+
+    def test_edited_covariates_refused(self, project, capsys):
+        directory, cfg, rls_argv = project
+        path = directory / "cov.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[-1] = repr(float(fields[-1]) + 0.25)
+        lines[1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg)]) == 4
+        assert "cov.csv changed since" in capsys.readouterr().err
+        assert main(rls_argv) == 4
+        assert "cov.csv changed since" in capsys.readouterr().err
+        assert not (directory / "out" / "predictions.csv").exists()
+        assert not (directory / "out" / "rls.json").exists()
+
+    def test_edited_observation_value_refused(self, project, capsys):
+        # same rows, so the fine-scale widths still match the chain
+        directory, cfg, _ = project
+        path = directory / "obs.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[3] = repr(float(fields[3]) + 1.0)
+        lines[1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg)]) == 4
+        assert "obs.csv changed since the chain at" in capsys.readouterr().err
+
+    def test_rls_checks_each_survey_chain_against_its_survey(self, project, capsys):
+        directory, _, rls_argv = project
+        path = directory / "s2.csv"
+        path.write_text(path.read_text().replace("0.02\n", "0.03\n", 1))
+        capsys.readouterr()
+        assert main(rls_argv) == 4
+        err = capsys.readouterr().err
+        assert "s2.csv changed since the chain at" in err and "out_s2" in err
+
+    def test_edited_transforms_refused(self, project, capsys):
+        directory, cfg, _ = project
+        cfg.write_text(cfg.read_text() + "\n[transforms]\nvariable_1 = identity\n")
+        assert main(["predict", "--config", str(cfg)]) == 0  # same parsed settings
+        cfg.write_text(cfg.read_text().replace("variable_1 = identity", "variable_1 = log"))
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg)]) == 4
+        assert "the [transforms] settings changed since" in capsys.readouterr().err
+
+    def test_missing_structures_refused(self, project, capsys):
+        directory, cfg, rls_argv = project
+        (directory / "out" / "structures.npz").unlink()
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg)]) == 4
+        assert "no fitted structures at" in capsys.readouterr().err
+        assert main(rls_argv) == 4
+
+    def test_format_version_1_chain_refused(self, project, capsys):
+        directory, cfg, _ = project
+        path = directory / "out" / "chain0" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["format_version"] = 1
+        path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg)]) == 4
+        assert "has format_version 1, but this version reads 2" in capsys.readouterr().err

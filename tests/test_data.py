@@ -75,6 +75,17 @@ class TestLoadObservations:
         assert out.n == 23 * 3 + 8 * 2
         assert sum(counts.values()) == out.n
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        # two blank lines after the header put the bad z of the third row on line 6
+        obs_file = tmp_path / "obs.csv"
+        write_lines(
+            obs_file,
+            "variable,time,unit,z,v",
+            ["", "", "1,1,a,0.5,0.1", "1,1,b,0.7,0.2", "1,1,c,x,0.1"],
+        )
+        with pytest.raises(ValidationError, match=r"obs\.csv:6: 'x' is not a finite number"):
+            load_observations(obs_file, StudyDesign(1, ((1, 1),), 1, 1))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingInputError):
             load_observations(tmp_path / "nope.csv", StudyDesign(1, ((1, 1),), 1, 1))
@@ -118,6 +129,12 @@ class TestBuildAdjacency:
         edge_file = tmp_path / "edges.csv"
         write_lines(edge_file, "unit_a,unit_b", ["a,z"])
         with pytest.raises(ValidationError, match="unknown unit 'z'"):
+            build_adjacency(edge_file, ["a", "b"])
+
+    def test_unknown_unit_after_blank_line_is_located(self, tmp_path):
+        edge_file = tmp_path / "edges.csv"
+        write_lines(edge_file, "unit_a,unit_b", ["a,b", "", "b,z"])
+        with pytest.raises(ValidationError, match=r"edges\.csv:4: unknown unit 'z'"):
             build_adjacency(edge_file, ["a", "b"])
 
     @given(

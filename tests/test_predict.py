@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from arealdlm.data import TransformSpec, align_observations
-from arealdlm.errors import ValidationError
+from arealdlm.errors import ChainStateError, ValidationError
 from arealdlm.predict import (
     posterior_y,
     rls,
@@ -124,6 +124,19 @@ class TestPosteriorY:
         design_set, basis, _, _, chain, aligned = fitted_toy
         with pytest.raises(ValidationError, match="not a prediction location"):
             posterior_y(chain, design_set, basis, aligned, locations=[(1, 1, "zz")])
+
+    def test_chain_fitted_to_other_cells_refused(self, fitted_toy):
+        # one observed cell fewer at t=2 than the chain's fine-scale block there
+        design_set, basis, _, truth, chain, _ = fitted_toy
+        at_2 = [o for o in truth.observations.observations if o.time == 2]
+        fewer = replace(
+            truth.observations,
+            observations=tuple(o for o in truth.observations.observations if o != at_2[0]),
+        )
+        aligned = align_observations(design_set, fewer)
+        message = "holds 8 fine-scale cells at t=2 but the observations have 7"
+        with pytest.raises(ChainStateError, match=message):
+            posterior_y(chain, design_set, basis, aligned)
 
 
 class TestRls:

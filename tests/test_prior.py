@@ -10,6 +10,7 @@ from arealdlm.data import ArealGraph, StudyDesign
 from arealdlm.errors import ValidationError
 from arealdlm.linops import symmetrize
 from arealdlm.prior import (
+    _laplacian_middle,
     best_positive_approximant,
     build_prior_structure,
     car_precision,
@@ -18,7 +19,14 @@ from arealdlm.prior import (
     wstar,
 )
 
-from util import cycle_graph, make_design_set, random_connected_graph, toy_structures
+from util import (
+    cycle_graph,
+    gapped_two_variable_design,
+    make_design_set,
+    random_connected_graph,
+    stacked_car_precision,
+    toy_structures,
+)
 
 
 def random_orthonormal(rng, n, r):
@@ -248,6 +256,66 @@ class TestBuildPriorStructure:
             build_prior_structure(design_set, basis, form="banana")
 
 
+def _isolated_unit_design():
+    """L = 1, T = 3 time-varying design whose graph has two units without edges."""
+    connected = random_connected_graph(14, 12, seed=60)
+    graph = ArealGraph(connected.units + ("lone_a", "lone_b"), connected.edges)
+    return make_design_set(graph, StudyDesign(1, ((1, 3),), 3, 4), seed=61, time_varying=True)
+
+
+class TestSparseTargetMiddle:
+    """The default middle S_t'(D - A)S_t from the edge index against the dense Laplacian."""
+
+    DESIGNS = {
+        "time-varying": lambda: make_design_set(
+            random_connected_graph(20, 18, seed=62), StudyDesign(2, ((1, 4), (2, 4)), 3, 5),
+            seed=63, time_varying=True,
+        ),
+        "gapped": lambda: gapped_two_variable_design(40, r=6, seed=64),
+        "isolated-unit": _isolated_unit_design,
+    }
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["per-time", "pooled"])
+    @pytest.mark.parametrize("name", sorted(DESIGNS))
+    def test_matches_dense_oracle(self, name, pooled):
+        design_set = self.DESIGNS[name]()
+        basis = build_basis_system(design_set)
+        targets = {t: stacked_car_precision(design_set, t) for t in basis.times}
+        sparse = build_prior_structure(design_set, basis, pooled=pooled)
+        dense = build_prior_structure(design_set, basis, targets=targets, pooled=pooled)
+        for t in basis.times:
+            mid = basis.s[t].T @ targets[t] @ basis.s[t]
+            got = _laplacian_middle(basis.s[t], *design_set.edge_index(t))
+            assert np.max(np.abs(got - mid)) <= 1e-12 * np.max(np.abs(mid))
+            for k_sparse, k_dense in ((sparse.k_star, dense.k_star), (sparse.w_star, dense.w_star)):
+                if t in k_dense:
+                    scale = np.max(np.abs(k_dense[t]))
+                    assert np.max(np.abs(k_sparse[t] - k_dense[t])) <= 1e-12 * scale
+        assert [n for n, _ in sparse.lift_log] == [n for n, _ in dense.lift_log]
+        assert [n for n, _ in sparse.eps_log] == [n for n, _ in dense.eps_log]
+
+
+def test_large_n_setup_memory():
+    # the LEHD scale: about 3,000 counties with L = 2 stacked, N_t near 6,000;
+    # one dense N_t x N_t target is 288 MB
+    import tracemalloc
+
+    import scipy.sparse.linalg  # noqa: F401  (imported outside the measurement)
+
+    design_set = gapped_two_variable_design(3000, r=30, seed=65)
+    assert design_set.N_t(1) == 6000 and design_set.N_t(2) == 5700
+    tracemalloc.start()
+    try:
+        basis = build_basis_system(design_set)
+        prior = build_prior_structure(design_set, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert basis.provenance["solver"] == {1: "lanczos", 2: "lanczos"}
+    assert prior.k_star[2].shape == (30, 30)
+    assert peak < 500e6
+
+
 class TestFormRelations:
     """How the inverted, direct and pooled modes relate on one design."""
 
@@ -271,12 +339,12 @@ class TestFormRelations:
 
     def test_pooled_matches_kstar_pooled(self, design):
         design_set, basis = design
-        prior = build_prior_structure(design_set, basis, pooled=True)
+        times = basis.times
+        targets = {t: stacked_car_precision(design_set, t) for t in times}
+        prior = build_prior_structure(design_set, basis, targets=targets, pooled=True)
         assert not [name for name, _ in prior.eps_log if name.startswith("K*")]
-        times = prior.times
         expected, applied = kstar_pooled(
-            [basis.s[t] for t in times],
-            [design_set.stacked_car_precision(t) for t in times],
+            [basis.s[t] for t in times], [targets[t] for t in times]
         )
         assert applied == 0.0
         for t in times:

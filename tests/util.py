@@ -118,6 +118,16 @@ def mi_operator(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return symmetrize(resid @ a @ resid)
 
 
+def stacked_car_precision(design_set: DesignSet, t: int) -> np.ndarray:
+    """Dense N_t x N_t Laplacian D - A of the time-t rows.
+
+    The target whose middle S_t'(D - A)S_t the prior forms from the edge
+    index; the oracle of the prior tests.
+    """
+    a = design_set.stacked_adjacency(t)
+    return np.diag(a.sum(axis=1)) - a
+
+
 def toy_structures(
     n_units: int = 8,
     L: int = 1,
