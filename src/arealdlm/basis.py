@@ -163,9 +163,7 @@ def build_basis_system(design_set: DesignSet) -> BasisSystem:
 
     Each t takes the dense eigensolver below ``LANCZOS_MIN_DIM`` complement
     dimensions (or when r is not well below N_t - p) and Lanczos above; a
-    Lanczos solve that does not converge falls back to the dense one. A time
-    whose X_t and edge index equal those of an earlier time reuses that
-    time's solve (and its arrays), so a constant design costs one solve. One
+    Lanczos solve that does not converge falls back to the dense one. One
     warning per build names the times whose r-th and (r+1)-th eigenvalues
     are closer than ``CLUSTER_GAP``: there the basis is not unique.
     """
@@ -175,18 +173,9 @@ def build_basis_system(design_set: DesignSet) -> BasisSystem:
     eigvals: dict[int, np.ndarray] = {}
     solver: dict[int, str] = {}
     straddled: list[int] = []
-    first: dict[tuple, int] = {}  # solver inputs -> the first time that has them
     for t in range(1, design.T + 1):
         x_t = design_set.matrices[t]
         edges = design_set.edge_index(t)
-        key = (x_t.shape, x_t.tobytes(), edges[0].tobytes(), edges[1].tobytes())
-        if key in first:
-            u = first[key]
-            s[t], eigvals[t], solver[t] = s[u], eigvals[u], solver[u]
-            if u in straddled:
-                straddled.append(t)
-            continue
-        first[key] = t
         pairs = None
         if _use_lanczos(*x_t.shape, r):
             pairs = _lanczos_pairs(x_t, *edges, r)

@@ -70,11 +70,11 @@ def _manifest(chain: PosteriorChain, completed_iterations: int) -> dict:
 class ChainWriter:
     """Appends the stored rows of one chain to a chain directory."""
 
-    def __init__(self, directory: str | Path, inputs: dict | None = None):
-        """``inputs`` (the digests of ``pipeline.InputDigests.record``) go into the manifest."""
+    def __init__(self, directory: str | Path, input_sha256: dict | None = None):
+        """``input_sha256`` (``pipeline.InputDigests.record``) goes into the manifest."""
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.inputs = inputs or {}
+        self.input_sha256 = input_sha256
         self._written = None  # rows on disk; None until the headers are written
 
     def flush(self, chain: PosteriorChain, stored: int, completed_iterations: int) -> None:
@@ -90,7 +90,9 @@ class ChainWriter:
                 with (self.directory / f"{name}.csv").open("a", encoding="utf-8") as fh:
                     np.savetxt(fh, rows.reshape(len(rows), -1), fmt=_FLOAT_FMT, delimiter=",")
             self._written = stored
-        manifest = {**_manifest(chain, completed_iterations), **self.inputs}
+        manifest = _manifest(chain, completed_iterations)
+        if self.input_sha256 is not None:
+            manifest["input_sha256"] = self.input_sha256
         (self.directory / "manifest.json").write_text(
             json.dumps(manifest, sort_keys=True, indent=2) + "\n"
         )
@@ -141,10 +143,7 @@ def read_chain(directory: str | Path) -> PosteriorChain:
     n = sum(hi - lo for lo, hi in xi_offsets.values())
     meta = {
         k: manifest[k]
-        for k in (
-            "sweep_order", "move_types", "r", "p", "T", "n",
-            "design_sha256", "observations_sha256", "input_sha256",
-        )
+        for k in ("sweep_order", "move_types", "r", "p", "T", "n", "input_sha256")
         if k in manifest
     }
     return PosteriorChain(

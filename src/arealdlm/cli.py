@@ -20,6 +20,7 @@ from .config import RunConfig, load_config
 from .data import AlignedData, load_observations
 from .errors import ChainStateError, MissingInputError, ValidationError
 from .pipeline import (
+    DESIGN_INPUTS,
     build_design_structures,
     build_structures,
     input_digests,
@@ -149,7 +150,7 @@ def cmd_fit(cfg: RunConfig, chains: int = 1, trace: list[str] | None = None) -> 
     obs, _ = load_data(cfg, structures)
     cfg.output.mkdir(parents=True, exist_ok=True)
     chainio.write_structures(
-        cfg.output / chainio.STRUCTURES_FILE, structures.basis, inputs.record("design_sha256")
+        cfg.output / chainio.STRUCTURES_FILE, structures.basis, inputs.record(DESIGN_INPUTS)
     )
     for i in range(chains):
         directory = cfg.output / f"chain{i}"
@@ -179,9 +180,9 @@ def cmd_predict(cfg: RunConfig, chain_dir: str | None) -> int:
     if not (directory / "manifest.json").exists():
         raise ChainStateError(f"no fitted chain at {directory}")
     inputs = input_digests(cfg)
-    structures = load_design_structures(cfg, inputs)
+    structures = load_design_structures(cfg, inputs, directory)
     chain = chainio.read_chain(directory)
-    inputs.check(chain.meta, f"the chain at {directory}")
+    inputs.check(chain.meta.get("input_sha256", {}), f"the chain at {directory}")
     _, aligned = load_data(cfg, structures)
     _warn_unobserved_times(aligned, cfg.design.T)
     surface = predict.posterior_y(
@@ -289,7 +290,7 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
             raise ChainStateError(f"no fitted chain at {d}")
 
     inputs = input_digests(cfg)
-    structures = load_design_structures(cfg, inputs)
+    structures = load_design_structures(cfg, inputs, directory)
     _, aligned_full = load_data(cfg, structures)
 
     # evaluation cells: variable-1 locations observed by survey 1
@@ -306,7 +307,7 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
         raise ValidationError("survey 1 has no variable-1 observations to score")
 
     full_chain = chainio.read_chain(directory)
-    inputs.check(full_chain.meta, f"the chain at {directory}")
+    inputs.check(full_chain.meta.get("input_sha256", {}), f"the chain at {directory}")
     rng = np.random.default_rng(cfg.seed + 1)
     full_surface = predict.posterior_y(
         full_chain,
@@ -320,7 +321,8 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
     survey_means = {}
     for m, d in enumerate(survey_chain_dirs, start=1):
         chain_m = chainio.read_chain(Path(d))
-        input_digests(cfg, cfg.rls_surveys[m - 1]).check(chain_m.meta, f"the chain at {d}")
+        survey_inputs = input_digests(cfg, cfg.rls_surveys[m - 1])
+        survey_inputs.check(chain_m.meta.get("input_sha256", {}), f"the chain at {d}")
         _, aligned_m = load_data(cfg, structures, observations_path=cfg.rls_surveys[m - 1])
         surface_m = predict.posterior_y(
             chain_m,

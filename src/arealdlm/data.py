@@ -320,10 +320,6 @@ class DesignSet:
         empty = np.zeros(0, dtype=np.intp)
         return np.concatenate(rows or [empty]), np.concatenate(cols or [empty])
 
-    def stacked_adjacency(self, t: int) -> np.ndarray:
-        """Block-diagonal N_t x N_t adjacency over the (variable, unit) rows."""
-        return dense_adjacency(self.N_t(t), *self.edge_index(t))
-
 
 @dataclass(frozen=True)
 class AlignedData:

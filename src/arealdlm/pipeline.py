@@ -34,11 +34,9 @@ from .data import (
 from .errors import ChainStateError, MissingInputError
 from .prior import PriorStructure, build_prior_structure
 
-# digest groups: what the design (graph, X_t, basis) and the observations depend on
-_GROUPS = {
-    "design_sha256": ("covariates", "edges", "[design]"),
-    "observations_sha256": ("observations", "[transforms]"),
-}
+# the inputs of a fit; the graph, the design and the basis depend on the first three
+DESIGN_INPUTS = ("covariates", "edges", "[design]")
+INPUTS = DESIGN_INPUTS + ("observations", "[transforms]")
 
 
 def _sha256(data: bytes) -> str:
@@ -59,34 +57,24 @@ def _file_sha256(path: Path) -> str:
 class InputDigests:
     """sha256 of every input of a fit: file bytes, or the parsed config section.
 
-    ``sha256`` and ``sources`` are keyed by the input names of ``_GROUPS``;
+    ``sha256`` and ``sources`` are keyed by the names of ``INPUTS``;
     ``sources`` says what to call each input in a message.
     """
 
     sha256: dict[str, str]
     sources: dict[str, str]
 
-    def _combined(self, group: str) -> str:
-        return _json_sha256({n: self.sha256[n] for n in _GROUPS[group]})
+    def record(self, names: tuple[str, ...] = INPUTS) -> dict[str, str]:
+        """The sha256 of each named input, as stored with a chain or the structures."""
+        return {n: self.sha256[n] for n in names}
 
-    def record(self, *groups: str) -> dict:
-        """Each group's combined sha256 and every member input's own (default: all groups)."""
-        groups = groups or tuple(_GROUPS)
-        own = {n: self.sha256[n] for g in groups for n in _GROUPS[g]}
-        return {**{g: self._combined(g) for g in groups}, "input_sha256": own}
-
-    def check(self, record: dict, what: str, *groups: str) -> None:
-        """Refuse ``what`` (ChainStateError) when a group's digest differs from ``record``'s."""
-        for group in groups or tuple(_GROUPS):
-            if record.get(group) != self._combined(group):
-                recorded = record.get("input_sha256", {})
-                changed = [
-                    self.sources[n] for n in _GROUPS[group] if recorded.get(n) != self.sha256[n]
-                ]
-                raise ChainStateError(
-                    f"{' and '.join(changed or [group])} changed since {what} was "
-                    "written; run fit again"
-                )
+    def check(self, recorded: dict, what: str, names: tuple[str, ...] = INPUTS) -> None:
+        """Refuse ``what`` (ChainStateError) when a named input's sha256 differs from ``recorded``."""
+        changed = [self.sources[n] for n in names if recorded.get(n) != self.sha256[n]]
+        if changed:
+            raise ChainStateError(
+                f"{' and '.join(changed)} changed since {what} was written; run fit again"
+            )
 
 
 def input_digests(cfg: RunConfig, observations_path: Path | None = None) -> InputDigests:
@@ -132,15 +120,17 @@ def build_design_structures(cfg: RunConfig) -> DesignStructures:
     return DesignStructures(graph, design_set, build_basis_system(design_set))
 
 
-def load_design_structures(cfg: RunConfig, inputs: InputDigests) -> DesignStructures:
-    """Graph and design from the inputs; the basis ``fit`` stored under the output directory.
+def load_design_structures(
+    cfg: RunConfig, inputs: InputDigests, chain_dir: Path
+) -> DesignStructures:
+    """Graph and design from the inputs; the basis ``fit`` stored next to ``chain_dir``.
 
     A missing store, or one built from other covariates, edges or [design]
     settings than ``inputs`` digests, is a ChainStateError.
     """
-    path = cfg.output / STRUCTURES_FILE
-    basis, record = read_structures(path)
-    inputs.check(record, str(path), "design_sha256")
+    path = Path(chain_dir).parent / STRUCTURES_FILE
+    basis, recorded = read_structures(path)
+    inputs.check(recorded, str(path), DESIGN_INPUTS)
     graph, design_set = _graph_and_design(cfg)
     return DesignStructures(graph, design_set, basis)
 

@@ -26,6 +26,7 @@ from util import (
     make_design_set,
     mi_operator,
     random_connected_graph,
+    stacked_adjacency,
     toy_structures,
 )
 
@@ -198,7 +199,7 @@ class TestLanczosBasis:
         design_set = make_design_set(graph, StudyDesign(1, ((1, 1),), 3, self.R), seed=41)
         x = design_set.matrices[1]
         rows, cols = design_set.edge_index(1)
-        a = design_set.stacked_adjacency(1)
+        a = stacked_adjacency(design_set, 1)
         return x, rows, cols, a, lanczos_basis(x, rows, cols, self.R)
 
     def test_subspace_matches_dense(self, case):
@@ -240,7 +241,7 @@ class TestLanczosBasis:
         assert basis.provenance["solver"] == {1: "lanczos", 2: "lanczos"}
         for t in (1, 2):
             x = design_set.matrices[t]
-            s_dense, vals_dense = mi_basis(x, design_set.stacked_adjacency(t), 15)
+            s_dense, vals_dense = mi_basis(x, stacked_adjacency(design_set, t), 15)
             assert max_principal_sine(s_dense, basis.s[t]) <= 1e-8
             assert np.max(np.abs(basis.eigvals[t] - vals_dense)) <= 1e-10
             assert np.max(np.abs(basis.s[t].T @ x)) <= 1e-10
@@ -265,7 +266,7 @@ class TestLanczosBasis:
         warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
         assert warnings == ["Lanczos did not converge at t=1; using the dense eigensolver"]
         assert basis.provenance["solver"] == {1: "dense"}
-        s_dense, _ = mi_basis(design_set.matrices[1], design_set.stacked_adjacency(1), self.R)
+        s_dense, _ = mi_basis(design_set.matrices[1], stacked_adjacency(design_set, 1), self.R)
         assert np.array_equal(basis.s[1], s_dense)
 
 
@@ -297,44 +298,6 @@ class TestStraddleWarning:
         assert basis.provenance["solver"] == {1: "lanczos", 2: "lanczos"}
         assert len(messages) == 1
         assert "eigenvalues 1 and 2 coincide at t=1,2" in messages[0]
-
-
-class TestOneSolvePerDistinctTime:
-    """Times with the same X_t and edge index share one eigensolve."""
-
-    def _counted(self, monkeypatch, design_set):
-        import arealdlm.basis as basis_module
-
-        calls = []
-        original = basis_module._dense_pairs
-
-        def counting(*args):
-            calls.append(1)
-            return original(*args)
-
-        monkeypatch.setattr(basis_module, "_dense_pairs", counting)
-        return build_basis_system(design_set), len(calls)
-
-    def test_constant_design_solves_once(self, monkeypatch):
-        graph = random_connected_graph(8, 6, seed=0)
-        design_set = make_design_set(graph, StudyDesign(1, ((1, 3),), 2, 2), seed=1)
-        basis, calls = self._counted(monkeypatch, design_set)
-        assert calls == 1
-        monkeypatch.undo()
-        for t in (1, 2, 3):
-            a = design_set.stacked_adjacency(t)
-            s_alone, vals_alone = mi_basis(design_set.matrices[t], a, 2)
-            assert np.array_equal(basis.s[t], s_alone)
-            assert np.array_equal(basis.eigvals[t], vals_alone)
-
-    def test_changed_rows_or_covariates_solve_again(self, monkeypatch):
-        _, calls = self._counted(monkeypatch, gapped_two_variable_design(30, r=4, seed=2))
-        assert calls == 2
-        graph = random_connected_graph(8, 6, seed=0)
-        design_set = make_design_set(graph, StudyDesign(1, ((1, 3),), 2, 2), seed=1,
-                                     time_varying=True)
-        _, calls = self._counted(monkeypatch, design_set)
-        assert calls == 3
 
 
 def test_small_builds_do_not_import_scipy():

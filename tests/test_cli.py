@@ -430,10 +430,22 @@ class TestStoredStructures:
             assert np.array_equal(basis.eigvals[t], built.eigvals[t])
         manifest = json.loads((directory / "out" / "chain0" / "manifest.json").read_text())
         assert manifest["format_version"] == 2
-        assert record["design_sha256"] == manifest["design_sha256"]
-        assert set(manifest["input_sha256"]) == {
-            "covariates", "edges", "[design]", "observations", "[transforms]"
-        }
+        digests = manifest["input_sha256"]
+        assert set(digests) == {"covariates", "edges", "[design]", "observations", "[transforms]"}
+        assert record == {k: digests[k] for k in ("covariates", "edges", "[design]")}
+
+    def test_predict_reads_the_structures_next_to_the_chain(self, project, capsys):
+        # fitted with --output elsewhere; predict gets only --chain
+        directory, cfg, _ = project
+        run = directory / "runA"
+        assert main(["fit", "--config", str(cfg), "--output", str(run)]) == 0
+        (directory / "out" / "structures.npz").unlink()
+        assert main(["predict", "--config", str(cfg), "--chain", str(run / "chain0")]) == 0
+        assert (directory / "out" / "predictions.csv").exists()
+        (run / "structures.npz").unlink()
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg), "--chain", str(run / "chain0")]) == 4
+        assert f"no fitted structures at {run / 'structures.npz'}" in capsys.readouterr().err
 
     def test_refit_gives_identical_structures(self, project):
         directory, cfg, _ = project

@@ -18,7 +18,7 @@ from arealdlm.data import (
 )
 from arealdlm.errors import MissingInputError, ValidationError
 
-from util import gapped_two_variable_design, write_lines
+from util import gapped_two_variable_design, stacked_adjacency, write_lines
 
 
 def two_var_design(p=2, r=1):
@@ -168,7 +168,7 @@ class TestStackedAdjacency:
                     for la, ua in layout
                 ]
             )
-            assert np.array_equal(design_set.stacked_adjacency(t), oracle)
+            assert np.array_equal(stacked_adjacency(design_set, t), oracle)
             rows, cols = design_set.edge_index(t)
             assert rows.size == int(oracle.sum()) // 2
             assert np.all(oracle[rows, cols] == 1.0)

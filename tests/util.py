@@ -5,7 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from arealdlm.basis import build_basis_system
-from arealdlm.data import ArealGraph, DesignSet, Observation, ObservationSet, StudyDesign
+from arealdlm.data import (
+    ArealGraph,
+    DesignSet,
+    Observation,
+    ObservationSet,
+    StudyDesign,
+    dense_adjacency,
+)
 from arealdlm.errors import ValidationError
 from arealdlm.linops import symmetrize
 from arealdlm.prior import build_prior_structure
@@ -118,13 +125,18 @@ def mi_operator(x: np.ndarray, a: np.ndarray) -> np.ndarray:
     return symmetrize(resid @ a @ resid)
 
 
+def stacked_adjacency(design_set: DesignSet, t: int) -> np.ndarray:
+    """Block-diagonal N_t x N_t adjacency over the time-t (variable, unit) rows."""
+    return dense_adjacency(design_set.N_t(t), *design_set.edge_index(t))
+
+
 def stacked_car_precision(design_set: DesignSet, t: int) -> np.ndarray:
     """Dense N_t x N_t Laplacian D - A of the time-t rows.
 
     The target whose middle S_t'(D - A)S_t the prior forms from the edge
     index; the oracle of the prior tests.
     """
-    a = design_set.stacked_adjacency(t)
+    a = stacked_adjacency(design_set, t)
     return np.diag(a.sum(axis=1)) - a
 
 
