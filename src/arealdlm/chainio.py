@@ -3,14 +3,18 @@
 One CSV row per stored draw; floats are written with 17 significant digits so
 values round-trip exactly and identical runs produce byte-identical files.
 ``ChainWriter.flush`` appends the rows a ``PosteriorChain`` has stored since
-the last flush, straight from its draw arrays, and rewrites the manifest, so
-an interrupted run leaves a readable partial chain behind. The manifest
-gains ``num_draws`` once every iteration has run. A finished in-memory chain
-is written in one shot by ``ChainWriter(directory).finalize(chain)``.
+the last flush, straight from its draw arrays, and replaces the manifest
+whole, so an interrupted run leaves a readable partial chain behind. The
+manifest gains ``num_draws`` once every iteration has run. A finished
+in-memory chain is written in one shot by
+``ChainWriter(directory).finalize(chain)``.
 
 ``fit`` also writes ``structures.npz`` once per run: the basis (every S_t
 and its eigenvalues) with the digests of the inputs it was built from, so
 ``predict`` and ``rls`` read it instead of solving the eigenproblems again.
+
+``write_json`` writes every JSON file of a run: the chain manifests and
+the reports of the commands.
 """
 
 from __future__ import annotations
@@ -67,6 +71,17 @@ def _manifest(chain: PosteriorChain, completed_iterations: int) -> dict:
     return manifest
 
 
+def write_json(path: str | Path, value) -> None:
+    """Write ``value`` as indented JSON with sorted keys, under a temporary name and renamed.
+
+    Equal values give equal bytes, and no reader sees a partial file.
+    """
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    partial.write_text(json.dumps(value, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    os.replace(partial, path)
+
+
 class ChainWriter:
     """Appends the stored rows of one chain to a chain directory."""
 
@@ -93,9 +108,7 @@ class ChainWriter:
         manifest = _manifest(chain, completed_iterations)
         if self.input_sha256 is not None:
             manifest["input_sha256"] = self.input_sha256
-        (self.directory / "manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True, indent=2) + "\n"
-        )
+        write_json(self.directory / "manifest.json", manifest)
 
     def finalize(self, chain: PosteriorChain) -> None:
         """Write every remaining row and the complete manifest."""
@@ -115,22 +128,30 @@ def _load_csv(path: Path, allow_empty_cols: bool) -> np.ndarray:
 
 
 def read_chain(directory: str | Path) -> PosteriorChain:
-    """Load a (possibly partial) chain directory back into memory."""
+    """Load a (possibly partial) chain directory back into memory.
+
+    A missing or unreadable manifest, or one of another format version, is a
+    ChainStateError.
+    """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise ChainStateError(f"no chain manifest at {directory}")
-    manifest = json.loads(manifest_path.read_text())
-    version = manifest.get("format_version")
-    if version != FORMAT_VERSION:
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        version = manifest.get("format_version")
+        if version != FORMAT_VERSION:
+            raise ChainStateError(
+                f"the chain at {directory} has format_version {version}, but this version "
+                f"reads {FORMAT_VERSION}; run fit again"
+            )
+        T, r, p = manifest["T"], manifest["r"], manifest["p"]
+        xi_offsets = {int(t): tuple(v) for t, v in manifest["xi_offsets"].items()}
+        run = {k: manifest[k] for k in ("seed", "iterations", "burn_in", "thin")}
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ChainStateError(
-            f"the chain at {directory} has format_version {version}, but this version "
-            f"reads {FORMAT_VERSION}; run fit again"
-        )
-    T = manifest["T"]
-    r = manifest["r"]
-    p = manifest["p"]
-    xi_offsets = {int(t): tuple(v) for t, v in manifest["xi_offsets"].items()}
+            f"cannot read the chain manifest at {manifest_path}: {type(exc).__name__} {exc}"
+        ) from None
     try:
         eta = _load_csv(directory / "eta.csv", False)
         beta = _load_csv(directory / "beta.csv", False)
@@ -153,11 +174,8 @@ def read_chain(directory: str | Path) -> PosteriorChain:
         sigma_k2=sigma_k2[:j, 0],
         sigma_xi2=sigma_xi2[:j].reshape(j, T),
         xi_offsets=xi_offsets,
-        seed=manifest["seed"],
-        iterations=manifest["iterations"],
-        burn_in=manifest["burn_in"],
-        thin=manifest["thin"],
         meta=meta,
+        **run,
     )
 
 

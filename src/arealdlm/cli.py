@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 usage, 2 missing input, 3 validation failure,
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -24,6 +23,7 @@ from .pipeline import (
     build_design_structures,
     build_structures,
     input_digests,
+    load_chain,
     load_data,
     load_design_structures,
 )
@@ -90,15 +90,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return out
 
 
-def _require_inputs(cfg: RunConfig, need_observations: bool = True) -> None:
-    needed = [cfg.covariates, cfg.edges]
-    if need_observations:
-        needed.append(cfg.observations)
-    for p in needed:
-        if not p.exists():
-            raise MissingInputError(f"input file not found: {p}")
-
-
 def _warn_unobserved_times(aligned: AlignedData, T: int) -> None:
     """One WARNING naming every time with no observations at all."""
     empty = [t for t in range(1, T + 1) if aligned.n_t(t) == 0]
@@ -112,15 +103,15 @@ def _warn_unobserved_times(aligned: AlignedData, T: int) -> None:
 
 def cmd_validate(cfg: RunConfig) -> int:
     report = {"config": "ok"}
-    _require_inputs(cfg)
     structures = build_structures(cfg)
     obs, aligned = load_data(cfg, structures)
     design = cfg.design
+    graph = structures.design_set.graph
     _warn_unobserved_times(aligned, design.T)
     report.update(
         {
-            "units": len(structures.graph.units),
-            "edges": len(structures.graph.edges),
+            "units": len(graph.units),
+            "edges": len(graph.edges),
             "variables": design.num_variables,
             "T": design.T,
             "p": design.p,
@@ -135,7 +126,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         }
     )
     cfg.output.mkdir(parents=True, exist_ok=True)
-    (cfg.output / "validation.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    chainio.write_json(cfg.output / "validation.json", report)
     print("validation passed")
     for key in ("units", "edges", "variables", "T", "p", "r", "n"):
         print(f"  {key}: {report[key]}")
@@ -144,7 +135,6 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_fit(cfg: RunConfig, chains: int = 1, trace: list[str] | None = None) -> int:
-    _require_inputs(cfg)
     inputs = input_digests(cfg)
     structures = build_structures(cfg)
     obs, _ = load_data(cfg, structures)
@@ -175,15 +165,9 @@ def cmd_fit(cfg: RunConfig, chains: int = 1, trace: list[str] | None = None) -> 
 
 
 def cmd_predict(cfg: RunConfig, chain_dir: str | None) -> int:
-    _require_inputs(cfg)
     directory = Path(chain_dir) if chain_dir else cfg.output / "chain0"
-    if not (directory / "manifest.json").exists():
-        raise ChainStateError(f"no fitted chain at {directory}")
-    inputs = input_digests(cfg)
-    structures = load_design_structures(cfg, inputs, directory)
-    chain = chainio.read_chain(directory)
-    inputs.check(chain.meta.get("input_sha256", {}), f"the chain at {directory}")
-    _, aligned = load_data(cfg, structures)
+    structures = load_design_structures(cfg, directory)
+    chain, aligned = load_chain(cfg, structures, directory)
     _warn_unobserved_times(aligned, cfg.design.T)
     surface = predict.posterior_y(
         chain,
@@ -208,12 +192,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
             "simulate emits model-scale values; use identity transforms "
             "in simulation configs"
         )
-    _require_inputs(cfg, need_observations=False)
     structures = build_structures(cfg)
     design_set = structures.design_set
     truth_cfg = cfg.truth
 
-    units = structures.graph.units
+    units = design_set.graph.units
     for unit in truth_cfg.missing_units:
         if unit not in units:
             raise ValidationError(f"[truth] missing_units: unknown unit {unit!r}")
@@ -256,20 +239,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
             for pos, (ell, u) in enumerate(design_set.layout[t]):
                 fh.write(f"{ell},{t},{units[u]},{truth.y[t][pos]:.17g}\n")
     np.savetxt(truth_dir / "truth_eta.csv", truth.eta, fmt="%.17g", delimiter=",")
-    (truth_dir / "truth_params.json").write_text(
-        json.dumps(
-            {
-                "beta": np.asarray(truth_cfg.beta).tolist(),
-                "sigma_k2": truth_cfg.sigma_k2,
-                "sigma_xi2": truth_cfg.sigma_xi2,
-                "v": {str(k): v for k, v in truth_cfg.v.items()},
-                "seed": truth_cfg.seed,
-                "masked_cells": sorted(f"{ell},{t},{u}" for ell, t, u in mask),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    chainio.write_json(
+        truth_dir / "truth_params.json",
+        {
+            "beta": np.asarray(truth_cfg.beta).tolist(),
+            "sigma_k2": truth_cfg.sigma_k2,
+            "sigma_xi2": truth_cfg.sigma_xi2,
+            "v": {str(k): v for k, v in truth_cfg.v.items()},
+            "seed": truth_cfg.seed,
+            "masked_cells": sorted(f"{ell},{t},{u}" for ell, t, u in mask),
+        },
     )
     print(f"observations written: {cfg.observations} ({truth.observations.n} rows)")
     print(f"truth written: {truth_dir}")
@@ -283,15 +262,9 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
         raise ValidationError(
             f"got {len(survey_chain_dirs)} survey chains for {len(cfg.rls_surveys)} surveys"
         )
-    _require_inputs(cfg)
     directory = Path(chain_dir) if chain_dir else cfg.output / "chain0"
-    for d in [directory] + [Path(d) for d in survey_chain_dirs]:
-        if not (d / "manifest.json").exists():
-            raise ChainStateError(f"no fitted chain at {d}")
-
-    inputs = input_digests(cfg)
-    structures = load_design_structures(cfg, inputs, directory)
-    _, aligned_full = load_data(cfg, structures)
+    structures = load_design_structures(cfg, directory)
+    full_chain, aligned_full = load_chain(cfg, structures, directory)
 
     # evaluation cells: variable-1 locations observed by survey 1
     survey1 = load_observations(
@@ -306,24 +279,18 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
     if not cells:
         raise ValidationError("survey 1 has no variable-1 observations to score")
 
-    full_chain = chainio.read_chain(directory)
-    inputs.check(full_chain.meta.get("input_sha256", {}), f"the chain at {directory}")
-    rng = np.random.default_rng(cfg.seed + 1)
     full_surface = predict.posterior_y(
         full_chain,
         structures.design_set,
         structures.basis,
         aligned_full,
         locations=cells,
-        rng=rng,
+        rng=np.random.default_rng(cfg.seed + 1),
         keep_draws=True,
     )
     survey_means = {}
     for m, d in enumerate(survey_chain_dirs, start=1):
-        chain_m = chainio.read_chain(Path(d))
-        survey_inputs = input_digests(cfg, cfg.rls_surveys[m - 1])
-        survey_inputs.check(chain_m.meta.get("input_sha256", {}), f"the chain at {d}")
-        _, aligned_m = load_data(cfg, structures, observations_path=cfg.rls_surveys[m - 1])
+        chain_m, aligned_m = load_chain(cfg, structures, Path(d), cfg.rls_surveys[m - 1])
         surface_m = predict.posterior_y(
             chain_m,
             structures.design_set,
@@ -336,17 +303,13 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
     values = predict.rls(full_surface.draws, full_surface.yhat, survey_means)
     cfg.output.mkdir(parents=True, exist_ok=True)
     out = cfg.output / "rls.json"
-    out.write_text(
-        json.dumps(
-            {
-                "rls": {str(m): values[m] for m in sorted(values)},
-                "draws": full_chain.num_draws,
-                "cells": len(cells),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    chainio.write_json(
+        out,
+        {
+            "rls": {str(m): values[m] for m in sorted(values)},
+            "draws": full_chain.num_draws,
+            "cells": len(cells),
+        },
     )
     print(f"rls written: {out}")
     for m in sorted(values):
@@ -355,7 +318,6 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
 
 
 def cmd_basis(cfg: RunConfig) -> int:
-    _require_inputs(cfg, need_observations=False)
     structures = build_design_structures(cfg)
     out = cfg.output / "basis"
     out.mkdir(parents=True, exist_ok=True)
@@ -363,15 +325,12 @@ def cmd_basis(cfg: RunConfig) -> int:
     for t in basis.times:
         np.savetxt(out / f"S_t{t:03d}.csv", basis.s[t], fmt="%.17g", delimiter=",")
         np.savetxt(out / f"eigvals_t{t:03d}.csv", basis.eigvals[t], fmt="%.17g", delimiter=",")
-    (out / "manifest.json").write_text(
-        json.dumps(basis.provenance, indent=2, sort_keys=True) + "\n"
-    )
+    chainio.write_json(out / "manifest.json", basis.provenance)
     print(f"basis written: {out}")
     return EXIT_OK
 
 
 def cmd_prior(cfg: RunConfig) -> int:
-    _require_inputs(cfg, need_observations=False)
     structures = build_structures(cfg)
     out = cfg.output / "prior"
     out.mkdir(parents=True, exist_ok=True)
@@ -380,19 +339,15 @@ def cmd_prior(cfg: RunConfig) -> int:
         np.savetxt(out / f"Kstar_t{t:03d}.csv", prior.k_star[t], fmt="%.17g", delimiter=",")
         if t in prior.w_star:
             np.savetxt(out / f"Wstar_t{t:03d}.csv", prior.w_star[t], fmt="%.17g", delimiter=",")
-    (out / "manifest.json").write_text(
-        json.dumps(
-            {
-                "form": prior.form,
-                "pooled": prior.pooled,
-                "lift_log": [[name, val] for name, val in prior.lift_log],
-                "eps_log": [[name, val] for name, val in prior.eps_log],
-                "innovation_ratio": {str(t): v for t, v in prior.innovation_ratio.items()},
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    chainio.write_json(
+        out / "manifest.json",
+        {
+            "form": prior.form,
+            "pooled": prior.pooled,
+            "lift_log": [[name, val] for name, val in prior.lift_log],
+            "eps_log": [[name, val] for name, val in prior.eps_log],
+            "innovation_ratio": {str(t): v for t, v in prior.innovation_ratio.items()},
+        },
     )
     print(f"prior written: {out}")
     return EXIT_OK

@@ -179,8 +179,9 @@ class ObservationSet:
 def _open_csv(path: str | Path, expected_header: list[str]) -> list[tuple[int, dict]]:
     """The data rows of a CSV file, each with its 1-based line number in the file.
 
-    Blank lines are skipped, so the line numbers are read from the reader
-    rather than counted.
+    Header names may carry surrounding spaces; the rows are keyed by
+    ``expected_header``. Blank lines are skipped, so the line numbers are
+    read from the reader rather than counted.
     """
     path = Path(path)
     if not path.exists():
@@ -192,6 +193,7 @@ def _open_csv(path: str | Path, expected_header: list[str]) -> list[tuple[int, d
                 f"{path}: expected header {','.join(expected_header)}, "
                 f"got {','.join(reader.fieldnames or [])}"
             )
+        reader.fieldnames = expected_header
         rows = [(reader.line_num, row) for row in reader]
     for k, row in rows:
         if None in row or None in row.values():  # too many or too few fields

@@ -193,9 +193,3 @@ def chol_psd(a: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         return _per_matrix(_chol_psd_one, a)
-
-
-def draw_mvn(rng: np.random.Generator, mean: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    """Draw one multivariate normal vector; consumes exactly len(mean) normals."""
-    z = rng.standard_normal(mean.shape[0])
-    return mean + chol_psd(cov) @ z

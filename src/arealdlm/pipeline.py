@@ -5,9 +5,10 @@ The covariate file defines the prediction locations and the unit universe
 observation file must live inside the prediction set.
 
 ``fit`` builds the structures once and stores the basis; ``predict`` and
-``rls`` rebuild only the graph and the design and take the basis from the
-store. sha256 digests of the inputs tie a stored basis and a chain to the
-files and settings they came from, and a changed input is refused.
+``rls`` open a fitted run through ``load_design_structures`` (the design
+rebuilt, the basis from the store) and ``load_chain`` (one chain with its
+observations). sha256 digests of the inputs tie a stored basis and a chain
+to the files and settings they came from, and a changed input is refused.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .basis import BasisSystem, build_basis_system
-from .chainio import STRUCTURES_FILE, read_structures
+from .chainio import STRUCTURES_FILE, read_chain, read_structures
 from .config import RunConfig
 from .data import (
     AlignedData,
-    ArealGraph,
     DesignSet,
     ObservationSet,
     align_observations,
@@ -33,6 +33,7 @@ from .data import (
 )
 from .errors import ChainStateError, MissingInputError
 from .prior import PriorStructure, build_prior_structure
+from .sampler import PosteriorChain
 
 # the inputs of a fit; the graph, the design and the basis depend on the first three
 DESIGN_INPUTS = ("covariates", "edges", "[design]")
@@ -95,9 +96,8 @@ def input_digests(cfg: RunConfig, observations_path: Path | None = None) -> Inpu
 
 @dataclass(frozen=True)
 class DesignStructures:
-    """Graph, stacked design and basis: what prediction and scoring read."""
+    """Stacked design (with its graph) and basis: what prediction and scoring read."""
 
-    graph: ArealGraph
     design_set: DesignSet
     basis: BasisSystem
 
@@ -109,30 +109,29 @@ class ModelStructures(DesignStructures):
     prior: PriorStructure
 
 
-def _graph_and_design(cfg: RunConfig) -> tuple[ArealGraph, DesignSet]:
+def _design_set(cfg: RunConfig) -> DesignSet:
     units = scan_units(cfg.covariates, cfg.design.p)
-    graph = build_adjacency(cfg.edges, units)
-    return graph, assemble_design(cfg.covariates, cfg.design, graph)
+    return assemble_design(cfg.covariates, cfg.design, build_adjacency(cfg.edges, units))
 
 
 def build_design_structures(cfg: RunConfig) -> DesignStructures:
-    graph, design_set = _graph_and_design(cfg)
-    return DesignStructures(graph, design_set, build_basis_system(design_set))
+    design_set = _design_set(cfg)
+    return DesignStructures(design_set, build_basis_system(design_set))
 
 
-def load_design_structures(
-    cfg: RunConfig, inputs: InputDigests, chain_dir: Path
-) -> DesignStructures:
-    """Graph and design from the inputs; the basis ``fit`` stored next to ``chain_dir``.
+def load_design_structures(cfg: RunConfig, chain_dir: Path) -> DesignStructures:
+    """The design from the inputs; the basis ``fit`` stored next to ``chain_dir``.
 
-    A missing store, or one built from other covariates, edges or [design]
-    settings than ``inputs`` digests, is a ChainStateError.
+    The inputs are digested first, so a missing input file is a
+    MissingInputError even when the run is missing too. A missing store, or
+    one built from other covariates, edges or [design] settings, is a
+    ChainStateError.
     """
+    inputs = input_digests(cfg)
     path = Path(chain_dir).parent / STRUCTURES_FILE
     basis, recorded = read_structures(path)
     inputs.check(recorded, str(path), DESIGN_INPUTS)
-    graph, design_set = _graph_and_design(cfg)
-    return DesignStructures(graph, design_set, basis)
+    return DesignStructures(_design_set(cfg), basis)
 
 
 def build_structures(cfg: RunConfig) -> ModelStructures:
@@ -144,7 +143,7 @@ def build_structures(cfg: RunConfig) -> ModelStructures:
         pooled=cfg.pooled,
         eps=cfg.epsilon,
     )
-    return ModelStructures(base.graph, base.design_set, base.basis, prior)
+    return ModelStructures(base.design_set, base.basis, prior)
 
 
 def load_data(
@@ -160,3 +159,21 @@ def load_data(
         design_set=structures.design_set,
     )
     return obs, align_observations(structures.design_set, obs)
+
+
+def load_chain(
+    cfg: RunConfig,
+    structures: DesignStructures,
+    chain_dir: Path,
+    observations_path: Path | None = None,
+) -> tuple[PosteriorChain, AlignedData]:
+    """A fitted chain and the observations it was fitted to, aligned to the design.
+
+    ``observations_path`` (default: the config's) names the chain's
+    observation file. A chain fitted to other inputs is a ChainStateError.
+    """
+    inputs = input_digests(cfg, observations_path)
+    chain = read_chain(chain_dir)
+    inputs.check(chain.meta.get("input_sha256", {}), f"the chain at {chain_dir}")
+    _, aligned = load_data(cfg, structures, observations_path)
+    return chain, aligned

@@ -100,31 +100,28 @@ def posterior_y(
         t0 = t - 1
         draws_t = chain.beta[:, t0, :] @ x_rows.T + chain.eta[:, t0, :] @ s_rows.T
 
-        # fine-scale term: stored draw where observed, prior draw elsewhere
-        obs_pos = {int(pos): k for k, pos in enumerate(aligned.obs_idx[t])}
+        # fine-scale term: stored draw where observed, prior draw elsewhere;
+        # column[row] is the chain's xi column of a prediction row, -1 if unobserved
         lo, _ = chain.xi_offsets[t]
-        observed_cols = []
-        observed_at = []
-        unobserved_at = []
-        for k, row in enumerate(rows):
-            if int(row) in obs_pos:
-                observed_at.append(k)
-                observed_cols.append(lo + obs_pos[int(row)])
-            else:
-                unobserved_at.append(k)
-        if observed_at:
-            draws_t[:, observed_at] += chain.xi[:, observed_cols]
-        if unobserved_at:
+        column = np.full(design_set.N_t(t), -1)
+        column[aligned.obs_idx[t]] = lo + np.arange(aligned.n_t(t))
+        cols = column[rows]
+        observed = cols >= 0
+        unobserved = ~observed
+        draws_t[:, observed] += chain.xi[:, cols[observed]]
+        if unobserved.any():
             sd = np.sqrt(chain.sigma_xi2[:, t0])[:, None]
-            draws_t[:, unobserved_at] += sd * rng.standard_normal((J, len(unobserved_at)))
+            draws_t[:, unobserved] += sd * rng.standard_normal((J, np.count_nonzero(unobserved)))
 
         yhat[loc_idx] = draws_t.mean(axis=0)
         mspe[loc_idx] = draws_t.var(axis=0)
         if want_bt:
             bt = np.empty_like(draws_t)
-            for k, i in enumerate(loc_idx):
-                spec = transforms.get(locations[i][0], TransformSpec("identity"))
-                bt[:, k] = spec.inverse(draws_t[:, k])
+            variables = np.array([locations[i][0] for i in loc_idx])
+            for ell in np.unique(variables):
+                at = variables == ell
+                spec = transforms.get(int(ell), TransformSpec("identity"))
+                bt[:, at] = spec.inverse(draws_t[:, at])
             yhat_bt[loc_idx] = bt.mean(axis=0)
             mspe_bt[loc_idx] = bt.var(axis=0)
         if keep_draws:

@@ -102,7 +102,7 @@ class FilterResult:
     means_pred: np.ndarray  # (T, r)
     covs_filt: np.ndarray  # (T, r, r)
     covs_pred: np.ndarray  # (T, r, r)
-    covs_pred_inv: np.ndarray = field(repr=False)  # reused by the backward pass
+    covs_pred_inv: np.ndarray = field(repr=False)  # (T-1, r, r): R_2..R_T inverted
 
 
 def _information(s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,8 +133,8 @@ def _filter_core(
     any PSD R, so a singular innovation needs no special case, and a time
     with nothing observed (G = 0, h = 0) keeps its predicted moments
     exactly. The covariances are symmetrized after the loop, and the
-    predicted-covariance inverses the backward pass needs are one batched
-    inverse.
+    predicted-covariance inverses the backward pass needs, of R_2..R_T, are
+    one batched inverse.
     """
     T = len(h_seq)
     r = k1.shape[0]
@@ -156,7 +156,7 @@ def _filter_core(
         means_filt[i] = shrink @ (mean + cov @ h_seq[i])
     covs_pred = symmetrize(covs_pred)
     return FilterResult(
-        means_filt, means_pred, symmetrize(covs_filt), covs_pred, inv_spd(covs_pred)
+        means_filt, means_pred, symmetrize(covs_filt), covs_pred, inv_spd(covs_pred[1:])
     )
 
 
@@ -189,9 +189,9 @@ def kalman_filter(
     -------
     FilterResult
         Filtered and one-step-ahead means/covariances per time, plus cached
-        predicted-covariance inverses for the backward pass. Singular
-        predicted covariances fall back to a logged eigenvalue
-        pseudo-inverse, never silently.
+        inverses of the predicted covariances at times 2..T for the
+        backward pass. Singular predicted covariances fall back to a logged
+        eigenvalue pseudo-inverse, never silently.
     """
     T = len(z_tilde)
     if not (len(s_seq) == len(v_seq) == T and len(m_seq) == len(w_seq) == T - 1):
@@ -225,7 +225,7 @@ def _backward_gains(
     """
     T, r = filtered.means_filt.shape
     cross = filtered.covs_filt[:-1] @ _stack(m_seq, r).swapaxes(-1, -2)
-    gains = cross @ filtered.covs_pred_inv[1:]
+    gains = cross @ filtered.covs_pred_inv
     offsets = filtered.means_filt.copy()
     offsets[:-1] -= (gains @ filtered.means_pred[1:, :, None])[..., 0]
     return gains, offsets, cross

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from arealdlm.chainio import ChainWriter, read_chain, read_structures
+from arealdlm.chainio import ChainWriter, read_chain, read_structures, write_json
 from arealdlm.errors import ChainStateError
 from arealdlm.predict import simulate
 from arealdlm.sampler import Hyperparams, gibbs_run
@@ -41,6 +41,18 @@ class TestRoundTrip:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(ChainStateError, match="no chain manifest"):
             read_chain(tmp_path / "nope")
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda text: text[:100], lambda text: text.replace('"seed"', '"seeds"'), lambda _: "[]"],
+        ids=["truncated", "missing-key", "not-an-object"],
+    )
+    def test_unreadable_manifest_refused(self, small_chain, tmp_path, damage):
+        ChainWriter(tmp_path / "chain").finalize(small_chain)
+        path = tmp_path / "chain" / "manifest.json"
+        path.write_text(damage(path.read_text()))
+        with pytest.raises(ChainStateError, match="cannot read the chain manifest at"):
+            read_chain(tmp_path / "chain")
 
     def test_streaming_matches_one_shot(self, tmp_path):
         _, _, design_set, basis, prior = toy_structures(n_units=6, T=2, p=2, r=2, seed=43)
@@ -97,3 +109,14 @@ class TestStructuresFile:
         (tmp_path / "bad.npz").write_bytes(b"not an archive")
         with pytest.raises(ChainStateError, match="cannot read the fitted structures"):
             read_structures(tmp_path / "bad.npz")
+
+
+class TestWriteJson:
+    def test_sorted_indented_and_replaced_whole(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("old contents that are longer than the new ones")
+        write_json(path, {"b": [1, 2.5], "a": {"y": None, "x": "s"}})
+        assert path.read_text() == (
+            '{\n  "a": {\n    "x": "s",\n    "y": null\n  },\n  "b": [\n    1,\n    2.5\n  ]\n}\n'
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

@@ -171,12 +171,6 @@ class TestExitCodes:
     def test_missing_config(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "none.ini")]) == 2
 
-    def test_missing_edges_file(self, tmp_path):
-        cfg = write_project(tmp_path)
-        main(["simulate", "--config", str(cfg)])
-        (tmp_path / "edges.csv").unlink()
-        assert main(["validate", "--config", str(cfg)]) == 2
-
     def test_rank_deficient_design(self, tmp_path):
         cfg = write_project(tmp_path, p=2)
         main(["simulate", "--config", str(cfg)])
@@ -332,6 +326,23 @@ def write_rls_project(tmp_path, iterations, burn_in):
     return ["rls", "--config", str(cfg), "--survey-chains", chains]
 
 
+@pytest.fixture(scope="module")
+def fitted(tmp_path_factory):
+    root = tmp_path_factory.mktemp("rls_project")
+    argv = write_rls_project(root, iterations=40, burn_in=10)
+    return root, argv
+
+
+@pytest.fixture
+def project(fitted, tmp_path):
+    """A private copy of the fitted project: (directory, config path, rls argv)."""
+    root, argv = fitted
+    copy = tmp_path / "project"
+    shutil.copytree(root, copy)
+    argv = [a.replace(str(root), str(copy)) for a in argv]
+    return copy, copy / "run.ini", argv
+
+
 class TestRlsCommand:
     def test_two_survey_rls(self, tmp_path):
         assert main(write_rls_project(tmp_path, iterations=120, burn_in=40)) == 0
@@ -400,21 +411,6 @@ class TestStoredStructures:
 
     Both refuse inputs changed since the fit.
     """
-
-    @pytest.fixture(scope="class")
-    def fitted(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("rls_project")
-        argv = write_rls_project(root, iterations=40, burn_in=10)
-        return root, argv
-
-    @pytest.fixture
-    def project(self, fitted, tmp_path):
-        """A private copy of the fitted project: (directory, config path, rls argv)."""
-        root, argv = fitted
-        copy = tmp_path / "project"
-        shutil.copytree(root, copy)
-        argv = [a.replace(str(root), str(copy)) for a in argv]
-        return copy, copy / "run.ini", argv
 
     def test_structures_hold_the_fitted_basis(self, project):
         from arealdlm.chainio import read_structures
@@ -543,3 +539,67 @@ class TestStoredStructures:
         capsys.readouterr()
         assert main(["predict", "--config", str(cfg)]) == 4
         assert "has format_version 1, but this version reads 2" in capsys.readouterr().err
+
+    def test_truncated_chain_manifest_refused(self, project, capsys):
+        directory, cfg, _ = project
+        path = directory / "out" / "chain0" / "manifest.json"
+        path.write_bytes(path.read_bytes()[:100])
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert f"cannot read the chain manifest at {path}" in err
+        assert "Traceback" not in err
+        assert not (directory / "out" / "predictions.csv").exists()
+
+    def test_no_partial_json_left_behind(self, project):
+        directory, cfg, rls_argv = project
+        for command in ("validate", "basis", "prior", "predict"):
+            assert main([command, "--config", str(cfg)]) == 0
+        assert main(rls_argv) == 0
+        written = {p.name for p in directory.rglob("*.json")}
+        assert {"manifest.json", "validation.json", "rls.json", "truth_params.json"} <= written
+        assert not list(directory.rglob("*.partial"))
+
+
+# the input files each command reads; rls also reads the files of its surveys
+READS = {
+    "validate": ("cov.csv", "edges.csv", "obs.csv"),
+    "fit": ("cov.csv", "edges.csv", "obs.csv"),
+    "predict": ("cov.csv", "edges.csv", "obs.csv"),
+    "rls": ("cov.csv", "edges.csv", "obs.csv", "s1.csv", "s2.csv"),
+    "basis": ("cov.csv", "edges.csv"),
+    "prior": ("cov.csv", "edges.csv"),
+    "simulate": ("cov.csv", "edges.csv"),
+}
+
+
+@pytest.mark.parametrize(
+    "command, name", [(command, name) for command, names in READS.items() for name in names]
+)
+def test_missing_input_exits_2_and_names_it(project, capsys, command, name):
+    # on a fitted project, so a missing input is reported ahead of the run
+    directory, cfg, rls_argv = project
+    (directory / name).unlink()
+    argv = rls_argv if command == "rls" else [command, "--config", str(cfg)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"input file not found: {directory / name}" in capsys.readouterr().err
+
+
+def test_padded_header_names_accepted(tmp_path):
+    # spaces around the header names of all three input files
+    (tmp_path / "plain").mkdir()
+    plain = write_project(tmp_path / "plain")
+    assert main(["simulate", "--config", str(plain)]) == 0
+    padded = tmp_path / "padded"
+    shutil.copytree(tmp_path / "plain", padded)
+    shutil.rmtree(padded / "out")
+    for name in ("obs.csv", "cov.csv", "edges.csv"):
+        lines = (padded / name).read_text().splitlines()
+        lines[0] = ",".join(f" {h} " if k % 2 else f"{h} " for k, h in enumerate(lines[0].split(",")))
+        (padded / name).write_text("\n".join(lines) + "\n")
+    assert (padded / "obs.csv").read_text().startswith("variable , time ,unit , z ,v ")
+    for cfg in (plain, padded / "run.ini"):
+        assert main(["validate", "--config", str(cfg)]) == 0
+    report = (tmp_path / "plain" / "out" / "validation.json").read_bytes()
+    assert (padded / "out" / "validation.json").read_bytes() == report

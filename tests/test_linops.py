@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from arealdlm.linops import (
     chol_psd,
-    draw_mvn,
     inv,
     inv_spd,
     order_eigh_descending,
@@ -74,14 +73,6 @@ class TestSpdHelpers:
         a = np.ones((2, 2))
         f = chol_psd(a)
         assert np.allclose(f @ f.T, a, atol=1e-12)
-
-    def test_draw_mvn_moments(self):
-        rng = np.random.default_rng(3)
-        mean = np.array([1.0, -2.0])
-        cov = np.array([[2.0, 0.6], [0.6, 0.5]])
-        draws = np.array([draw_mvn(rng, mean, cov) for _ in range(40_000)])
-        assert np.allclose(draws.mean(axis=0), mean, atol=0.05)
-        assert np.allclose(np.cov(draws.T), cov, atol=0.06)
 
 
 class TestTracker:

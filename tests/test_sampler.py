@@ -3,7 +3,7 @@ import pytest
 
 from arealdlm.data import align_observations
 from arealdlm.errors import ChainStateError, ValidationError
-from arealdlm.linops import draw_mvn, track_dense_solves
+from arealdlm.linops import track_dense_solves
 from arealdlm.predict import simulate
 from arealdlm.sampler import (
     Hyperparams,
@@ -145,6 +145,14 @@ class TestKalmanFilter:
             [v[0], v[2]],
         )
         assert np.allclose(out.means_filt[2], mean[2:4], atol=1e-8)
+
+    def test_predicted_inverses_from_the_second_time(self):
+        # the backward pass reads R_2..R_T inverted; R_1 = K_1 is never inverted
+        rng = np.random.default_rng(5)
+        z, s, m_seq, k1, w, v = random_instance(rng, T=4, r=3, n_per_t=5)
+        out = kalman_filter(z, s, m_seq, k1, w, v)
+        assert out.covs_pred_inv.shape == (3, 3, 3)
+        assert np.allclose(out.covs_pred_inv @ out.covs_pred[1:], np.eye(3), atol=1e-8)
 
     def test_covariances_symmetric_psd(self):
         rng = np.random.default_rng(4)
@@ -463,10 +471,9 @@ class TestGibbsRun:
         k1 = prior.k_star[1]
         w = [prior.w_star[t] for t in range(2, T + 1)]
         rng = np.random.default_rng(33)
-        # initial path from the prior (the first sweep overwrites it)
-        draw_mvn(rng, np.zeros(r), k1)
-        for w_t in w:
-            draw_mvn(rng, np.zeros(r), w_t)
+        # initial path from the prior: one (T, r) block of normals (the first
+        # sweep overwrites the path)
+        rng.standard_normal((T, r))
         beta = np.zeros((T, p))
         xi = [np.zeros(z_t.size) for z_t in z]
         sigma_k2, sigma_xi2 = 1.0, np.ones(T)
