@@ -18,9 +18,10 @@ Every output file (chains, manifests, predictions, truth, ``basis/``,
 ``prior/``) is compared byte for byte. Command logs are compared after the
 work directory is replaced by a placeholder. The script lists each differing
 file and exits 1 on any difference or failed command. A differing CSV file
-whose fields line up is listed with its largest |new - old| relative to the
-largest |old| value in the file. A ``--work``
-directory is kept for inspection; the default temporary one is removed.
+whose fields line up, or a differing ``.npy`` file of the same shape, is
+listed with its largest |new - old| relative to the largest |old| value in
+the file. A ``--work`` directory is kept for inspection; the default
+temporary one is removed.
 """
 
 from __future__ import annotations
@@ -78,8 +79,21 @@ def run_tree(src: Path, inputs: Path, tree: Path, chains: dict[str, int]) -> lis
     return failures
 
 
-def relative_delta(a: Path, b: Path) -> str:
-    """``max |b - a| / max |a|`` over the numeric fields of two CSV files, or why not."""
+def _npy_delta(a: Path, b: Path) -> tuple[float, float] | str:
+    """(max |b - a|, max |a|) of two ``.npy`` arrays, or why not."""
+    import numpy as np
+
+    try:
+        old, new = np.load(a), np.load(b)
+    except ValueError as exc:
+        return f"unreadable .npy: {exc}"
+    if old.shape != new.shape:
+        return f"shapes differ: {old.shape} and {new.shape}"
+    return float(np.max(np.abs(new - old), initial=0.0)), float(np.max(np.abs(old), initial=0.0))
+
+
+def _csv_delta(a: Path, b: Path) -> tuple[float, float] | str:
+    """(max |b - a|, max |a|) over the numeric fields of two CSV files, or why not."""
     rows_a, rows_b = a.read_text().splitlines(), b.read_text().splitlines()
     if len(rows_a) != len(rows_b):
         return "row counts differ"
@@ -96,6 +110,15 @@ def relative_delta(a: Path, b: Path) -> str:
                     return "text differs"
                 continue
             delta, scale = max(delta, abs(fy - fx)), max(scale, abs(fx))
+    return delta, scale
+
+
+def relative_delta(a: Path, b: Path) -> str:
+    """``max |b - a| / max |a|`` over the values of two CSV or ``.npy`` files, or why not."""
+    result = _npy_delta(a, b) if a.suffix == ".npy" else _csv_delta(a, b)
+    if isinstance(result, str):
+        return result
+    delta, scale = result
     return f"max |delta| / max |old| = {delta / scale if scale else delta:.2e}"
 
 
@@ -112,7 +135,8 @@ def differing_files(old: Path, new: Path) -> list[str]:
             if a.read_text().replace(str(old), "<work>") != b.read_text().replace(str(new), "<work>"):
                 out.append(str(rel))
         elif not filecmp.cmp(a, b, shallow=False):
-            out.append(f"{rel} ({relative_delta(a, b)})" if rel.suffix == ".csv" else str(rel))
+            numeric = rel.suffix in (".csv", ".npy")
+            out.append(f"{rel} ({relative_delta(a, b)})" if numeric else str(rel))
     return out
 
 

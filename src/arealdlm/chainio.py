@@ -1,13 +1,16 @@
-"""Chain directory persistence: manifest.json plus per-parameter CSV matrices.
+"""Chain directory persistence: manifest.json, a binary store and a CSV export per parameter.
 
-One CSV row per stored draw; floats are written with 17 significant digits so
-values round-trip exactly and identical runs produce byte-identical files.
-``ChainWriter.flush`` appends the rows a ``PosteriorChain`` has stored since
-the last flush, straight from its draw arrays, and replaces the manifest
-whole, so an interrupted run leaves a readable partial chain behind. The
-manifest gains ``num_draws`` once every iteration has run. A finished
-in-memory chain is written in one shot by
-``ChainWriter(directory).finalize(chain)``.
+Each parameter group (``eta``, ``beta``, ``xi``, ``sigma_k2``, ``sigma_xi2``)
+is written one row per stored draw twice: as float64 rows in ``<name>.npy``,
+which ``read_chain`` reads, and as text in ``<name>.csv``, an export whose 17
+significant digits round-trip exactly. Identical runs give identical bytes.
+``ChainWriter.flush`` writes each ``.npy`` header once with the final shape,
+appends the rows stored since the last flush to both files, then replaces
+the manifest whole; its ``stored_draws`` counts the rows on disk, so an
+interrupted run leaves a readable partial chain. The manifest gains
+``num_draws`` once every iteration has run; the ``.npy`` files are then
+standard files that ``np.load`` opens. A finished in-memory chain is written
+in one shot by ``ChainWriter(directory).finalize(chain)``.
 
 ``fit`` also writes ``structures.npz`` once per run: the basis (every S_t
 and its eigenvalues) with the digests of the inputs it was built from, so
@@ -30,10 +33,11 @@ from .basis import BasisSystem
 from .errors import ChainStateError
 from .sampler import PosteriorChain
 
-# 2: the manifest records the sha256 digests of the fit's inputs
-FORMAT_VERSION = 2
+# 3: a .npy store per parameter group, read instead of the CSVs; stored_draws
+FORMAT_VERSION = 3
 STRUCTURES_FILE = "structures.npz"
 _FLOAT_FMT = "%.17g"
+_DTYPE = np.dtype("<f8")
 
 _FILES = ("eta", "beta", "xi", "sigma_k2", "sigma_xi2")
 
@@ -54,8 +58,8 @@ def _headers(chain: PosteriorChain) -> dict[str, list[str]]:
     }
 
 
-def _manifest(chain: PosteriorChain, completed_iterations: int) -> dict:
-    """Run metadata of ``chain`` after ``completed_iterations`` iterations."""
+def _manifest(chain: PosteriorChain, stored: int, completed_iterations: int) -> dict:
+    """Run metadata of ``chain`` with ``stored`` rows on disk after ``completed_iterations``."""
     manifest = {
         "format_version": FORMAT_VERSION,
         "seed": chain.seed,
@@ -65,6 +69,7 @@ def _manifest(chain: PosteriorChain, completed_iterations: int) -> dict:
         "xi_offsets": {str(t): list(v) for t, v in chain.xi_offsets.items()},
         **chain.meta,
         "completed_iterations": completed_iterations,
+        "stored_draws": stored,
     }
     if completed_iterations == chain.iterations:
         manifest["num_draws"] = chain.num_draws
@@ -98,14 +103,22 @@ class ChainWriter:
             for name, header in _headers(chain).items():
                 path = self.directory / f"{name}.csv"
                 path.write_text(",".join(header) + "\n", encoding="utf-8")
+                shape = (chain.num_draws, len(header))
+                with (self.directory / f"{name}.npy").open("wb") as fh:
+                    np.lib.format.write_array_header_1_0(
+                        fh, {"descr": _DTYPE.str, "fortran_order": False, "shape": shape}
+                    )
             self._written = 0
         if stored > self._written:
             for name in _FILES:
                 rows = getattr(chain, name)[self._written : stored]
+                rows = np.ascontiguousarray(rows.reshape(len(rows), -1), dtype=_DTYPE)
                 with (self.directory / f"{name}.csv").open("a", encoding="utf-8") as fh:
-                    np.savetxt(fh, rows.reshape(len(rows), -1), fmt=_FLOAT_FMT, delimiter=",")
+                    np.savetxt(fh, rows, fmt=_FLOAT_FMT, delimiter=",")
+                with (self.directory / f"{name}.npy").open("ab") as fh:
+                    fh.write(rows.data)
             self._written = stored
-        manifest = _manifest(chain, completed_iterations)
+        manifest = _manifest(chain, self._written, completed_iterations)
         if self.input_sha256 is not None:
             manifest["input_sha256"] = self.input_sha256
         write_json(self.directory / "manifest.json", manifest)
@@ -115,23 +128,35 @@ class ChainWriter:
         self.flush(chain, chain.num_draws, chain.iterations)
 
 
-def _load_csv(path: Path, allow_empty_cols: bool) -> np.ndarray:
-    with path.open(encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        ncols = len(header.split(",")) if header else 0
-        if ncols == 0 and allow_empty_cols:
-            return np.zeros((0, 0))
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size == 0:
-        data = np.zeros((0, ncols))
-    return data
+def _read_store(path: Path, num_draws: int, cols: int, stored: int) -> np.ndarray:
+    """The first ``stored`` rows of a ``.npy`` store of ``num_draws`` × ``cols`` float64."""
+    try:
+        with path.open("rb") as fh:
+            version = np.lib.format.read_magic(fh)
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+            rows = np.fromfile(fh, dtype=_DTYPE, count=stored * cols)
+    except (OSError, ValueError) as exc:
+        raise ChainStateError(f"cannot read the chain store {path}: {exc}") from None
+    header = (version, shape, fortran_order, dtype.str)
+    expected = ((1, 0), (num_draws, cols), False, _DTYPE.str)
+    if header != expected:
+        raise ChainStateError(
+            f"the chain store {path} has the .npy version, shape, Fortran order and dtype "
+            f"{header}, where the manifest implies {expected}"
+        )
+    if rows.size != stored * cols:
+        raise ChainStateError(
+            f"the chain store {path} is short: {rows.size} of the {stored * cols} "
+            f"values the manifest records"
+        )
+    return rows.reshape(stored, cols)
 
 
 def read_chain(directory: str | Path) -> PosteriorChain:
-    """Load a (possibly partial) chain directory back into memory.
+    """Load a (possibly partial) chain directory back into memory from its ``.npy`` store.
 
-    A missing or unreadable manifest, or one of another format version, is a
-    ChainStateError.
+    A missing or unreadable manifest, one of another format version, and a
+    missing, mismatched or short store are each a ChainStateError.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -148,31 +173,27 @@ def read_chain(directory: str | Path) -> PosteriorChain:
         T, r, p = manifest["T"], manifest["r"], manifest["p"]
         xi_offsets = {int(t): tuple(v) for t, v in manifest["xi_offsets"].items()}
         run = {k: manifest[k] for k in ("seed", "iterations", "burn_in", "thin")}
+        num_draws = (run["iterations"] - run["burn_in"] + run["thin"] - 1) // run["thin"]
+        stored = int(manifest["stored_draws"])
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise ChainStateError(
             f"cannot read the chain manifest at {manifest_path}: {type(exc).__name__} {exc}"
         ) from None
-    try:
-        eta = _load_csv(directory / "eta.csv", False)
-        beta = _load_csv(directory / "beta.csv", False)
-        xi = _load_csv(directory / "xi.csv", True)
-        sigma_k2 = _load_csv(directory / "sigma_k2.csv", False)
-        sigma_xi2 = _load_csv(directory / "sigma_xi2.csv", False)
-    except FileNotFoundError as exc:
-        raise ChainStateError(f"chain directory {directory} is incomplete: {exc}") from None
-    j = min(len(eta), len(beta), len(xi) if xi.shape[1] else len(eta), len(sigma_k2), len(sigma_xi2))
     n = sum(hi - lo for lo, hi in xi_offsets.values())
+    cols = {"eta": T * r, "beta": T * p, "xi": n, "sigma_k2": 1, "sigma_xi2": T}
+    rows = {name: _read_store(directory / f"{name}.npy", num_draws, cols[name], stored)
+            for name in _FILES}
     meta = {
         k: manifest[k]
         for k in ("sweep_order", "move_types", "r", "p", "T", "n", "input_sha256")
         if k in manifest
     }
     return PosteriorChain(
-        eta=eta[:j].reshape(j, T, r),
-        beta=beta[:j].reshape(j, T, p),
-        xi=xi[:j].reshape(j, n) if n else np.zeros((j, 0)),
-        sigma_k2=sigma_k2[:j, 0],
-        sigma_xi2=sigma_xi2[:j].reshape(j, T),
+        eta=rows["eta"].reshape(stored, T, r),
+        beta=rows["beta"].reshape(stored, T, p),
+        xi=rows["xi"],
+        sigma_k2=rows["sigma_k2"][:, 0],
+        sigma_xi2=rows["sigma_xi2"],
         xi_offsets=xi_offsets,
         meta=meta,
         **run,

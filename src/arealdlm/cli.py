@@ -16,7 +16,7 @@ import numpy as np
 
 from . import chainio, predict
 from .config import RunConfig, load_config
-from .data import AlignedData, load_observations
+from .data import AlignedData
 from .errors import ChainStateError, MissingInputError, ValidationError
 from .pipeline import (
     DESIGN_INPUTS,
@@ -166,8 +166,10 @@ def cmd_fit(cfg: RunConfig, chains: int = 1, trace: list[str] | None = None) -> 
 
 def cmd_predict(cfg: RunConfig, chain_dir: str | None) -> int:
     directory = Path(chain_dir) if chain_dir else cfg.output / "chain0"
-    structures = load_design_structures(cfg, directory)
-    chain, aligned = load_chain(cfg, structures, directory)
+    inputs = input_digests(cfg)
+    structures = load_design_structures(cfg, directory, inputs)
+    chain = load_chain(directory, inputs)
+    _, aligned = load_data(cfg, structures)
     _warn_unobserved_times(aligned, cfg.design.T)
     surface = predict.posterior_y(
         chain,
@@ -263,16 +265,14 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
             f"got {len(survey_chain_dirs)} survey chains for {len(cfg.rls_surveys)} surveys"
         )
     directory = Path(chain_dir) if chain_dir else cfg.output / "chain0"
-    structures = load_design_structures(cfg, directory)
-    full_chain, aligned_full = load_chain(cfg, structures, directory)
+    inputs = input_digests(cfg)
+    survey_inputs = [inputs.for_observations(path) for path in cfg.rls_surveys]
+    structures = load_design_structures(cfg, directory, inputs)
+    full_chain = load_chain(directory, inputs)
+    _, aligned_full = load_data(cfg, structures)
 
     # evaluation cells: variable-1 locations observed by survey 1
-    survey1 = load_observations(
-        cfg.rls_surveys[0],
-        cfg.design,
-        transforms=cfg.transforms,
-        design_set=structures.design_set,
-    )
+    survey1, aligned_1 = load_data(cfg, structures, cfg.rls_surveys[0])
     cells = sorted(
         (o.variable, o.time, o.unit) for o in survey1.observations if o.variable == 1
     )
@@ -289,8 +289,9 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
         keep_draws=True,
     )
     survey_means = {}
-    for m, d in enumerate(survey_chain_dirs, start=1):
-        chain_m, aligned_m = load_chain(cfg, structures, Path(d), cfg.rls_surveys[m - 1])
+    for m, (d, digests) in enumerate(zip(survey_chain_dirs, survey_inputs), start=1):
+        chain_m = load_chain(Path(d), digests)
+        aligned_m = aligned_1 if m == 1 else load_data(cfg, structures, cfg.rls_surveys[m - 1])[1]
         surface_m = predict.posterior_y(
             chain_m,
             structures.design_set,

@@ -5,10 +5,11 @@ The covariate file defines the prediction locations and the unit universe
 observation file must live inside the prediction set.
 
 ``fit`` builds the structures once and stores the basis; ``predict`` and
-``rls`` open a fitted run through ``load_design_structures`` (the design
-rebuilt, the basis from the store) and ``load_chain`` (one chain with its
-observations). sha256 digests of the inputs tie a stored basis and a chain
-to the files and settings they came from, and a changed input is refused.
+``rls`` digest their inputs once, then open a fitted run through
+``load_design_structures`` (the design rebuilt, the basis from the store) and
+``load_chain`` (one chain). sha256 digests of the inputs tie a stored basis
+and a chain to the files and settings they came from, and a changed input is
+refused.
 """
 
 from __future__ import annotations
@@ -69,6 +70,13 @@ class InputDigests:
         """The sha256 of each named input, as stored with a chain or the structures."""
         return {n: self.sha256[n] for n in names}
 
+    def for_observations(self, path: Path) -> InputDigests:
+        """These digests with ``path`` as the observation file; only that file is read."""
+        return InputDigests(
+            {**self.sha256, "observations": _file_sha256(Path(path))},
+            {**self.sources, "observations": str(path)},
+        )
+
     def check(self, recorded: dict, what: str, names: tuple[str, ...] = INPUTS) -> None:
         """Refuse ``what`` (ChainStateError) when a named input's sha256 differs from ``recorded``."""
         changed = [self.sources[n] for n in names if recorded.get(n) != self.sha256[n]]
@@ -78,10 +86,9 @@ class InputDigests:
             )
 
 
-def input_digests(cfg: RunConfig, observations_path: Path | None = None) -> InputDigests:
-    """Digests of the config's inputs, with ``observations_path`` as the observation file."""
-    observations = Path(observations_path or cfg.observations)
-    files = {"covariates": cfg.covariates, "edges": cfg.edges, "observations": observations}
+def input_digests(cfg: RunConfig) -> InputDigests:
+    """Digests of the config's inputs."""
+    files = {"covariates": cfg.covariates, "edges": cfg.edges, "observations": cfg.observations}
     settings = {
         "[design]": asdict(cfg.design),
         "[transforms]": {str(ell): spec.kind for ell, spec in sorted(cfg.transforms.items())},
@@ -119,15 +126,16 @@ def build_design_structures(cfg: RunConfig) -> DesignStructures:
     return DesignStructures(design_set, build_basis_system(design_set))
 
 
-def load_design_structures(cfg: RunConfig, chain_dir: Path) -> DesignStructures:
+def load_design_structures(
+    cfg: RunConfig, chain_dir: Path, inputs: InputDigests
+) -> DesignStructures:
     """The design from the inputs; the basis ``fit`` stored next to ``chain_dir``.
 
-    The inputs are digested first, so a missing input file is a
-    MissingInputError even when the run is missing too. A missing store, or
-    one built from other covariates, edges or [design] settings, is a
-    ChainStateError.
+    ``inputs`` are the digests of ``cfg``'s inputs, taken before the run is
+    opened, so a missing input file is a MissingInputError even when the run
+    is missing too. A missing store, or one built from other covariates,
+    edges or [design] settings, is a ChainStateError.
     """
-    inputs = input_digests(cfg)
     path = Path(chain_dir).parent / STRUCTURES_FILE
     basis, recorded = read_structures(path)
     inputs.check(recorded, str(path), DESIGN_INPUTS)
@@ -161,19 +169,8 @@ def load_data(
     return obs, align_observations(structures.design_set, obs)
 
 
-def load_chain(
-    cfg: RunConfig,
-    structures: DesignStructures,
-    chain_dir: Path,
-    observations_path: Path | None = None,
-) -> tuple[PosteriorChain, AlignedData]:
-    """A fitted chain and the observations it was fitted to, aligned to the design.
-
-    ``observations_path`` (default: the config's) names the chain's
-    observation file. A chain fitted to other inputs is a ChainStateError.
-    """
-    inputs = input_digests(cfg, observations_path)
+def load_chain(chain_dir: Path, inputs: InputDigests) -> PosteriorChain:
+    """A fitted chain; one fitted to inputs other than ``inputs`` is a ChainStateError."""
     chain = read_chain(chain_dir)
     inputs.check(chain.meta.get("input_sha256", {}), f"the chain at {chain_dir}")
-    _, aligned = load_data(cfg, structures, observations_path)
-    return chain, aligned
+    return chain

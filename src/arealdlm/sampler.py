@@ -21,8 +21,10 @@ Each constant has one builder: ``_information`` gives S'V^-1 and S'V^-1 S,
 their factors and X'V^-1, and ``_scale_factors`` the factors of K*_1 and
 W*_t and their inverses. The public conditionals call them on every call;
 ``gibbs_run`` calls them once per chain and passes the results in, so one
-sweep is the public conditionals with the constants hoisted. A time with
-nothing observed needs no branch: the empty products give zero information.
+sweep is the public conditionals with the constants hoisted; it also passes
+one ``_basis_term`` (S_t eta_t per cell) to both ``sample_xi`` and
+``sample_beta``. A time with nothing observed needs no branch: the empty
+products give zero information.
 
 The latent path follows eta_1 ~ N(0, sigma_k2 K*_1) and eta_t = M_t
 eta_{t-1} + u_t with u_t ~ N(0, sigma_k2 W*_t). ``_transitions`` is the one
@@ -266,6 +268,14 @@ def _one_block(n: int, *per_time):
     return [(0, n)], *(np.reshape(value, (1, -1)) for value in per_time)
 
 
+def _basis_term(s: np.ndarray, eta: np.ndarray, blocks: list[tuple[int, int]]) -> np.ndarray:
+    """S_t eta_t for every cell, one product per row block."""
+    out = np.empty(s.shape[0])
+    for i, (a, b) in enumerate(blocks):
+        out[a:b] = s[a:b] @ eta[i]
+    return out
+
+
 def sample_xi(
     z_t: np.ndarray,
     x_t: np.ndarray,
@@ -276,6 +286,7 @@ def sample_xi(
     sigma_xi2_t: float,
     rng: np.random.Generator,
     blocks: list[tuple[int, int]] | None = None,
+    basis_term: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fine-scale field full conditional: elementwise Gaussian.
 
@@ -285,13 +296,16 @@ def sample_xi(
     With ``blocks`` (one ``(start, stop)`` row range per time) the cell
     arrays hold several times in the flat time-major layout, and ``beta_t``,
     ``eta_t`` and ``sigma_xi2_t`` hold one row or entry per time. The draw is
-    that of the per-time calls in time order, bit for bit.
+    that of the per-time calls in time order, bit for bit, with or without
+    ``basis_term`` (``_basis_term(s_t, eta_t, blocks)``).
     """
     if blocks is None:
         blocks, beta_t, eta_t, sigma_xi2_t = _one_block(z_t.shape[0], beta_t, eta_t, sigma_xi2_t)
+    if basis_term is None:
+        basis_term = _basis_term(s_t, eta_t, blocks)
     resid = np.empty(z_t.shape[0])
     for i, (a, b) in enumerate(blocks):
-        resid[a:b] = z_t[a:b] - x_t[a:b] @ beta_t[i] - s_t[a:b] @ eta_t[i]
+        resid[a:b] = z_t[a:b] - x_t[a:b] @ beta_t[i] - basis_term[a:b]
     sigma2 = np.repeat(np.ravel(sigma_xi2_t), [b - a for a, b in blocks])
     var = 1.0 / (1.0 / v_t + 1.0 / sigma2)
     mean = var * resid / v_t
@@ -326,25 +340,24 @@ def sample_beta(
     rng: np.random.Generator,
     precomputed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     blocks: list[tuple[int, int]] | None = None,
+    basis_term: np.ndarray | None = None,
 ) -> np.ndarray:
     """Regression-coefficient full conditional (conjugate Gaussian).
 
     ``precomputed`` optionally carries ``_beta_moments(x_t, v_t, hyper,
     blocks)`` so repeated calls inside the sampler skip the constant
-    factorizations; results are identical either way. ``blocks`` works as in
-    ``sample_xi``; the result then has one row per time.
+    factorizations; results are identical either way. ``blocks`` and
+    ``basis_term`` work as in ``sample_xi``; with ``blocks`` the result has
+    one row per time.
     """
     single = blocks is None
     if single:
         blocks, eta_t = _one_block(z_t.shape[0], eta_t)
+    if basis_term is None:
+        basis_term = _basis_term(s_t, eta_t, blocks)
     p = x_t.shape[1]
     cov, factor, xv = precomputed or _beta_moments(x_t, v_t, hyper, blocks)
-    info = np.stack(
-        [
-            xv[:, a:b] @ (z_t[a:b] - xi_t[a:b] - s_t[a:b] @ eta_t[i])
-            for i, (a, b) in enumerate(blocks)
-        ]
-    )
+    info = np.stack([xv[:, a:b] @ (z_t[a:b] - xi_t[a:b] - basis_term[a:b]) for a, b in blocks])
     mean = (cov @ (info + hyper.mu_beta_vector(p) / hyper.sigma_beta2)[..., None])[..., 0]
     draw = mean + (factor @ rng.standard_normal((len(blocks), p))[..., None])[..., 0]
     return draw[0] if single else draw
@@ -603,13 +616,14 @@ def gibbs_run(
         state.eta = backward_sample(filt, pre.m_seq, rng)
 
         # fine-scale field and regression coefficients, all times at once
+        basis_term = _basis_term(pre.s, state.eta, pre.blocks)
         state.xi = sample_xi(
             pre.z, pre.x, state.beta, pre.s, state.eta, pre.v, state.sigma_xi2, rng,
-            blocks=pre.blocks,
+            blocks=pre.blocks, basis_term=basis_term,
         )
         state.beta = sample_beta(
             pre.z, pre.x, state.xi, pre.s, state.eta, pre.v, hyper, rng,
-            precomputed=pre.beta_pre, blocks=pre.blocks,
+            precomputed=pre.beta_pre, blocks=pre.blocks, basis_term=basis_term,
         )
 
         # variances

@@ -10,6 +10,8 @@ from arealdlm.sampler import Hyperparams, gibbs_run
 
 from util import toy_structures
 
+CHAIN_FILES = ("eta", "beta", "xi", "sigma_k2", "sigma_xi2")
+
 
 @pytest.fixture(scope="module")
 def small_chain():
@@ -65,10 +67,10 @@ class TestRoundTrip:
         loaded = read_chain(tmp_path / "streamed")
         assert_chains_equal(chain, loaded)
         ChainWriter(tmp_path / "one_shot").finalize(chain)
-        for name in ("eta", "beta", "xi", "sigma_k2", "sigma_xi2", "manifest"):
-            suffix = ".json" if name == "manifest" else ".csv"
-            assert (tmp_path / "streamed" / f"{name}{suffix}").read_bytes() == (
-                tmp_path / "one_shot" / f"{name}{suffix}"
+        names = [f"{name}{suffix}" for name in CHAIN_FILES for suffix in (".csv", ".npy")]
+        for name in names + ["manifest.json"]:
+            assert (tmp_path / "streamed" / name).read_bytes() == (
+                tmp_path / "one_shot" / name
             ).read_bytes()
 
     def test_partial_flush_is_readable(self, small_chain, tmp_path):
@@ -76,15 +78,22 @@ class TestRoundTrip:
         ChainWriter(tmp_path / "partial").flush(small_chain, 100, 100)
         partial = read_chain(tmp_path / "partial")
         assert partial.num_draws == 100  # only the flushed rows are on disk
-        assert np.array_equal(partial.eta, small_chain.eta[:100])
+        for name in CHAIN_FILES:
+            assert np.array_equal(getattr(partial, name), getattr(small_chain, name)[:100])
         manifest = json.loads((tmp_path / "partial" / "manifest.json").read_text())
         assert manifest["completed_iterations"] == 100
+        assert manifest["stored_draws"] == 100
         assert "num_draws" not in manifest  # written once the run completes
+        # the rows a later flush appends are read once the manifest records them
+        writer = ChainWriter(tmp_path / "flushed_twice")
+        writer.flush(small_chain, 100, 100)
+        writer.flush(small_chain, 150, 150)
+        assert read_chain(tmp_path / "flushed_twice").num_draws == 150
 
     def test_byte_identical_for_same_chain(self, small_chain, tmp_path):
         ChainWriter(tmp_path / "a").finalize(small_chain)
         ChainWriter(tmp_path / "b").finalize(small_chain)
-        for name in ("eta", "beta", "xi", "sigma_k2", "sigma_xi2"):
+        for name in CHAIN_FILES:
             assert (tmp_path / "a" / f"{name}.csv").read_bytes() == (
                 tmp_path / "b" / f"{name}.csv"
             ).read_bytes()
@@ -100,6 +109,83 @@ class TestRoundTrip:
             assert key in manifest
         assert manifest["move_types"] == "gibbs"
         assert manifest["completed_iterations"] == small_chain.iterations
+        assert manifest["stored_draws"] == manifest["num_draws"] == small_chain.num_draws
+
+
+class TestBinaryStore:
+    def test_store_equals_the_csv_export(self, small_chain, tmp_path):
+        # nothing in the package reads the CSVs; this keeps the export honest
+        ChainWriter(tmp_path / "chain").finalize(small_chain)
+        for name in CHAIN_FILES:
+            stored = np.load(tmp_path / "chain" / f"{name}.npy")
+            exported = np.loadtxt(
+                tmp_path / "chain" / f"{name}.csv", delimiter=",", skiprows=1, ndmin=2
+            )
+            assert stored.dtype == np.dtype("<f8")
+            assert stored.shape == exported.shape == (small_chain.num_draws, stored.shape[1])
+            assert stored.tobytes() == exported.tobytes()
+
+    def _damaged(self, small_chain, tmp_path, damage):
+        ChainWriter(tmp_path / "chain").finalize(small_chain)
+        damage(tmp_path / "chain")
+        with pytest.raises(ChainStateError) as info:
+            read_chain(tmp_path / "chain")
+        return str(info.value)
+
+    def test_truncated_store_refused(self, small_chain, tmp_path):
+        def truncate(directory):
+            path = directory / "xi.npy"
+            path.write_bytes(path.read_bytes()[:-8])
+
+        assert "xi.npy is short" in self._damaged(small_chain, tmp_path, truncate)
+
+    def test_wrong_shape_header_refused(self, small_chain, tmp_path):
+        def reshape(directory):
+            rows = np.load(directory / "eta.npy")
+            np.save(directory / "eta.npy", rows.reshape(-1, rows.shape[1] // 2, 2))
+
+        message = self._damaged(small_chain, tmp_path, reshape)
+        assert "eta.npy has the .npy version, shape" in message
+        assert "((1, 0), (200, 2, 2), False, '<f8'), where" in message
+        assert "implies ((1, 0), (200, 4), False, '<f8')" in message
+
+    def test_transposed_store_refused(self, small_chain, tmp_path):
+        def transpose(directory):
+            rows = np.load(directory / "beta.npy")
+            np.save(directory / "beta.npy", np.asfortranarray(rows))
+
+        message = self._damaged(small_chain, tmp_path, transpose)
+        assert "((1, 0), (200, 4), True, '<f8'), where" in message
+
+    def test_missing_store_refused(self, small_chain, tmp_path):
+        message = self._damaged(small_chain, tmp_path, lambda d: (d / "sigma_xi2.npy").unlink())
+        assert "cannot read the chain store" in message and "No such file" in message
+
+    def test_not_a_store_refused(self, small_chain, tmp_path):
+        message = self._damaged(
+            small_chain, tmp_path, lambda d: (d / "sigma_k2.npy").write_bytes(b"sigma_k2\n1.0\n")
+        )
+        assert "cannot read the chain store" in message
+
+    def test_version_2_chain_refused(self, small_chain, tmp_path):
+        def downgrade(directory):
+            manifest = json.loads((directory / "manifest.json").read_text())
+            manifest["format_version"] = 2
+            del manifest["stored_draws"]
+            write_json(directory / "manifest.json", manifest)
+
+        message = self._damaged(small_chain, tmp_path, downgrade)
+        assert "has format_version 2, but this version reads 3; run fit again" in message
+
+    def test_claimed_rows_beyond_the_chain_refused(self, small_chain, tmp_path):
+        def overclaim(directory):
+            manifest = json.loads((directory / "manifest.json").read_text())
+            manifest["stored_draws"] = manifest["num_draws"] + 1
+            write_json(directory / "manifest.json", manifest)
+
+        assert "eta.npy is short: 800 of the 804 values" in self._damaged(
+            small_chain, tmp_path, overclaim
+        )
 
 
 class TestStructuresFile:

@@ -425,7 +425,7 @@ class TestStoredStructures:
             assert np.array_equal(basis.s[t], built.s[t])
             assert np.array_equal(basis.eigvals[t], built.eigvals[t])
         manifest = json.loads((directory / "out" / "chain0" / "manifest.json").read_text())
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
         digests = manifest["input_sha256"]
         assert set(digests) == {"covariates", "edges", "[design]", "observations", "[transforms]"}
         assert record == {k: digests[k] for k in ("covariates", "edges", "[design]")}
@@ -461,6 +461,33 @@ class TestStoredStructures:
         directory, cfg, rls_argv = project
         assert main(["predict", "--config", str(cfg)]) == 0
         assert main(rls_argv) == 0
+
+    def test_each_input_hashed_and_parsed_once(self, project, monkeypatch):
+        import arealdlm.data
+        import arealdlm.pipeline
+
+        hashed, parsed = [], []
+        file_sha256 = arealdlm.pipeline._file_sha256
+        load_observations = arealdlm.data.load_observations
+
+        def hash_once(path):
+            hashed.append(Path(path).name)
+            return file_sha256(path)
+
+        def parse_once(path, *args, **kwargs):
+            parsed.append(Path(path).name)
+            return load_observations(path, *args, **kwargs)
+
+        monkeypatch.setattr(arealdlm.pipeline, "_file_sha256", hash_once)
+        monkeypatch.setattr(arealdlm.pipeline, "load_observations", parse_once)
+        directory, cfg, rls_argv = project
+        assert main(["predict", "--config", str(cfg)]) == 0
+        assert sorted(hashed) == ["cov.csv", "edges.csv", "obs.csv"]
+        assert parsed == ["obs.csv"]
+        hashed.clear(), parsed.clear()
+        assert main(rls_argv) == 0
+        assert sorted(hashed) == ["cov.csv", "edges.csv", "obs.csv", "s1.csv", "s2.csv"]
+        assert sorted(parsed) == ["obs.csv", "s1.csv", "s2.csv"]
 
     def test_predict_and_rls_do_not_import_scipy(self, project):
         directory, cfg, rls_argv = project
@@ -538,7 +565,18 @@ class TestStoredStructures:
         path.write_text(json.dumps(manifest))
         capsys.readouterr()
         assert main(["predict", "--config", str(cfg)]) == 4
-        assert "has format_version 1, but this version reads 2" in capsys.readouterr().err
+        assert "has format_version 1, but this version reads 3" in capsys.readouterr().err
+
+    def test_truncated_chain_store_refused(self, project, capsys):
+        directory, cfg, _ = project
+        path = directory / "out" / "chain0" / "xi.npy"
+        path.write_bytes(path.read_bytes()[:-100])
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert f"the chain store {path} is short" in err
+        assert "Traceback" not in err
+        assert not (directory / "out" / "predictions.csv").exists()
 
     def test_truncated_chain_manifest_refused(self, project, capsys):
         directory, cfg, _ = project
