@@ -98,7 +98,8 @@ def posterior_y(
         x_rows = design_set.matrices[t][rows]
         s_rows = basis.s[t][rows]
         t0 = t - 1
-        draws_t = chain.beta[:, t0, :] @ x_rows.T + chain.eta[:, t0, :] @ s_rows.T
+        draws_t = chain.beta[:, t0, :] @ x_rows.T
+        draws_t += chain.eta[:, t0, :] @ s_rows.T
 
         # fine-scale term: stored draw where observed, prior draw elsewhere;
         # column[row] is the chain's xi column of a prediction row, -1 if unobserved
@@ -116,14 +117,20 @@ def posterior_y(
         yhat[loc_idx] = draws_t.mean(axis=0)
         mspe[loc_idx] = draws_t.var(axis=0)
         if want_bt:
-            bt = np.empty_like(draws_t)
             variables = np.array([locations[i][0] for i in loc_idx])
-            for ell in np.unique(variables):
-                at = variables == ell
-                spec = transforms.get(int(ell), TransformSpec("identity"))
-                bt[:, at] = spec.inverse(draws_t[:, at])
-            yhat_bt[loc_idx] = bt.mean(axis=0)
-            mspe_bt[loc_idx] = bt.var(axis=0)
+            specs = {
+                int(ell): transforms.get(int(ell), TransformSpec("identity"))
+                for ell in np.unique(variables)
+            }
+            if all(spec.kind == "identity" for spec in specs.values()):
+                yhat_bt[loc_idx], mspe_bt[loc_idx] = yhat[loc_idx], mspe[loc_idx]
+            else:
+                bt = np.empty_like(draws_t)
+                for ell, spec in specs.items():
+                    at = variables == ell
+                    bt[:, at] = spec.inverse(draws_t[:, at])
+                yhat_bt[loc_idx] = bt.mean(axis=0)
+                mspe_bt[loc_idx] = bt.var(axis=0)
         if keep_draws:
             all_draws[:, loc_idx] = draws_t
 

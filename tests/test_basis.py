@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import arealdlm.basis as basis_module
 from arealdlm.basis import (
+    _lanczos_ncv,
     _lanczos_pairs,
     build_basis_system,
     confounding_report,
@@ -253,12 +255,8 @@ class TestLanczosBasis:
         assert digests == {hashlib.sha256(s.tobytes()).hexdigest()}
 
     def test_no_convergence_falls_back_to_dense(self, monkeypatch, caplog):
-        import scipy.sparse.linalg as spla
-
-        def refuse(*args, **kwargs):
-            raise spla.ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
-
-        monkeypatch.setattr(spla, "eigsh", refuse)
+        # no restart allowed: one Lanczos cycle cannot converge 21 pairs at N_t = 600
+        monkeypatch.setattr(basis_module, "LANCZOS_MAX_RESTARTS", 0)
         graph = random_connected_graph(600, 700, seed=40)
         design_set = make_design_set(graph, StudyDesign(1, ((1, 1),), 3, self.R), seed=41)
         with caplog.at_level(logging.WARNING, logger="arealdlm.basis"):
@@ -268,6 +266,40 @@ class TestLanczosBasis:
         assert basis.provenance["solver"] == {1: "dense"}
         s_dense, _ = mi_basis(design_set.matrices[1], stacked_adjacency(design_set, 1), self.R)
         assert np.array_equal(basis.s[1], s_dense)
+
+
+def test_provenance_counts_lanczos_work():
+    # per Lanczos t: products with the operator, thick restarts, probes for
+    # a missed copy of a repeated eigenvalue; dense times are not listed
+    graph = random_connected_graph(600, 700, seed=40)
+    design = StudyDesign(1, ((1, 2),), 3, 20)
+    design_set = make_design_set(graph, design, seed=41, time_varying=True)
+    basis = build_basis_system(design_set)
+    assert basis.provenance["solver"] == {1: "lanczos", 2: "lanczos"}
+    assert sorted(basis.provenance["lanczos"]) == [1, 2]
+    for t, counts in basis.provenance["lanczos"].items():
+        direct = {}
+        _lanczos_pairs(design_set.matrices[t], *design_set.edge_index(t), 20, direct)
+        assert counts == direct
+        assert counts["probes"] >= 1
+        assert counts["matvecs"] >= _lanczos_ncv(21, 600) + counts["restarts"]
+    small = make_design_set(random_connected_graph(12, 10, seed=3), StudyDesign(1, ((1, 2),), 3, 4))
+    assert build_basis_system(small).provenance["lanczos"] == {}
+
+
+def test_probe_recovers_a_missed_copy(monkeypatch):
+    # intercept-only 600-cycle: the top eigenvalue 2cos(2 pi / 600) is double.
+    # At a loose tolerance Lanczos stops before rounding reveals the second
+    # copy; the probe must find it and merge it.
+    monkeypatch.setattr(basis_module, "LANCZOS_TOL", 1e-8)
+    graph = cycle_graph(tuple(f"u{i}" for i in range(600)))
+    design_set = make_design_set(graph, StudyDesign(1, ((1, 1),), 1, 1), seed=0)
+    counts = {}
+    values, vectors = _lanczos_pairs(design_set.matrices[1], *design_set.edge_index(1), 1, counts)
+    assert counts["probes"] == 2
+    assert np.max(np.abs(values - 2 * np.cos(2 * np.pi / 600))) <= 1e-10
+    assert np.max(np.abs(vectors.T @ vectors - np.eye(2))) <= 1e-10
+    assert np.max(np.abs(vectors.T @ design_set.matrices[1])) <= 1e-10
 
 
 class TestStraddleWarning:

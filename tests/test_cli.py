@@ -279,6 +279,25 @@ class TestBasisPriorDumps:
         s1 = np.loadtxt(out / "S_t001.csv", delimiter=",")
         assert s1.shape == (8, 2)
 
+    def test_lanczos_size_fit_does_not_import_scipy(self, tmp_path):
+        # N_t = 600 takes the Lanczos eigensolver, which is numpy only
+        cfg = write_project(tmp_path, n_units=600, T=2, r=5, iterations=20, burn_in=5)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        code = (
+            "import sys; from arealdlm.cli import main; "
+            f"codes = main(['fit', '--config', {str(cfg)!r}]), "
+            f"main(['basis', '--config', {str(cfg)!r}]); "
+            "print(*codes, 'scipy' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.splitlines()[-1] == "0 0 False"
+        manifest = json.loads((tmp_path / "out" / "basis" / "manifest.json").read_text())
+        assert manifest["solver"] == {"1": "lanczos", "2": "lanczos"}
+        assert sorted(manifest["lanczos"]["1"]) == ["matvecs", "probes", "restarts"]
+
     def test_basis_builds_no_prior(self, tmp_path, caplog):
         # constant covariates freeze the prior's latent path; basis must not say so
         cfg = write_project(tmp_path)

@@ -300,8 +300,6 @@ def test_large_n_setup_memory():
     # one dense N_t x N_t target is 288 MB
     import tracemalloc
 
-    import scipy.sparse.linalg  # noqa: F401  (imported outside the measurement)
-
     design_set = gapped_two_variable_design(3000, r=30, seed=65)
     assert design_set.N_t(1) == 6000 and design_set.N_t(2) == 5700
     tracemalloc.start()
