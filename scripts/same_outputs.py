@@ -7,15 +7,17 @@ OLD_SRC and NEW_SRC are ``src/`` directories (for example a checkout of the
 parent commit and this one). Each case's inputs are written once and copied
 into one directory per tree. Both trees then run ``simulate``, ``validate``,
 ``basis``, ``prior``, ``fit --chains 2`` (``--chains 1`` on ``wide``) and
-``predict`` in a fresh process with ``PYTHONPATH`` set to that tree.
+``predict`` in a fresh process with ``PYTHONPATH`` set to that tree. ``fit``
+also writes the ``--trace`` files of ``TRACES``, built from the chain that
+``gibbs_run`` returns rather than the one read back from disk.
 
 Cases: the benchmark inputs of ``perfbench/run.py`` for ``profile`` and
 ``wide`` (seed 1), and the ``tests/test_cli.py`` project plain, with
 ``pooled = true``, with ``prior_form = direct`` and with a simulation mask
 (``missing_units`` plus ``missing_fraction``).
 
-Every output file (chains, manifests, predictions, truth, ``basis/``,
-``prior/``) is compared byte for byte. Command logs are compared after the
+Every output file (chains, trace CSVs, manifests, predictions, truth,
+``basis/``, ``prior/``) is compared byte for byte. Command logs are compared after the
 work directory is replaced by a placeholder. The script lists each differing
 file and exits 1 on any difference or failed command. A differing CSV file
 whose fields line up, or a differing ``.npy`` file of the same shape, is
@@ -38,6 +40,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 COMMANDS = ("simulate", "validate", "basis", "prior", "fit", "predict")
+TRACES = ("sigma_k2", "beta[1,0]", "eta[1,0]")
 
 
 def write_cases(inputs: Path, new_src: Path) -> dict[str, int]:
@@ -71,6 +74,7 @@ def run_tree(src: Path, inputs: Path, tree: Path, chains: dict[str, int]) -> lis
             argv = [sys.executable, "-m", "arealdlm.cli", command, "--config", "run.ini"]
             if command == "fit":
                 argv += ["--chains", str(count)]
+                argv += [arg for selector in TRACES for arg in ("--trace", selector)]
             with (tree / "logs" / f"{case}.{command}.log").open("w", encoding="utf-8") as log:
                 code = subprocess.run(argv, cwd=tree / case, env=env, stdout=log,
                                       stderr=subprocess.STDOUT).returncode

@@ -1,8 +1,8 @@
 """Chain directory persistence: manifest.json, a binary store and a CSV export per parameter.
 
-Each parameter group (``eta``, ``beta``, ``xi``, ``sigma_k2``, ``sigma_xi2``)
-is written one row per stored draw twice: as float64 rows in ``<name>.npy``,
-which ``read_chain`` reads, and as text in ``<name>.csv``, an export whose 17
+Each parameter group of ``sampler.draw_shapes`` is written one row per stored
+draw twice: as float64 rows in ``<name>.npy``, which ``read_chain`` reads back
+into the declared shapes, and as text in ``<name>.csv``, an export whose 17
 significant digits round-trip exactly. Identical runs give identical bytes.
 ``ChainWriter.flush`` writes each ``.npy`` header once with the final shape,
 appends the rows stored since the last flush to both files, then replaces
@@ -23,6 +23,7 @@ the reports of the commands.
 from __future__ import annotations
 
 import json
+import math
 import os
 import zipfile
 from pathlib import Path
@@ -31,7 +32,7 @@ import numpy as np
 
 from .basis import BasisSystem
 from .errors import ChainStateError
-from .sampler import PosteriorChain
+from .sampler import PosteriorChain, draw_shapes
 
 # 3: a .npy store per parameter group, read instead of the CSVs; stored_draws
 FORMAT_VERSION = 3
@@ -39,22 +40,18 @@ STRUCTURES_FILE = "structures.npz"
 _FLOAT_FMT = "%.17g"
 _DTYPE = np.dtype("<f8")
 
-_FILES = ("eta", "beta", "xi", "sigma_k2", "sigma_xi2")
-
 
 def _headers(chain: PosteriorChain) -> dict[str, list[str]]:
+    """The column labels of each group's CSV export."""
     _, T, r = chain.eta.shape
-    p = chain.beta.shape[2]
-    xi_cols = []
-    for t in sorted(chain.xi_offsets):
-        lo, hi = chain.xi_offsets[t]
-        xi_cols.extend(f"t{t}_i{i}" for i in range(hi - lo))
+    times = range(1, T + 1)
+    blocks = sorted(chain.xi_offsets.items())
     return {
-        "eta": [f"t{t}_k{k}" for t in range(1, T + 1) for k in range(r)],
-        "beta": [f"t{t}_j{j}" for t in range(1, T + 1) for j in range(p)],
-        "xi": xi_cols,
+        "eta": [f"t{t}_k{k}" for t in times for k in range(r)],
+        "xi": [f"t{t}_i{i}" for t, (lo, hi) in blocks for i in range(hi - lo)],
+        "beta": [f"t{t}_j{j}" for t in times for j in range(chain.beta.shape[2])],
         "sigma_k2": ["sigma_k2"],
-        "sigma_xi2": [f"t{t}" for t in range(1, T + 1)],
+        "sigma_xi2": [f"t{t}" for t in times],
     }
 
 
@@ -99,19 +96,21 @@ class ChainWriter:
 
     def flush(self, chain: PosteriorChain, stored: int, completed_iterations: int) -> None:
         """Append rows [written, stored) of ``chain`` and rewrite the manifest."""
+        draws = chain.draws
         if self._written is None:
-            for name, header in _headers(chain).items():
+            headers = _headers(chain)
+            for name, array in draws.items():
                 path = self.directory / f"{name}.csv"
-                path.write_text(",".join(header) + "\n", encoding="utf-8")
-                shape = (chain.num_draws, len(header))
+                path.write_text(",".join(headers[name]) + "\n", encoding="utf-8")
+                shape = (chain.num_draws, math.prod(array.shape[1:]))
                 with (self.directory / f"{name}.npy").open("wb") as fh:
                     np.lib.format.write_array_header_1_0(
                         fh, {"descr": _DTYPE.str, "fortran_order": False, "shape": shape}
                     )
             self._written = 0
         if stored > self._written:
-            for name in _FILES:
-                rows = getattr(chain, name)[self._written : stored]
+            for name, array in draws.items():
+                rows = array[self._written : stored]
                 rows = np.ascontiguousarray(rows.reshape(len(rows), -1), dtype=_DTYPE)
                 with (self.directory / f"{name}.csv").open("a", encoding="utf-8") as fh:
                     np.savetxt(fh, rows, fmt=_FLOAT_FMT, delimiter=",")
@@ -128,8 +127,9 @@ class ChainWriter:
         self.flush(chain, chain.num_draws, chain.iterations)
 
 
-def _read_store(path: Path, num_draws: int, cols: int, stored: int) -> np.ndarray:
-    """The first ``stored`` rows of a ``.npy`` store of ``num_draws`` × ``cols`` float64."""
+def _read_store(path: Path, num_draws: int, draw_shape: tuple, stored: int) -> np.ndarray:
+    """The first ``stored`` draws of ``draw_shape`` from a ``.npy`` store of ``num_draws`` rows."""
+    cols = math.prod(draw_shape)
     try:
         with path.open("rb") as fh:
             version = np.lib.format.read_magic(fh)
@@ -149,7 +149,7 @@ def _read_store(path: Path, num_draws: int, cols: int, stored: int) -> np.ndarra
             f"the chain store {path} is short: {rows.size} of the {stored * cols} "
             f"values the manifest records"
         )
-    return rows.reshape(stored, cols)
+    return rows.reshape(stored, *draw_shape)
 
 
 def read_chain(directory: str | Path) -> PosteriorChain:
@@ -180,24 +180,14 @@ def read_chain(directory: str | Path) -> PosteriorChain:
             f"cannot read the chain manifest at {manifest_path}: {type(exc).__name__} {exc}"
         ) from None
     n = sum(hi - lo for lo, hi in xi_offsets.values())
-    cols = {"eta": T * r, "beta": T * p, "xi": n, "sigma_k2": 1, "sigma_xi2": T}
-    rows = {name: _read_store(directory / f"{name}.npy", num_draws, cols[name], stored)
-            for name in _FILES}
+    rows = {name: _read_store(directory / f"{name}.npy", num_draws, shape, stored)
+            for name, shape in draw_shapes(T, r, p, n).items()}
     meta = {
         k: manifest[k]
         for k in ("sweep_order", "move_types", "r", "p", "T", "n", "input_sha256")
         if k in manifest
     }
-    return PosteriorChain(
-        eta=rows["eta"].reshape(stored, T, r),
-        beta=rows["beta"].reshape(stored, T, p),
-        xi=rows["xi"],
-        sigma_k2=rows["sigma_k2"][:, 0],
-        sigma_xi2=rows["sigma_xi2"],
-        xi_offsets=xi_offsets,
-        meta=meta,
-        **run,
-    )
+    return PosteriorChain(**rows, xi_offsets=xi_offsets, meta=meta, **run)
 
 
 def write_structures(path: str | Path, basis: BasisSystem, inputs: dict) -> None:

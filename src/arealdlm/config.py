@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import StudyDesign, TransformSpec
 from .errors import MissingInputError, ValidationError
-from .sampler import Hyperparams
+from .sampler import Hyperparams, check_run_settings
 
 _SECTIONS = {
     "paths": {"observations", "covariates", "edges", "output"},
@@ -70,13 +70,9 @@ class RunConfig:
     truth: TruthBlock | None = None
     rls_surveys: tuple[Path, ...] = ()
 
-    def validate_sampler(self) -> None:
-        if self.iterations <= self.burn_in:
-            raise ValidationError(
-                f"iterations ({self.iterations}) must exceed burn_in ({self.burn_in})"
-            )
-        if self.thin < 1:
-            raise ValidationError("thin must be >= 1")
+    def __post_init__(self):
+        # also runs on every dataclasses.replace, so an override is checked too
+        check_run_settings(self.iterations, self.burn_in, self.thin, self.seed)
 
 
 def _parse_window(text: str) -> tuple[int, int]:
@@ -98,6 +94,13 @@ def _parse_epsilon(text: str) -> float | None:
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(x) for x in text.split(","))
+
+
+def _parse_seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError("a seed must be >= 0")
+    return seed
 
 
 def _parse_names(text: str) -> tuple[str, ...]:
@@ -208,8 +211,8 @@ def load_config(path: str | Path) -> RunConfig:
             v=dict(enumerate(v, start=1)),
             missing_units=_get(parser, "truth", "missing_units", _parse_names, ""),
             missing_fraction=_get(parser, "truth", "missing_fraction", float, "0"),
-            missing_seed=_get(parser, "truth", "missing_seed", int, "0"),
-            seed=_get(parser, "truth", "seed", int, "0"),
+            missing_seed=_get(parser, "truth", "missing_seed", _parse_seed, "0"),
+            seed=_get(parser, "truth", "seed", _parse_seed, "0"),
         )
 
     # rls
@@ -217,7 +220,7 @@ def load_config(path: str | Path) -> RunConfig:
     if parser.has_section("rls"):
         rls_surveys = tuple(base / s for s in _get(parser, "rls", "surveys", _parse_names))
 
-    cfg = RunConfig(
+    return RunConfig(
         observations=paths["observations"],
         covariates=paths["covariates"],
         edges=paths["edges"],
@@ -235,5 +238,3 @@ def load_config(path: str | Path) -> RunConfig:
         truth=truth,
         rls_surveys=rls_surveys,
     )
-    cfg.validate_sampler()
-    return cfg

@@ -20,11 +20,10 @@ Each constant has one builder: ``_information`` gives S'V^-1 and S'V^-1 S,
 ``_beta_moments`` the stacked regression-coefficient posterior covariances,
 their factors and X'V^-1, and ``_scale_factors`` the factors of K*_1 and
 W*_t and their inverses. The public conditionals call them on every call;
-``gibbs_run`` calls them once per chain and passes the results in, so one
-sweep is the public conditionals with the constants hoisted; it also passes
-one ``_basis_term`` (S_t eta_t per cell) to both ``sample_xi`` and
-``sample_beta``. A time with nothing observed needs no branch: the empty
-products give zero information.
+``_Precomputed`` calls them once per chain, and ``_sweep`` passes the
+results in, with one ``_basis_term`` (S_t eta_t per cell) for both
+``sample_xi`` and ``sample_beta``. A time with nothing observed needs no
+branch: the empty products give zero information.
 
 The latent path follows eta_1 ~ N(0, sigma_k2 K*_1) and eta_t = M_t
 eta_{t-1} + u_t with u_t ~ N(0, sigma_k2 W*_t). ``_transitions`` is the one
@@ -33,12 +32,13 @@ and the prior draws alike. ``_draw_path`` is the one prior draw of a path,
 from the factors of ``_path_factors``: the chain's initial state uses it at
 unit scale, and ``predict.simulate`` at the true scale.
 
-Sweep order per iteration: coefficient path, then the fine-scale field, then
-the regression coefficients, then the coefficient-scale variance, then the
-fine-scale variances (each of the last four for all times at once, in time
-order). ``gibbs_run`` stores each kept draw in the arrays of the
-``PosteriorChain`` it returns, and a ``chainio.ChainWriter`` appends the new
-rows from those arrays every ``FLUSH_EVERY`` iterations.
+``_sweep`` is the one Gibbs sweep, a pure function of the constants, the
+frozen ``ModelState`` and the generator: path, fine-scale field, regression
+coefficients, scale variance, fine-scale variances (the last four for all
+times at once). ``draw_shapes`` declares that order and each group's shape.
+``gibbs_run`` only checks each state for non-finite values, stores the kept
+draws in its ``PosteriorChain`` and has a ``chainio.ChainWriter`` append the
+new rows every ``FLUSH_EVERY`` iterations.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ class Hyperparams:
         return mu
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelState:
     """One configuration of all latent variables and variance parameters."""
 
@@ -464,6 +464,15 @@ def sample_sigma_xi(
     return rate / rng.gamma(shape)
 
 
+def draw_shapes(T: int, r: int, p: int, n: int) -> dict[str, tuple[int, ...]]:
+    """The shape of one draw of each parameter group, in sweep order.
+
+    The one declaration of a draw: the chain's arrays, the store loop, the
+    manifest's ``sweep_order`` and the chain files (``chainio``) all follow it.
+    """
+    return {"eta": (T, r), "xi": (n,), "beta": (T, p), "sigma_k2": (), "sigma_xi2": (T,)}
+
+
 @dataclass(frozen=True)
 class PosteriorChain:
     """Stored draws (post burn-in, thinned) plus run metadata.
@@ -487,6 +496,13 @@ class PosteriorChain:
     @property
     def num_draws(self) -> int:
         return self.eta.shape[0]
+
+    @property
+    def draws(self) -> dict[str, np.ndarray]:
+        """The (J, ...) array of each parameter group, keyed and ordered as ``draw_shapes``."""
+        _, T, r = self.eta.shape
+        names = draw_shapes(T, r, self.beta.shape[2], self.xi.shape[1])
+        return {name: getattr(self, name) for name in names}
 
 
 class _Precomputed:
@@ -551,6 +567,55 @@ def _initial_state(pre: _Precomputed, rng: np.random.Generator) -> ModelState:
     )
 
 
+def check_run_settings(iterations: int, burn_in: int, thin: int, seed: int) -> None:
+    """The one rule for a chain's run settings; a ValidationError names the first broken one."""
+    for broken, message in (
+        (burn_in < 0, f"burn_in must be >= 0, got {burn_in}"),
+        (iterations <= burn_in, f"iterations must exceed burn_in, got {iterations} and {burn_in}"),
+        (thin < 1, f"thin must be >= 1, got {thin}"),
+        (seed < 0, f"seed must be >= 0, got {seed}"),
+    ):
+        if broken:
+            raise ValidationError(message)
+
+
+def _sweep(
+    pre: _Precomputed, state: ModelState, hyper: Hyperparams, rng: np.random.Generator
+) -> ModelState:
+    """One Gibbs sweep: each full conditional once, in ``draw_shapes`` order.
+
+    The only place the conditionals are put together. Each is called through
+    its module-global name, so a wrapper bound to that name sees every sweep.
+    """
+    # latent coefficient path
+    h_seq = [
+        pre.sv[i] @ (pre.z[a:b] - pre.x[a:b] @ state.beta[i] - state.xi[a:b])
+        for i, (a, b) in enumerate(pre.blocks)
+    ]
+    filt = _filter_core(
+        h_seq, pre.g, pre.m_seq, state.sigma_k2 * pre.k1_star, state.sigma_k2 * pre.w_star_seq
+    )
+    eta = backward_sample(filt, pre.m_seq, rng)
+
+    # fine-scale field and regression coefficients, all times at once
+    basis_term = _basis_term(pre.s, eta, pre.blocks)
+    xi = sample_xi(
+        pre.z, pre.x, state.beta, pre.s, eta, pre.v, state.sigma_xi2, rng,
+        blocks=pre.blocks, basis_term=basis_term,
+    )
+    beta = sample_beta(
+        pre.z, pre.x, xi, pre.s, eta, pre.v, hyper, rng,
+        precomputed=pre.beta_pre, blocks=pre.blocks, basis_term=basis_term,
+    )
+
+    # variances
+    sigma_k2 = sample_sigma_k(
+        eta, pre.k1_star, pre.w_star_seq, pre.m_seq, hyper, rng, scale_factors=pre.scale_factors
+    )
+    sigma_xi2 = sample_sigma_xi(xi, hyper, rng, blocks=pre.blocks)
+    return ModelState(eta=eta, xi=xi, beta=beta, sigma_k2=sigma_k2, sigma_xi2=sigma_xi2)
+
+
 def gibbs_run(
     data: ObservationSet,
     design_set: DesignSet,
@@ -569,89 +634,29 @@ def gibbs_run(
     its last flush are appended to disk every ``FLUSH_EVERY`` iterations, so
     interrupted runs remain inspectable.
     """
-    if iterations <= burn_in:
-        raise ValidationError("iterations must exceed burn_in")
-    if thin < 1:
-        raise ValidationError("thin must be >= 1")
+    check_run_settings(iterations, burn_in, thin, seed)
     aligned = align_observations(design_set, data)
     pre = _Precomputed(design_set, basis, prior, aligned, hyper)
     rng = np.random.default_rng(seed)
     state = _initial_state(pre, rng)
     num_draws = (iterations - burn_in + thin - 1) // thin
+    shapes = draw_shapes(pre.T, pre.r, pre.p, pre.n_total)
     chain = PosteriorChain(
-        eta=np.zeros((num_draws, pre.T, pre.r)),
-        beta=np.zeros((num_draws, pre.T, pre.p)),
-        xi=np.zeros((num_draws, pre.n_total)),
-        sigma_k2=np.zeros(num_draws),
-        sigma_xi2=np.zeros((num_draws, pre.T)),
-        xi_offsets=pre.xi_offsets,
-        seed=seed,
-        iterations=iterations,
-        burn_in=burn_in,
-        thin=thin,
-        meta={
-            "sweep_order": ["eta", "xi", "beta", "sigma_k2", "sigma_xi2"],
-            "move_types": "gibbs",
-            "r": pre.r,
-            "p": pre.p,
-            "T": pre.T,
-            "n": pre.n_total,
-        },
+        **{name: np.zeros((num_draws, *shape)) for name, shape in shapes.items()},
+        xi_offsets=pre.xi_offsets, seed=seed, iterations=iterations, burn_in=burn_in, thin=thin,
+        meta={"sweep_order": list(shapes), "move_types": "gibbs",
+              "r": pre.r, "p": pre.p, "T": pre.T, "n": pre.n_total},
     )
+    draws = chain.draws
     stored = 0
 
     for it in range(iterations):
-        # latent coefficient path
-        h_seq = [
-            pre.sv[i] @ (pre.z[a:b] - pre.x[a:b] @ state.beta[i] - state.xi[a:b])
-            for i, (a, b) in enumerate(pre.blocks)
-        ]
-        filt = _filter_core(
-            h_seq,
-            pre.g,
-            pre.m_seq,
-            state.sigma_k2 * pre.k1_star,
-            state.sigma_k2 * pre.w_star_seq,
-        )
-        state.eta = backward_sample(filt, pre.m_seq, rng)
-
-        # fine-scale field and regression coefficients, all times at once
-        basis_term = _basis_term(pre.s, state.eta, pre.blocks)
-        state.xi = sample_xi(
-            pre.z, pre.x, state.beta, pre.s, state.eta, pre.v, state.sigma_xi2, rng,
-            blocks=pre.blocks, basis_term=basis_term,
-        )
-        state.beta = sample_beta(
-            pre.z, pre.x, state.xi, pre.s, state.eta, pre.v, hyper, rng,
-            precomputed=pre.beta_pre, blocks=pre.blocks, basis_term=basis_term,
-        )
-
-        # variances
-        state.sigma_k2 = sample_sigma_k(
-            state.eta,
-            pre.k1_star,
-            pre.w_star_seq,
-            pre.m_seq,
-            hyper,
-            rng,
-            scale_factors=pre.scale_factors,
-        )
-        state.sigma_xi2 = sample_sigma_xi(state.xi, hyper, rng, blocks=pre.blocks)
-
-        if not (
-            np.isfinite(state.sigma_k2)
-            and np.all(np.isfinite(state.sigma_xi2))
-            and np.all(np.isfinite(state.eta))
-            and np.all(np.isfinite(state.beta))
-        ):
+        state = _sweep(pre, state, hyper, rng)
+        if not all(np.all(np.isfinite(getattr(state, name))) for name in draws):
             raise ChainStateError(f"non-finite sampler state at iteration {it}")
-
         if it >= burn_in and (it - burn_in) % thin == 0:
-            chain.eta[stored] = state.eta
-            chain.beta[stored] = state.beta
-            chain.xi[stored] = state.xi
-            chain.sigma_k2[stored] = state.sigma_k2
-            chain.sigma_xi2[stored] = state.sigma_xi2
+            for name, rows in draws.items():
+                rows[stored] = getattr(state, name)
             stored += 1
         if writer is not None and (it + 1) % FLUSH_EVERY == 0:
             writer.flush(chain, stored, it + 1)

@@ -236,6 +236,31 @@ class TestExitCodes:
         assert (tmp_path / "obs.csv").read_bytes() == before
 
     @pytest.mark.parametrize(
+        "command, edit, extra",
+        [
+            ("fit", ("burn_in = 20", "burn_in = -5"), []),
+            ("fit", ("seed = 5", "seed = -1"), []),
+            ("fit", ("", ""), ["--seed", "-1"]),
+            ("simulate", ("seed = 9", "seed = -1"), []),
+            ("simulate", ("seed = 9", "seed = 9\nmissing_seed = -1"), []),
+        ],
+        ids=["burn-in", "seed", "seed-flag", "truth-seed", "truth-missing-seed"],
+    )
+    def test_bad_run_setting_exits_3_and_writes_nothing(self, tmp_path, capsys, command, edit,
+                                                       extra):
+        cfg = write_project(tmp_path)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        shutil.rmtree(tmp_path / "out")
+        cfg.write_text(cfg.read_text().replace(*edit))
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main([command, "--config", str(cfg), *extra]) == 3
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if line.startswith("error:")] == err.splitlines()
+        assert len(err.splitlines()) == 1
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize(
         "file, edit, where",
         [
             ("run.ini", ("iterations = 80", "iterations = eighty"), "[sampler] iterations"),

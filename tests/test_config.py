@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from arealdlm.config import load_config
@@ -86,6 +88,31 @@ class TestLoadConfig:
         bad = BASE.replace("burn_in = 100", "burn_in = 500")
         with pytest.raises(ValidationError, match="must exceed burn_in"):
             load_config(write_config(tmp_path, bad))
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("burn_in = 100", "burn_in = -5", "burn_in must be >= 0"),
+            ("thin = 2", "thin = 0", "thin must be >= 1"),
+            ("seed = 7", "seed = -1", "seed must be >= 0"),
+        ],
+        ids=["negative-burn-in", "zero-thin", "negative-seed"],
+    )
+    def test_sampler_settings_refused(self, tmp_path, old, new, message):
+        with pytest.raises(ValidationError, match=message):
+            load_config(write_config(tmp_path, BASE.replace(old, new)))
+
+    def test_overridden_seed_checked(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, BASE))
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            replace(cfg, seed=-1)
+
+    @pytest.mark.parametrize("key", ["seed", "missing_seed"])
+    def test_negative_truth_seed_refused(self, tmp_path, key):
+        text = BASE + "\n[truth]\nbeta = 0.5, -0.2, 0.1\nsigma_k2 = 1\nsigma_xi2 = 1\nv = 0.01\n"
+        text += f"{key} = -1\n"
+        with pytest.raises(ValidationError, match=rf"\[truth\] {key}: .*a seed must be >= 0"):
+            load_config(write_config(tmp_path, text))
 
     def test_bad_window(self, tmp_path):
         bad = BASE.replace("window_1 = 1:10", "window_1 = 10")

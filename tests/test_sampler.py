@@ -1,12 +1,19 @@
+import copy
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
+from arealdlm import sampler
 from arealdlm.data import align_observations
 from arealdlm.errors import ChainStateError, ValidationError
 from arealdlm.linops import track_dense_solves
 from arealdlm.predict import simulate
 from arealdlm.sampler import (
     Hyperparams,
+    _initial_state,
+    _Precomputed,
+    _sweep,
     backward_sample,
     gibbs_run,
     kalman_filter,
@@ -505,6 +512,80 @@ class TestGibbsRun:
                 truth.observations, design_set, basis, prior, Hyperparams(),
                 iterations=100, burn_in=100, seed=27,
             )
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (dict(iterations=10, burn_in=-5), "burn_in must be >= 0"),
+            (dict(iterations=10, burn_in=0, thin=0), "thin must be >= 1"),
+            (dict(iterations=10, burn_in=0, seed=-1), "seed must be >= 0"),
+        ],
+        ids=["negative-burn-in", "zero-thin", "negative-seed"],
+    )
+    def test_run_settings_refused(self, settings, message):
+        # a negative burn_in used to return, and write, all-zero draws
+        graph, design, design_set, basis, prior = toy_structures(n_units=6, T=2, p=2, r=2, seed=25)
+        truth = simulate(design_set, basis, prior, np.array([0.0, 0.0]), 1.0, 0.1, 0.1, seed=26)
+        with pytest.raises(ValidationError, match=message):
+            gibbs_run(truth.observations, design_set, basis, prior, Hyperparams(), **settings)
+
+    def test_resume_from_saved_state_and_generator(self):
+        # k sweeps, then the state and the generator's state saved and a fresh
+        # generator continued from them: the draws are those of one
+        # uninterrupted run, bit for bit
+        graph, design, design_set, basis, prior = toy_structures(
+            n_units=6, T=3, p=2, r=2, seed=37
+        )
+        truth = simulate(design_set, basis, prior, np.array([0.3, -0.2]), 1.0, 0.05, 0.1, seed=38)
+        hyper = Hyperparams()
+        iterations, k = 12, 5
+        chain = gibbs_run(
+            truth.observations, design_set, basis, prior, hyper,
+            iterations=iterations, burn_in=0, seed=39,
+        )
+
+        pre = _Precomputed(
+            design_set, basis, prior, align_observations(design_set, truth.observations), hyper
+        )
+        rng = np.random.default_rng(39)
+        states = [_initial_state(pre, rng)]
+        for _ in range(k):
+            states.append(_sweep(pre, states[-1], hyper, rng))
+        saved_state = copy.deepcopy(states[-1])
+        saved_generator = copy.deepcopy(rng.bit_generator.state)
+        del rng
+
+        resumed = np.random.default_rng()
+        resumed.bit_generator.state = saved_generator
+        state = saved_state
+        for _ in range(iterations - k):
+            state = _sweep(pre, state, hyper, resumed)
+            states.append(state)
+
+        with pytest.raises(FrozenInstanceError):
+            state.sigma_k2 = 1.0
+        for name, rows in chain.draws.items():
+            assert np.array_equal(rows, np.array([getattr(s, name) for s in states[1:]])), name
+
+    def test_sweep_components_dispatched_by_module_name(self, monkeypatch):
+        # a wrapper bound to a component's module-global name sees every sweep,
+        # which is how the benchmark times each layer of the sweep
+        graph, design, design_set, basis, prior = toy_structures(n_units=6, T=2, p=2, r=2, seed=44)
+        truth = simulate(design_set, basis, prior, np.array([0.2, 0.1]), 1.0, 0.05, 0.1, seed=45)
+        names = ("_filter_core", "backward_sample", "sample_xi", "sample_beta",
+                 "sample_sigma_k", "sample_sigma_xi")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _name=name, _original=getattr(sampler, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(sampler, name, counted)
+        sampler.gibbs_run(
+            truth.observations, design_set, basis, prior, Hyperparams(),
+            iterations=7, burn_in=2, seed=46,
+        )
+        assert calls == dict.fromkeys(names, 7)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_state_aborts_with_iteration(self):
