@@ -22,13 +22,15 @@ work directory is replaced by a placeholder. The script lists each differing
 file and exits 1 on any difference or failed command. A differing CSV file
 whose fields line up, or a differing ``.npy`` file of the same shape, is
 listed with its largest |new - old| relative to the largest |old| value in
-the file. A ``--work`` directory is kept for inspection; the default
+the file; a CSV file whose lines differ only in their endings (``\n`` and
+``\r\n``) is listed at delta 0. A ``--work`` directory is kept for inspection; the default
 temporary one is removed.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import filecmp
 import os
 import shutil
@@ -97,13 +99,17 @@ def _npy_delta(a: Path, b: Path) -> tuple[float, float] | str:
 
 
 def _csv_delta(a: Path, b: Path) -> tuple[float, float] | str:
-    """(max |b - a|, max |a|) over the numeric fields of two CSV files, or why not."""
-    rows_a, rows_b = a.read_text().splitlines(), b.read_text().splitlines()
+    """(max |b - a|, max |a|) over the numeric fields of two CSV files, or why not.
+
+    Fields are split by the ``csv`` module, so quoted text lines up; files
+    that differ only in their line endings read as delta 0.
+    """
+    with a.open(newline="", encoding="utf-8") as fa, b.open(newline="", encoding="utf-8") as fb:
+        rows_a, rows_b = list(csv.reader(fa)), list(csv.reader(fb))
     if len(rows_a) != len(rows_b):
         return "row counts differ"
     delta, scale = 0.0, 0.0
-    for row_a, row_b in zip(rows_a, rows_b):
-        fields_a, fields_b = row_a.split(","), row_b.split(",")
+    for fields_a, fields_b in zip(rows_a, rows_b):
         if len(fields_a) != len(fields_b):
             return "field counts differ"
         for x, y in zip(fields_a, fields_b):

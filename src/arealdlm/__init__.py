@@ -46,7 +46,6 @@ from .predict import (
     posterior_y,
     rls,
     simulate,
-    trace_summary,
 )
 
 __version__ = "0.1.0"

@@ -16,12 +16,13 @@ in one shot by ``ChainWriter(directory).finalize(chain)``.
 and its eigenvalues) with the digests of the inputs it was built from, so
 ``predict`` and ``rls`` read it instead of solving the eigenproblems again.
 
-``write_json`` writes every JSON file of a run: the chain manifests and
-the reports of the commands.
+``write_json`` and ``write_csv`` write every other file a command emits;
+``write_rows`` writes every CSV line, the chain exports' included.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -84,6 +85,34 @@ def write_json(path: str | Path, value) -> None:
     os.replace(partial, path)
 
 
+def write_rows(fh, rows) -> None:
+    """Append ``rows`` to the open text file ``fh`` as CSV lines ending in ``\n``.
+
+    A float array is streamed row by row (a 1-D array one value per line);
+    other rows mix str, int, float and None, quoted only where needed. Floats
+    carry 17 significant digits and None is an empty field.
+    """
+    if isinstance(rows, np.ndarray):
+        np.savetxt(fh, rows, fmt=_FLOAT_FMT, delimiter=",")
+        return
+    writer = csv.writer(fh, lineterminator="\n")
+    for row in rows:
+        writer.writerow(
+            "" if v is None else _FLOAT_FMT % v if isinstance(v, float) else v for v in row
+        )
+
+
+def write_csv(path: str | Path, header: list[str] | None, rows) -> None:
+    """Write ``header`` (unless None) and ``rows`` under a temporary name, then rename."""
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    with partial.open("w", encoding="utf-8", newline="") as fh:
+        if header is not None:
+            write_rows(fh, [header])
+        write_rows(fh, rows)
+    os.replace(partial, path)
+
+
 class ChainWriter:
     """Appends the stored rows of one chain to a chain directory."""
 
@@ -100,8 +129,7 @@ class ChainWriter:
         if self._written is None:
             headers = _headers(chain)
             for name, array in draws.items():
-                path = self.directory / f"{name}.csv"
-                path.write_text(",".join(headers[name]) + "\n", encoding="utf-8")
+                write_csv(self.directory / f"{name}.csv", headers[name], [])
                 shape = (chain.num_draws, math.prod(array.shape[1:]))
                 with (self.directory / f"{name}.npy").open("wb") as fh:
                     np.lib.format.write_array_header_1_0(
@@ -112,8 +140,8 @@ class ChainWriter:
             for name, array in draws.items():
                 rows = array[self._written : stored]
                 rows = np.ascontiguousarray(rows.reshape(len(rows), -1), dtype=_DTYPE)
-                with (self.directory / f"{name}.csv").open("a", encoding="utf-8") as fh:
-                    np.savetxt(fh, rows, fmt=_FLOAT_FMT, delimiter=",")
+                with (self.directory / f"{name}.csv").open("a", encoding="utf-8", newline="") as fh:
+                    write_rows(fh, rows)
                 with (self.directory / f"{name}.npy").open("ab") as fh:
                     fh.write(rows.data)
             self._written = stored

@@ -137,7 +137,11 @@ def cmd_validate(cfg: RunConfig) -> int:
 def cmd_fit(cfg: RunConfig, chains: int = 1, trace: list[str] | None = None) -> int:
     inputs = input_digests(cfg)
     structures = build_structures(cfg)
-    obs, _ = load_data(cfg, structures)
+    obs, aligned = load_data(cfg, structures)
+    trace = trace or []
+    for selector in trace:
+        predict.selector_column(selector, cfg.design.T, structures.basis.r, cfg.design.p,
+                                aligned.offsets())
     cfg.output.mkdir(parents=True, exist_ok=True)
     chainio.write_structures(
         cfg.output / chainio.STRUCTURES_FILE, structures.basis, inputs.record(DESIGN_INPUTS)
@@ -156,10 +160,10 @@ def cmd_fit(cfg: RunConfig, chains: int = 1, trace: list[str] | None = None) -> 
             seed=cfg.seed + i,
             writer=chainio.ChainWriter(directory, inputs.record()),
         )
-        for selector in trace or []:
-            summary = predict.trace_summary(chain, selector)
+        for selector in trace:
             safe = selector.replace("[", "_").replace("]", "").replace(",", "_")
-            predict.write_trace_csv(summary, directory / f"trace_{safe}.csv")
+            rows = enumerate(predict.select_series(chain, selector))
+            chainio.write_csv(directory / f"trace_{safe}.csv", ["draw", selector], rows)
         print(f"chain written: {directory} ({chain.num_draws} draws)")
     return EXIT_OK
 
@@ -228,19 +232,15 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
     # identity transforms only (checked above): the model scale is the raw scale
     cfg.observations.parent.mkdir(parents=True, exist_ok=True)
-    with cfg.observations.open("w", encoding="utf-8") as fh:
-        fh.write("variable,time,unit,z,v\n")
-        for o in truth.observations.observations:
-            fh.write(f"{o.variable},{o.time},{o.unit},{o.z:.17g},{o.v:.17g}\n")
+    rows = ((o.variable, o.time, o.unit, o.z, o.v) for o in truth.observations.observations)
+    chainio.write_csv(cfg.observations, ["variable", "time", "unit", "z", "v"], rows)
 
     truth_dir = cfg.output / "truth"
     truth_dir.mkdir(parents=True, exist_ok=True)
-    with (truth_dir / "truth_y.csv").open("w", encoding="utf-8") as fh:
-        fh.write("variable,time,unit,y\n")
-        for t in range(1, cfg.design.T + 1):
-            for pos, (ell, u) in enumerate(design_set.layout[t]):
-                fh.write(f"{ell},{t},{units[u]},{truth.y[t][pos]:.17g}\n")
-    np.savetxt(truth_dir / "truth_eta.csv", truth.eta, fmt="%.17g", delimiter=",")
+    rows = ((ell, t, units[u], y) for t in range(1, cfg.design.T + 1)
+            for (ell, u), y in zip(design_set.layout[t], truth.y[t]))
+    chainio.write_csv(truth_dir / "truth_y.csv", ["variable", "time", "unit", "y"], rows)
+    chainio.write_csv(truth_dir / "truth_eta.csv", None, truth.eta)
     chainio.write_json(
         truth_dir / "truth_params.json",
         {
@@ -324,8 +324,8 @@ def cmd_basis(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     basis = structures.basis
     for t in basis.times:
-        np.savetxt(out / f"S_t{t:03d}.csv", basis.s[t], fmt="%.17g", delimiter=",")
-        np.savetxt(out / f"eigvals_t{t:03d}.csv", basis.eigvals[t], fmt="%.17g", delimiter=",")
+        chainio.write_csv(out / f"S_t{t:03d}.csv", None, basis.s[t])
+        chainio.write_csv(out / f"eigvals_t{t:03d}.csv", None, basis.eigvals[t])
     chainio.write_json(out / "manifest.json", basis.provenance)
     print(f"basis written: {out}")
     return EXIT_OK
@@ -337,9 +337,9 @@ def cmd_prior(cfg: RunConfig) -> int:
     out.mkdir(parents=True, exist_ok=True)
     prior = structures.prior
     for t in prior.times:
-        np.savetxt(out / f"Kstar_t{t:03d}.csv", prior.k_star[t], fmt="%.17g", delimiter=",")
+        chainio.write_csv(out / f"Kstar_t{t:03d}.csv", None, prior.k_star[t])
         if t in prior.w_star:
-            np.savetxt(out / f"Wstar_t{t:03d}.csv", prior.w_star[t], fmt="%.17g", delimiter=",")
+            chainio.write_csv(out / f"Wstar_t{t:03d}.csv", None, prior.w_star[t])
     chainio.write_json(
         out / "manifest.json",
         {

@@ -7,6 +7,7 @@ Paths are resolved relative to the config file's directory.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -204,13 +205,21 @@ def load_config(path: str | Path) -> RunConfig:
             raise ValidationError(
                 f"[truth] v needs 1 or {num_variables} values, got {len(v)}"
             )
+        if not all(math.isfinite(x) and x > 0 for x in v):
+            raise ValidationError(f"[truth] v: each value must be finite and > 0, got {v}")
+        variances = {key: _get(parser, "truth", key, float) for key in ("sigma_k2", "sigma_xi2")}
+        for key, value in variances.items():
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(f"[truth] {key} must be finite and >= 0, got {value}")
+        fraction = _get(parser, "truth", "missing_fraction", float, "0")
+        if not 0 <= fraction <= 1:
+            raise ValidationError(f"[truth] missing_fraction must lie in [0, 1], got {fraction}")
         truth = TruthBlock(
             beta=beta,
-            sigma_k2=_get(parser, "truth", "sigma_k2", float),
-            sigma_xi2=_get(parser, "truth", "sigma_xi2", float),
+            **variances,
             v=dict(enumerate(v, start=1)),
             missing_units=_get(parser, "truth", "missing_units", _parse_names, ""),
-            missing_fraction=_get(parser, "truth", "missing_fraction", float, "0"),
+            missing_fraction=fraction,
             missing_seed=_get(parser, "truth", "missing_seed", _parse_seed, "0"),
             seed=_get(parser, "truth", "seed", _parse_seed, "0"),
         )

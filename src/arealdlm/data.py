@@ -339,6 +339,14 @@ class AlignedData:
     def n_t(self, t: int) -> int:
         return len(self.obs_idx[t])
 
+    def offsets(self) -> dict[int, tuple[int, int]]:
+        """Each time's row range in the flat, time-major vector of observed cells."""
+        out, start = {}, 0
+        for t in sorted(self.obs_idx):
+            out[t] = (start, start + self.n_t(t))
+            start += self.n_t(t)
+        return out
+
 
 def align_observations(design_set: DesignSet, obs_set: ObservationSet) -> AlignedData:
     """Sort observations into canonical per-time row order of the design."""

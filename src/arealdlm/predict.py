@@ -1,4 +1,4 @@
-"""Posterior prediction, survey-fusion scoring, diagnostics, and the simulator.
+"""Posterior prediction, survey-fusion scoring, trace selectors, and the simulator.
 
 Predictions of the latent field are assembled draw by draw from the stored
 chain; the fine-scale term comes from its stored draw at observed cells and
@@ -8,7 +8,6 @@ locations carries the fine-scale variance floor.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import BasisSystem
+from .chainio import write_csv
 from .data import (
     AlignedData,
     DesignSet,
@@ -245,100 +245,54 @@ def simulate(
     return SyntheticTruth(eta, y, ObservationSet(design, tuple(observations)))
 
 
-@dataclass(frozen=True)
-class TraceSummary:
-    selector: str
-    mean: float
-    sd: float
-    q025: float
-    q975: float
-    lag1_autocorr: float
-    series: np.ndarray
+_SELECTOR_RE = re.compile(r"^(?:sigma_k2|sigma_xi2\[(\d+)\]|(beta|eta|xi)\[(\d+),(\d+)\])$")
 
 
-_SELECTOR_RE = re.compile(
-    r"^(sigma_k2|sigma_xi2\[(\d+)\]|beta\[(\d+),(\d+)\]|eta\[(\d+),(\d+)\]|xi\[(\d+),(\d+)\])$"
-)
-
-
-def select_series(chain: PosteriorChain, selector: str) -> np.ndarray:
-    """Per-draw series of one scalar parameter.
+def selector_column(
+    selector: str, T: int, r: int, p: int, xi_offsets: dict[int, tuple[int, int]]
+) -> tuple[str, int]:
+    """The parameter group and the column of its flattened draw that ``selector`` names.
 
     Selectors: ``sigma_k2``, ``sigma_xi2[t]``, ``beta[t,j]``, ``eta[t,k]``,
-    ``xi[t,i]`` with 1-based t and 0-based within-time indices.
+    ``xi[t,i]`` with 1-based t and 0-based within-time indices; ``xi_offsets``
+    is the chain's layout of observed cells. A malformed selector or one
+    outside these shapes is a ValidationError.
     """
     m = _SELECTOR_RE.match(selector.replace(" ", ""))
     if not m:
         raise ValidationError(f"unknown parameter selector {selector!r}")
-    token = m.group(1)
-    try:
-        if token == "sigma_k2":
-            return chain.sigma_k2
-        if token.startswith("sigma_xi2"):
-            return chain.sigma_xi2[:, int(m.group(2)) - 1]
-        if token.startswith("beta"):
-            return chain.beta[:, int(m.group(3)) - 1, int(m.group(4))]
-        if token.startswith("eta"):
-            return chain.eta[:, int(m.group(5)) - 1, int(m.group(6))]
-        lo, hi = chain.xi_offsets[int(m.group(7))]
-        i = int(m.group(8))
-        if i >= hi - lo:
-            raise IndexError(i)
-        return chain.xi[:, lo + i]
-    except (IndexError, KeyError) as exc:
-        raise ValidationError(f"selector {selector!r} is out of range ({exc})") from None
+    if m.group(1) is None and m.group(2) is None:
+        return "sigma_k2", 0
+    name = m.group(2) or "sigma_xi2"
+    t, i = int(m.group(1) or m.group(3)), int(m.group(4) or 0)
+    lo, hi = xi_offsets.get(t, (0, 0))
+    width = {"sigma_xi2": 1, "beta": p, "eta": r, "xi": hi - lo}[name]
+    if not (1 <= t <= T and i < width):
+        raise ValidationError(
+            f"selector {selector!r} is out of range: t must lie in 1..{T} "
+            f"and the index below {width}"
+        )
+    return name, (lo if name == "xi" else (t - 1) * width) + i
 
 
-def trace_summary(chain: PosteriorChain, selector: str) -> TraceSummary:
-    """Mean, sd, equal-tailed 95% interval, and lag-1 autocorrelation."""
-    series = select_series(chain, selector)
-    if series.size == 0:
-        raise ValidationError("empty chain")
-    mean = float(series.mean())
-    sd = float(series.std(ddof=0))
-    q025, q975 = (float(q) for q in np.quantile(series, [0.025, 0.975]))
-    if sd == 0.0 or series.size < 2:
-        lag1 = 0.0
-    else:
-        a = series[:-1] - mean
-        b = series[1:] - mean
-        lag1 = float((a @ b) / (series.size * sd * sd))
-    return TraceSummary(selector, mean, sd, q025, q975, lag1, series)
-
-
-def write_trace_csv(summary: TraceSummary, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["draw", summary.selector])
-        for j, value in enumerate(summary.series):
-            writer.writerow([j, f"{value:.17g}"])
+def select_series(chain: PosteriorChain, selector: str) -> np.ndarray:
+    """Per-draw series of one scalar parameter (selectors as ``selector_column``)."""
+    _, T, r = chain.eta.shape
+    name, column = selector_column(selector, T, r, chain.beta.shape[2], chain.xi_offsets)
+    draws = chain.draws[name]
+    return draws.reshape(len(draws), -1)[:, column]
 
 
 def write_predictions_csv(surface: PredictionSurface, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "variable",
-                "time",
-                "unit",
-                "yhat",
-                "mspe",
-                "yhat_backtransformed",
-                "mspe_backtransformed",
-            ]
-        )
-        for i, (ell, t, unit) in enumerate(surface.locations):
-            bt_mean = (
-                f"{surface.yhat_backtransformed[i]:.17g}"
-                if surface.yhat_backtransformed is not None
-                else ""
-            )
-            bt_var = (
-                f"{surface.mspe_backtransformed[i]:.17g}"
-                if surface.mspe_backtransformed is not None
-                else ""
-            )
-            writer.writerow(
-                [ell, t, unit, f"{surface.yhat[i]:.17g}", f"{surface.mspe[i]:.17g}", bt_mean, bt_var]
-            )
+    """One row per location; the back-transformed fields are empty when not computed."""
+    empty = [None] * len(surface.locations)
+    columns = zip(
+        surface.locations,
+        surface.yhat,
+        surface.mspe,
+        empty if surface.yhat_backtransformed is None else surface.yhat_backtransformed,
+        empty if surface.mspe_backtransformed is None else surface.mspe_backtransformed,
+    )
+    header = ["variable", "time", "unit", "yhat", "mspe", "yhat_backtransformed",
+              "mspe_backtransformed"]
+    write_csv(path, header, ((*location, *values) for location, *values in columns))

@@ -528,8 +528,7 @@ class _Precomputed:
         x_obs, s_obs = [], []
         self.sv = []  # S' V^-1 per time
         self.g = []  # S' V^-1 S per time
-        self.xi_offsets = {}
-        start = 0
+        self.xi_offsets = aligned.offsets()
         for t in self.times:
             idx = aligned.obs_idx[t]
             x_obs.append(design_set.matrices[t][idx])
@@ -537,13 +536,11 @@ class _Precomputed:
             sv, g = _information(s_obs[-1], aligned.v[t])
             self.sv.append(sv)
             self.g.append(g)
-            self.xi_offsets[t] = (start, start + aligned.n_t(t))
-            start += aligned.n_t(t)
-        self.n_total = start
         self.blocks = list(self.xi_offsets.values())
         self.x = np.concatenate(x_obs)
         self.s = np.concatenate(s_obs)
         self.z = np.concatenate([aligned.z[t] for t in self.times])
+        self.n_total = len(self.z)
         self.v = np.concatenate([aligned.v[t] for t in self.times])
         self.beta_pre = _beta_moments(self.x, self.v, hyper, self.blocks)
         self.m_seq = _transitions(basis)

@@ -1,3 +1,4 @@
+import csv
 import json
 import logging
 import os
@@ -14,21 +15,30 @@ from arealdlm.cli import main
 from util import random_connected_graph
 
 
+def _write_lines(path, rows):
+    """``rows`` of strings as CSV lines ending in ``\\n``, quoted where needed."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def write_project(tmp_path, n_units=8, T=3, p=2, seed=0, iterations=80, burn_in=20, r=2,
-                  truth_extra="", model_extra=""):
-    """A tiny self-contained project directory: covariates, edges, config."""
+                  truth_extra="", model_extra="", unit_names=None):
+    """A tiny self-contained project directory: covariates, edges, config.
+
+    ``unit_names`` replaces the default names u0, u1, ... in order.
+    """
     rng = np.random.default_rng(seed)
     graph = random_connected_graph(n_units, 6, seed)
-    units = graph.units
-    cov_lines = ["variable,time,unit," + ",".join(f"x{j}" for j in range(1, p + 1))]
+    units = unit_names or graph.units
+    cov_rows = [["variable", "time", "unit", *(f"x{j}" for j in range(1, p + 1))]]
     base = rng.normal(size=(len(units), p - 1))
     for t in range(1, T + 1):
         for i, u in enumerate(units):
             vals = [1.0] + list(base[i])
-            cov_lines.append(f"1,{t},{u}," + ",".join(str(v) for v in vals))
-    (tmp_path / "cov.csv").write_text("\n".join(cov_lines) + "\n")
-    edge_lines = ["unit_a,unit_b"] + [f"{units[i]},{units[j]}" for i, j in sorted(graph.edges)]
-    (tmp_path / "edges.csv").write_text("\n".join(edge_lines) + "\n")
+            cov_rows.append(["1", str(t), u, *(str(v) for v in vals)])
+    _write_lines(tmp_path / "cov.csv", cov_rows)
+    edge_rows = [["unit_a", "unit_b"]] + [[units[i], units[j]] for i, j in sorted(graph.edges)]
+    _write_lines(tmp_path / "edges.csv", edge_rows)
     config = f"""
 [paths]
 observations = obs.csv
@@ -236,18 +246,31 @@ class TestExitCodes:
         assert (tmp_path / "obs.csv").read_bytes() == before
 
     @pytest.mark.parametrize(
-        "command, edit, extra",
+        "command, edit, extra, says",
         [
-            ("fit", ("burn_in = 20", "burn_in = -5"), []),
-            ("fit", ("seed = 5", "seed = -1"), []),
-            ("fit", ("", ""), ["--seed", "-1"]),
-            ("simulate", ("seed = 9", "seed = -1"), []),
-            ("simulate", ("seed = 9", "seed = 9\nmissing_seed = -1"), []),
+            ("fit", ("burn_in = 20", "burn_in = -5"), [], "burn_in"),
+            ("fit", ("seed = 5", "seed = -1"), [], "seed"),
+            ("fit", ("", ""), ["--seed", "-1"], "seed"),
+            ("simulate", ("seed = 9", "seed = -1"), [], "[truth] seed"),
+            ("simulate", ("seed = 9", "seed = 9\nmissing_seed = -1"), [], "[truth] missing_seed"),
+            ("simulate", ("v = 0.02", "v = -0.02"), [], "[truth] v"),
+            ("simulate", ("v = 0.02", "v = nan"), [], "[truth] v"),
+            ("simulate", ("sigma_xi2 = 0.05", "sigma_xi2 = nan"), [], "[truth] sigma_xi2"),
+            ("simulate", ("sigma_k2 = 1.0", "sigma_k2 = -1"), [], "[truth] sigma_k2"),
+            ("simulate", ("seed = 9", "seed = 9\nmissing_fraction = 1.5"), [],
+             "[truth] missing_fraction"),
+            ("fit", ("", ""), ["--trace", "sigma_k2", "--trace", "eta[9,0]"], "'eta[9,0]'"),
+            ("fit", ("", ""), ["--trace", "gamma[1]"], "'gamma[1]'"),
+            # one past the 8 cells observed at t=1
+            ("fit", ("", ""), ["--trace", "xi[1,8]"], "'xi[1,8]'"),
         ],
-        ids=["burn-in", "seed", "seed-flag", "truth-seed", "truth-missing-seed"],
+        ids=["burn-in", "seed", "seed-flag", "truth-seed", "truth-missing-seed",
+             "truth-v-negative", "truth-v-nan", "truth-sigma-xi2-nan", "truth-sigma-k2-negative",
+             "truth-missing-fraction",
+             "trace-time", "trace-syntax", "trace-observed-cell"],
     )
     def test_bad_run_setting_exits_3_and_writes_nothing(self, tmp_path, capsys, command, edit,
-                                                       extra):
+                                                       extra, says):
         cfg = write_project(tmp_path)
         assert main(["simulate", "--config", str(cfg)]) == 0
         shutil.rmtree(tmp_path / "out")
@@ -258,6 +281,7 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert [line for line in err.splitlines() if line.startswith("error:")] == err.splitlines()
         assert len(err.splitlines()) == 1
+        assert says in err
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize(
@@ -289,6 +313,29 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert where in err
         assert "Traceback" not in err
+
+
+class TestCsvDialect:
+    def test_unit_names_with_comma_and_quote_round_trip(self, tmp_path):
+        names = tuple(f'County {i}, "FL"' for i in range(8))
+        cfg = write_project(tmp_path, unit_names=names)
+        for command in ("simulate", "validate", "fit", "predict"):
+            assert main([command, "--config", str(cfg)]) == 0
+        with (tmp_path / "out" / "predictions.csv").open(newline="", encoding="utf-8") as fh:
+            units = [row["unit"] for row in csv.DictReader(fh)]
+        assert units == list(names) * 3
+
+    def test_no_csv_ends_a_line_with_carriage_return(self, tmp_path):
+        cfg = write_project(tmp_path)
+        for command in (["simulate"], ["fit", "--trace", "sigma_k2", "--trace", "eta[1,0]"],
+                        ["basis"], ["prior"], ["predict"]):
+            assert main([*command, "--config", str(cfg)]) == 0
+        written = {p.relative_to(tmp_path).as_posix(): p for p in tmp_path.rglob("*.csv")}
+        assert {"obs.csv", "out/truth/truth_y.csv", "out/truth/truth_eta.csv",
+                "out/chain0/trace_sigma_k2.csv", "out/chain0/trace_eta_1_0.csv",
+                "out/chain0/eta.csv", "out/basis/S_t001.csv", "out/prior/Kstar_t001.csv",
+                "out/predictions.csv"} <= set(written)
+        assert [name for name, p in written.items() if b"\r" in p.read_bytes()] == []
 
 
 class TestBasisPriorDumps:

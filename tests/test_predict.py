@@ -10,7 +10,6 @@ from arealdlm.predict import (
     rls,
     select_series,
     simulate,
-    trace_summary,
 )
 from arealdlm.sampler import Hyperparams, PosteriorChain, gibbs_run
 
@@ -245,30 +244,15 @@ class TestSimulate:
 
 
 class TestTraceSummary:
-    def test_constant_chain(self):
-        chain = constant_chain(2.5, T=2, r=1, p=1, n=4)
-        out = trace_summary(chain, "eta[1,0]")
-        assert out.mean == pytest.approx(2.5)
-        assert out.sd == 0.0
-        assert out.q025 == out.q975 == pytest.approx(2.5)
-        assert out.lag1_autocorr == 0.0
-
-    def test_iid_normal_bounds(self):
-        rng = np.random.default_rng(69)
-        series = rng.normal(size=10_000)
-        chain = replace(constant_chain(0.0, T=1, r=1, p=1, n=2, J=10_000), sigma_k2=series)
-        out = trace_summary(chain, "sigma_k2")
-        assert abs(out.mean) < 0.03
-        assert abs(out.lag1_autocorr) < 0.03
-        assert out.q025 == pytest.approx(-1.96, abs=0.1)
-        assert out.q975 == pytest.approx(1.96, abs=0.1)
+    """The selectors of the series that ``fit --trace`` writes."""
 
     def test_unknown_selector(self):
         chain = constant_chain(0.0, T=2, r=1, p=1, n=4)
         with pytest.raises(ValidationError, match="unknown parameter selector"):
-            trace_summary(chain, "gamma[1]")
-        with pytest.raises(ValidationError, match="out of range"):
-            trace_summary(chain, "eta[5,0]")
+            select_series(chain, "gamma[1]")
+        for selector in ("eta[5,0]", "eta[0,0]", "sigma_xi2[0]", "beta[1,1]", "xi[2,2]"):
+            with pytest.raises(ValidationError, match="out of range"):
+                select_series(chain, selector)
 
     def test_selectors_address_expected_values(self):
         chain = constant_chain(1.0, T=2, r=2, p=1, n=4)
@@ -276,6 +260,11 @@ class TestTraceSummary:
         assert np.all(select_series(chain, "eta[2,1]") == 9.0)
         chain.xi[:, chain.xi_offsets[2][0]] = 4.0
         assert np.all(select_series(chain, "xi[2,0]") == 4.0)
+        chain.sigma_xi2[:, 1] = 3.0
+        assert np.all(select_series(chain, "sigma_xi2[2]") == 3.0)
+        chain.beta[:, 1, 0] = 5.0
+        assert np.all(select_series(chain, "beta[2, 0]") == 5.0)
+        assert np.all(select_series(chain, "sigma_k2") == 1.0)
 
 
 class TestFusedCoverageDirection:
