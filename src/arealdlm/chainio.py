@@ -1,16 +1,22 @@
 """Chain directory persistence: manifest.json, a binary store and a CSV export per parameter.
 
-Each parameter group of ``sampler.draw_shapes`` is written one row per stored
-draw twice: as float64 rows in ``<name>.npy``, which ``read_chain`` reads back
-into the declared shapes, and as text in ``<name>.csv``, an export whose 17
-significant digits round-trip exactly. Identical runs give identical bytes.
-``ChainWriter.flush`` writes each ``.npy`` header once with the final shape,
-appends the rows stored since the last flush to both files, then replaces
+Each parameter group of ``sampler.draw_shapes`` is stored one float64 row
+per stored draw in ``<name>.npy``, which ``read_chain`` reads back into the
+declared shapes. ``ChainWriter.flush`` writes each ``.npy`` header once with
+the final shape, appends the rows stored since the last flush, then replaces
 the manifest whole; its ``stored_draws`` counts the rows on disk, so an
 interrupted run leaves a readable partial chain. The manifest gains
 ``num_draws`` once every iteration has run; the ``.npy`` files are then
 standard files that ``np.load`` opens. A finished in-memory chain is written
 in one shot by ``ChainWriter(directory).finalize(chain)``.
+
+``<name>.csv`` is a text export of the same rows, whose 17 significant
+digits round-trip exactly. A second process per writer derives it from the
+``.npy`` store (``export_csv``) while the sampler keeps sweeping: after each
+flush the writer sends it the new ``stored_draws``, and ``finalize`` (or
+``close``) waits for it, so the CSVs are complete when ``finalize`` returns
+and a failed export is a ChainStateError. After an interruption they hold at
+most the rows of the last flush. Identical runs give identical bytes.
 
 ``fit`` also writes ``structures.npz`` once per run: the basis (every S_t
 and its eigenvalues) with the digests of the inputs it was built from, so
@@ -26,8 +32,10 @@ import csv
 import json
 import math
 import os
+import sys
 import zipfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,15 +50,15 @@ _FLOAT_FMT = "%.17g"
 _DTYPE = np.dtype("<f8")
 
 
-def _headers(chain: PosteriorChain) -> dict[str, list[str]]:
-    """The column labels of each group's CSV export."""
-    _, T, r = chain.eta.shape
+def _headers(shapes: dict[str, tuple], xi_offsets: dict) -> dict[str, list[str]]:
+    """The column labels of each group's CSV export (``shapes`` as ``sampler.draw_shapes``)."""
+    (T, r), (_, p) = shapes["eta"], shapes["beta"]
     times = range(1, T + 1)
-    blocks = sorted(chain.xi_offsets.items())
+    blocks = sorted(xi_offsets.items())
     return {
         "eta": [f"t{t}_k{k}" for t in times for k in range(r)],
         "xi": [f"t{t}_i{i}" for t, (lo, hi) in blocks for i in range(hi - lo)],
-        "beta": [f"t{t}_j{j}" for t in times for j in range(chain.beta.shape[2])],
+        "beta": [f"t{t}_j{j}" for t in times for j in range(p)],
         "sigma_k2": ["sigma_k2"],
         "sigma_xi2": [f"t{t}" for t in times],
     }
@@ -93,7 +101,11 @@ def write_rows(fh, rows) -> None:
     carry 17 significant digits and None is an empty field.
     """
     if isinstance(rows, np.ndarray):
-        np.savetxt(fh, rows, fmt=_FLOAT_FMT, delimiter=",")
+        if rows.ndim == 1:
+            rows = rows[:, None]
+        line = ",".join([_FLOAT_FMT] * rows.shape[1]) + "\n"
+        for row in rows:
+            fh.write(line % tuple(row.tolist()))
         return
     writer = csv.writer(fh, lineterminator="\n")
     for row in rows:
@@ -114,22 +126,39 @@ def write_csv(path: str | Path, header: list[str] | None, rows) -> None:
 
 
 class ChainWriter:
-    """Appends the stored rows of one chain to a chain directory."""
+    """Appends the stored rows of one chain to a chain directory.
+
+    The first flush starts the export process; ``close`` (also on leaving a
+    ``with`` block) waits for it.
+    """
 
     def __init__(self, directory: str | Path, input_sha256: dict | None = None):
         """``input_sha256`` (``pipeline.InputDigests.record``) goes into the manifest."""
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.input_sha256 = input_sha256
-        self._written = None  # rows on disk; None until the headers are written
+        self._export = None  # the export process, between the first flush and close
+        self._written = None  # rows on disk; None until the store headers are written
+
+    def __enter__(self) -> ChainWriter:
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        try:
+            self.close()
+        except ChainStateError:
+            if exc_type is None:
+                raise
 
     def flush(self, chain: PosteriorChain, stored: int, completed_iterations: int) -> None:
-        """Append rows [written, stored) of ``chain`` and rewrite the manifest."""
+        """Append rows [written, stored) of ``chain`` to the store and rewrite the manifest.
+
+        The export process is then told how many rows are on disk.
+        """
         draws = chain.draws
+        notify = self._written is None or stored > self._written
         if self._written is None:
-            headers = _headers(chain)
             for name, array in draws.items():
-                write_csv(self.directory / f"{name}.csv", headers[name], [])
                 shape = (chain.num_draws, math.prod(array.shape[1:]))
                 with (self.directory / f"{name}.npy").open("wb") as fh:
                     np.lib.format.write_array_header_1_0(
@@ -140,8 +169,6 @@ class ChainWriter:
             for name, array in draws.items():
                 rows = array[self._written : stored]
                 rows = np.ascontiguousarray(rows.reshape(len(rows), -1), dtype=_DTYPE)
-                with (self.directory / f"{name}.csv").open("a", encoding="utf-8", newline="") as fh:
-                    write_rows(fh, rows)
                 with (self.directory / f"{name}.npy").open("ab") as fh:
                     fh.write(rows.data)
             self._written = stored
@@ -149,20 +176,101 @@ class ChainWriter:
         if self.input_sha256 is not None:
             manifest["input_sha256"] = self.input_sha256
         write_json(self.directory / "manifest.json", manifest)
+        if notify:
+            if self._export is None:
+                self._export = _start_export(self.directory)
+            try:
+                self._export.stdin.write(b"%d\n" % stored)
+                self._export.stdin.flush()
+            except BrokenPipeError:  # the export process has failed
+                self.close()
 
     def finalize(self, chain: PosteriorChain) -> None:
-        """Write every remaining row and the complete manifest."""
+        """Write every remaining row and the complete manifest, then ``close``."""
         self.flush(chain, chain.num_draws, chain.iterations)
+        self.close()
+
+    def close(self) -> None:
+        """Close the export process's input and wait until it has exported every row.
+
+        A failed export is a ChainStateError naming the file.
+        """
+        export, self._export = self._export, None
+        if export is None:
+            return
+        _, err = export.communicate()
+        if export.returncode != 0:
+            raise ChainStateError(
+                err.decode(errors="replace").strip()
+                or f"the chain CSV export of {self.directory} exited with status "
+                f"{export.returncode}"
+            )
 
 
-def _read_store(path: Path, num_draws: int, draw_shape: tuple, stored: int) -> np.ndarray:
-    """The first ``stored`` draws of ``draw_shape`` from a ``.npy`` store of ``num_draws`` rows."""
+def _start_export(directory: Path):
+    """Start the process that runs ``_export_loop(directory)`` with this copy of the package."""
+    import subprocess  # here only: commands that write no chain do not pay for the import
+
+    code = (
+        "import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+        "sys.path.insert(0, sys.argv[1]); "
+        "from arealdlm.chainio import _export_loop; _export_loop(sys.argv[2])"
+    )
+    package_root = str(Path(__file__).resolve().parent.parent)
+    return subprocess.Popen(
+        [sys.executable, "-c", code, package_root, str(directory)],
+        stdin=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        process_group=0,  # a Ctrl-C at the terminal interrupts the sampler alone
+    )
+
+
+def _export_loop(directory: str) -> None:
+    """The export process: for each row count read from stdin, export the rows up to it.
+
+    The process ignores SIGINT (``_start_export`` sets that) and runs in its
+    own process group, so an interrupted ``fit`` still gets the rows of its
+    last flush. It exits at the end of its input, or with one line on stderr
+    when the export fails.
+    """
+    done = 0
+    try:
+        for line in sys.stdin:
+            stored = int(line)
+            export_csv(directory, done, stored)
+            done = stored
+    except (OSError, ValueError, ChainStateError) as exc:
+        sys.exit(f"cannot write the chain CSV export of {directory}: {exc}")
+    os._exit(0)  # every file is closed; skip the interpreter's teardown, which ``close`` waits for
+
+
+def export_csv(directory: str | Path, start: int, stop: int) -> None:
+    """Append rows [start, stop) of each group's ``.npy`` store to ``<name>.csv``.
+
+    ``start`` 0 writes each file afresh, beginning with its header row.
+    """
+    directory = Path(directory)
+    layout = _read_manifest(directory)
+    headers = _headers(layout.shapes, layout.xi_offsets)
+    for name, shape in layout.shapes.items():
+        rows = _read_store(directory / f"{name}.npy", layout.num_draws, shape, start, stop)
+        with (directory / f"{name}.csv").open("w" if start == 0 else "a", encoding="utf-8",
+                                              newline="") as fh:
+            if start == 0:
+                write_rows(fh, [headers[name]])
+            write_rows(fh, rows.reshape(stop - start, math.prod(shape)))
+
+
+def _read_store(path: Path, num_draws: int, draw_shape: tuple, start: int, stop: int) -> np.ndarray:
+    """Draws [start, stop) of ``draw_shape`` from a ``.npy`` store of ``num_draws`` rows."""
     cols = math.prod(draw_shape)
+    count = (stop - start) * cols
     try:
         with path.open("rb") as fh:
             version = np.lib.format.read_magic(fh)
             shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-            rows = np.fromfile(fh, dtype=_DTYPE, count=stored * cols)
+            fh.seek(start * cols * _DTYPE.itemsize, os.SEEK_CUR)
+            rows = np.fromfile(fh, dtype=_DTYPE, count=count)
     except (OSError, ValueError) as exc:
         raise ChainStateError(f"cannot read the chain store {path}: {exc}") from None
     header = (version, shape, fortran_order, dtype.str)
@@ -172,21 +280,31 @@ def _read_store(path: Path, num_draws: int, draw_shape: tuple, stored: int) -> n
             f"the chain store {path} has the .npy version, shape, Fortran order and dtype "
             f"{header}, where the manifest implies {expected}"
         )
-    if rows.size != stored * cols:
+    if rows.size != count:
         raise ChainStateError(
-            f"the chain store {path} is short: {rows.size} of the {stored * cols} "
-            f"values the manifest records"
+            f"the chain store {path} is short: {start * cols + rows.size} of the "
+            f"{stop * cols} values the manifest records"
         )
-    return rows.reshape(stored, *draw_shape)
+    return rows.reshape(stop - start, *draw_shape)
 
 
-def read_chain(directory: str | Path) -> PosteriorChain:
-    """Load a (possibly partial) chain directory back into memory from its ``.npy`` store.
+class _Layout(NamedTuple):
+    """What a chain manifest says about the files of its directory."""
 
-    A missing or unreadable manifest, one of another format version, and a
-    missing, mismatched or short store are each a ChainStateError.
+    manifest: dict
+    run: dict  # seed, iterations, burn_in, thin
+    xi_offsets: dict[int, tuple[int, int]]
+    num_draws: int
+    stored: int
+    shapes: dict[str, tuple]  # sampler.draw_shapes
+
+
+def _read_manifest(directory: Path) -> _Layout:
+    """The manifest of the chain at ``directory``, checked.
+
+    A missing or unreadable manifest, or one of another format version, is a
+    ChainStateError.
     """
-    directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise ChainStateError(f"no chain manifest at {directory}")
@@ -208,14 +326,25 @@ def read_chain(directory: str | Path) -> PosteriorChain:
             f"cannot read the chain manifest at {manifest_path}: {type(exc).__name__} {exc}"
         ) from None
     n = sum(hi - lo for lo, hi in xi_offsets.values())
-    rows = {name: _read_store(directory / f"{name}.npy", num_draws, shape, stored)
-            for name, shape in draw_shapes(T, r, p, n).items()}
+    return _Layout(manifest, run, xi_offsets, num_draws, stored, draw_shapes(T, r, p, n))
+
+
+def read_chain(directory: str | Path) -> PosteriorChain:
+    """Load a (possibly partial) chain directory back into memory from its ``.npy`` store.
+
+    A missing or unreadable manifest, one of another format version, and a
+    missing, mismatched or short store are each a ChainStateError.
+    """
+    directory = Path(directory)
+    layout = _read_manifest(directory)
+    rows = {name: _read_store(directory / f"{name}.npy", layout.num_draws, shape, 0, layout.stored)
+            for name, shape in layout.shapes.items()}
     meta = {
-        k: manifest[k]
+        k: layout.manifest[k]
         for k in ("sweep_order", "move_types", "r", "p", "T", "n", "input_sha256")
-        if k in manifest
+        if k in layout.manifest
     }
-    return PosteriorChain(**rows, xi_offsets=xi_offsets, meta=meta, **run)
+    return PosteriorChain(**rows, xi_offsets=layout.xi_offsets, meta=meta, **layout.run)
 
 
 def write_structures(path: str | Path, basis: BasisSystem, inputs: dict) -> None:

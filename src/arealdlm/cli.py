@@ -138,32 +138,36 @@ def cmd_fit(cfg: RunConfig, chains: int = 1, trace: list[str] | None = None) -> 
     inputs = input_digests(cfg)
     structures = build_structures(cfg)
     obs, aligned = load_data(cfg, structures)
-    trace = trace or []
-    for selector in trace:
-        predict.selector_column(selector, cfg.design.T, structures.basis.r, cfg.design.p,
-                                aligned.offsets())
+    traces = {}  # trace file name -> selector, one per parameter
+    for selector in trace or []:
+        group, t, index, _ = predict.selector_column(
+            selector, cfg.design.T, structures.basis.r, cfg.design.p, aligned.offsets()
+        )
+        indices = [str(i) for i in (t, index) if i is not None]
+        label = f"{group}[{','.join(indices)}]" if indices else group
+        traces["_".join([group, *indices])] = label
     cfg.output.mkdir(parents=True, exist_ok=True)
     chainio.write_structures(
         cfg.output / chainio.STRUCTURES_FILE, structures.basis, inputs.record(DESIGN_INPUTS)
     )
     for i in range(chains):
         directory = cfg.output / f"chain{i}"
-        chain = gibbs_run(
-            obs,
-            structures.design_set,
-            structures.basis,
-            structures.prior,
-            cfg.hyper,
-            iterations=cfg.iterations,
-            burn_in=cfg.burn_in,
-            thin=cfg.thin,
-            seed=cfg.seed + i,
-            writer=chainio.ChainWriter(directory, inputs.record()),
-        )
-        for selector in trace:
-            safe = selector.replace("[", "_").replace("]", "").replace(",", "_")
+        with chainio.ChainWriter(directory, inputs.record()) as writer:
+            chain = gibbs_run(
+                obs,
+                structures.design_set,
+                structures.basis,
+                structures.prior,
+                cfg.hyper,
+                iterations=cfg.iterations,
+                burn_in=cfg.burn_in,
+                thin=cfg.thin,
+                seed=cfg.seed + i,
+                writer=writer,
+            )
+        for name, selector in traces.items():
             rows = enumerate(predict.select_series(chain, selector))
-            chainio.write_csv(directory / f"trace_{safe}.csv", ["draw", selector], rows)
+            chainio.write_csv(directory / f"trace_{name}.csv", ["draw", selector], rows)
         print(f"chain written: {directory} ({chain.num_draws} draws)")
     return EXIT_OK
 

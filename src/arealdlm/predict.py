@@ -250,19 +250,20 @@ _SELECTOR_RE = re.compile(r"^(?:sigma_k2|sigma_xi2\[(\d+)\]|(beta|eta|xi)\[(\d+)
 
 def selector_column(
     selector: str, T: int, r: int, p: int, xi_offsets: dict[int, tuple[int, int]]
-) -> tuple[str, int]:
-    """The parameter group and the column of its flattened draw that ``selector`` names.
+) -> tuple[str, int | None, int | None, int]:
+    """The parameter ``selector`` names, as (group, t, index, column of the flattened draw).
 
     Selectors: ``sigma_k2``, ``sigma_xi2[t]``, ``beta[t,j]``, ``eta[t,k]``,
-    ``xi[t,i]`` with 1-based t and 0-based within-time indices; ``xi_offsets``
-    is the chain's layout of observed cells. A malformed selector or one
-    outside these shapes is a ValidationError.
+    ``xi[t,i]`` with 1-based t and 0-based within-time indices; t and index
+    are None where the selector has none. ``xi_offsets`` is the chain's layout
+    of observed cells. A malformed selector or one outside these shapes is a
+    ValidationError.
     """
     m = _SELECTOR_RE.match(selector.replace(" ", ""))
     if not m:
         raise ValidationError(f"unknown parameter selector {selector!r}")
     if m.group(1) is None and m.group(2) is None:
-        return "sigma_k2", 0
+        return "sigma_k2", None, None, 0
     name = m.group(2) or "sigma_xi2"
     t, i = int(m.group(1) or m.group(3)), int(m.group(4) or 0)
     lo, hi = xi_offsets.get(t, (0, 0))
@@ -272,13 +273,14 @@ def selector_column(
             f"selector {selector!r} is out of range: t must lie in 1..{T} "
             f"and the index below {width}"
         )
-    return name, (lo if name == "xi" else (t - 1) * width) + i
+    column = (lo if name == "xi" else (t - 1) * width) + i
+    return name, t, None if name == "sigma_xi2" else i, column
 
 
 def select_series(chain: PosteriorChain, selector: str) -> np.ndarray:
     """Per-draw series of one scalar parameter (selectors as ``selector_column``)."""
     _, T, r = chain.eta.shape
-    name, column = selector_column(selector, T, r, chain.beta.shape[2], chain.xi_offsets)
+    name, *_, column = selector_column(selector, T, r, chain.beta.shape[2], chain.xi_offsets)
     draws = chain.draws[name]
     return draws.reshape(len(draws), -1)[:, column]
 

@@ -1,14 +1,17 @@
 import json
+import signal
+import time
 
 import numpy as np
 import pytest
 
+from arealdlm import chainio, sampler
 from arealdlm.chainio import ChainWriter, read_chain, read_structures, write_json
 from arealdlm.errors import ChainStateError
 from arealdlm.predict import simulate
 from arealdlm.sampler import Hyperparams, gibbs_run
 
-from util import toy_structures
+from util import assert_export_matches_store, toy_structures
 
 CHAIN_FILES = ("eta", "beta", "xi", "sigma_k2", "sigma_xi2")
 
@@ -75,7 +78,8 @@ class TestRoundTrip:
 
     def test_partial_flush_is_readable(self, small_chain, tmp_path):
         # simulate an interrupted run: flush mid-way, never finalize
-        ChainWriter(tmp_path / "partial").flush(small_chain, 100, 100)
+        with ChainWriter(tmp_path / "partial") as writer:
+            writer.flush(small_chain, 100, 100)
         partial = read_chain(tmp_path / "partial")
         assert partial.num_draws == 100  # only the flushed rows are on disk
         for name in CHAIN_FILES:
@@ -85,10 +89,11 @@ class TestRoundTrip:
         assert manifest["stored_draws"] == 100
         assert "num_draws" not in manifest  # written once the run completes
         # the rows a later flush appends are read once the manifest records them
-        writer = ChainWriter(tmp_path / "flushed_twice")
-        writer.flush(small_chain, 100, 100)
-        writer.flush(small_chain, 150, 150)
+        with ChainWriter(tmp_path / "flushed_twice") as writer:
+            writer.flush(small_chain, 100, 100)
+            writer.flush(small_chain, 150, 150)
         assert read_chain(tmp_path / "flushed_twice").num_draws == 150
+        assert_export_matches_store(tmp_path / "flushed_twice", 150)
 
     def test_byte_identical_for_same_chain(self, small_chain, tmp_path):
         ChainWriter(tmp_path / "a").finalize(small_chain)
@@ -110,6 +115,83 @@ class TestRoundTrip:
         assert manifest["move_types"] == "gibbs"
         assert manifest["completed_iterations"] == small_chain.iterations
         assert manifest["stored_draws"] == manifest["num_draws"] == small_chain.num_draws
+
+
+class TestExportProcess:
+    def _structures(self):
+        _, _, design_set, basis, prior = toy_structures(n_units=6, T=2, p=2, r=2, seed=43)
+        truth = simulate(design_set, basis, prior, np.array([0.0, 0.0]), 1.0, 0.1, 0.1, seed=44)
+        return truth.observations, design_set, basis, prior
+
+    def _started(self, monkeypatch):
+        started = []
+
+        def start(directory):
+            started.append(start_export(directory))
+            return started[-1]
+
+        start_export = chainio._start_export
+        monkeypatch.setattr(chainio, "_start_export", start)
+        return started
+
+    def test_failing_fit_leaves_a_consistent_export_and_no_process(self, tmp_path, monkeypatch):
+        started = self._started(monkeypatch)
+        draw = sampler.sample_sigma_xi
+        calls = []
+
+        def non_finite_after_first_flush(*args, **kwargs):
+            calls.append(None)
+            value = draw(*args, **kwargs)
+            return value * np.nan if len(calls) > 150 else value
+
+        monkeypatch.setattr(sampler, "sample_sigma_xi", non_finite_after_first_flush)
+        writer = ChainWriter(tmp_path / "chain")
+        with pytest.raises(ChainStateError, match="non-finite sampler state at iteration 150"):
+            with writer:
+                gibbs_run(*self._structures(), Hyperparams(), iterations=230, burn_in=30,
+                          seed=45, writer=writer)
+        assert len(started) == 1 and started[0].returncode == 0
+        manifest = json.loads((tmp_path / "chain" / "manifest.json").read_text())
+        assert manifest["stored_draws"] == 70  # the rows of the flush at iteration 100
+        assert_export_matches_store(tmp_path / "chain", 70)
+
+    def test_flush_of_no_rows_exports_the_headers(self, small_chain, tmp_path):
+        with ChainWriter(tmp_path / "chain") as writer:
+            writer.flush(small_chain, 0, 50)  # still in burn-in
+            writer.close()
+            for name in CHAIN_FILES:
+                assert len((tmp_path / "chain" / f"{name}.csv").read_text().splitlines()) == 1
+            writer.flush(small_chain, 30, 80)
+        assert_export_matches_store(tmp_path / "chain", 30)
+
+    def test_failing_export_is_a_chain_state_error(self, small_chain, tmp_path, monkeypatch):
+        started = self._started(monkeypatch)
+        (tmp_path / "chain" / "xi.csv").mkdir(parents=True)
+        with pytest.raises(ChainStateError) as info:
+            ChainWriter(tmp_path / "chain").finalize(small_chain)
+        assert "cannot write the chain CSV export" in str(info.value)
+        assert str(tmp_path / "chain" / "xi.csv") in str(info.value)
+        assert "\n" not in str(info.value)
+        assert started[0].returncode != 0
+
+    def test_an_error_inside_the_block_is_not_masked(self, small_chain, tmp_path):
+        (tmp_path / "chain" / "xi.csv").mkdir(parents=True)
+        with pytest.raises(KeyError, match="sampler"):
+            with ChainWriter(tmp_path / "chain") as writer:
+                writer.flush(small_chain, 10, 10)
+                raise KeyError("sampler")
+
+    def test_export_process_ignores_sigint(self, small_chain, tmp_path, monkeypatch):
+        started = self._started(monkeypatch)
+        writer = ChainWriter(tmp_path / "chain")
+        writer.flush(small_chain, 100, 100)
+        deadline = time.monotonic() + 60
+        while not (tmp_path / "chain" / "eta.csv").exists() and time.monotonic() < deadline:
+            time.sleep(0.01)  # the process ignores SIGINT from its first statement on
+        started[0].send_signal(signal.SIGINT)
+        writer.finalize(small_chain)
+        assert started[0].returncode == 0
+        assert_export_matches_store(tmp_path / "chain", small_chain.num_draws)
 
 
 class TestBinaryStore:

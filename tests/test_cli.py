@@ -3,8 +3,10 @@ import json
 import logging
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 
 from arealdlm.cli import main
 
-from util import random_connected_graph
+from util import assert_export_matches_store, random_connected_graph
 
 
 def _write_lines(path, rows):
@@ -338,6 +340,57 @@ class TestCsvDialect:
         assert [name for name, p in written.items() if b"\r" in p.read_bytes()] == []
 
 
+class TestChainExport:
+    def test_one_trace_file_per_parameter(self, tmp_path):
+        cfg = write_project(tmp_path)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        argv = ["fit", "--config", str(cfg)]
+        for selector in ("eta[1, 0]", "eta[1,0]", "sigma_xi2[ 2]", "sigma_k2", "xi[1,3]"):
+            argv += ["--trace", selector]
+        assert main(argv) == 0
+        chain_dir = tmp_path / "out" / "chain0"
+        assert sorted(p.name for p in chain_dir.glob("trace_*")) == [
+            "trace_eta_1_0.csv", "trace_sigma_k2.csv", "trace_sigma_xi2_2.csv", "trace_xi_1_3.csv"
+        ]
+        lines = (chain_dir / "trace_eta_1_0.csv").read_text().splitlines()
+        assert lines[0] == 'draw,"eta[1,0]"' and len(lines) == 1 + 60
+        assert (chain_dir / "trace_sigma_xi2_2.csv").read_text().startswith("draw,sigma_xi2[2]\n")
+
+    def test_failing_export_exits_4_naming_the_file(self, tmp_path, capsys):
+        cfg = write_project(tmp_path)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        blocked = tmp_path / "out" / "chain0" / "xi.csv"
+        blocked.mkdir(parents=True)
+        capsys.readouterr()
+        assert main(["fit", "--config", str(cfg)]) == 4
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: cannot write the chain CSV export")
+        assert str(blocked) in errors[0]
+
+    @pytest.mark.skipif(shutil.which("pgrep") is None, reason="needs pgrep")
+    def test_interrupted_fit_leaves_the_rows_of_a_flush_and_no_process(self, tmp_path):
+        cfg = write_project(tmp_path, iterations=100_000, burn_in=20)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        chain_dir = tmp_path / "out" / "chain0"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        fit = subprocess.Popen(
+            [sys.executable, "-m", "arealdlm.cli", "fit", "--config", str(cfg)],
+            env=env, stderr=subprocess.DEVNULL, process_group=0,
+        )
+        deadline = time.monotonic() + 120
+        while not (chain_dir / "eta.csv").exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.killpg(fit.pid, signal.SIGINT)  # a Ctrl-C at the terminal
+        assert fit.wait(timeout=120) != 0
+        assert subprocess.run(["pgrep", "-f", str(chain_dir)], capture_output=True).stdout == b""
+        with (chain_dir / "eta.csv").open() as fh:
+            exported = sum(1 for _ in fh) - 1
+        manifest = json.loads((chain_dir / "manifest.json").read_text())
+        assert 80 <= exported <= manifest["stored_draws"] < 100_000 - 20
+        assert_export_matches_store(chain_dir, exported)
+
+
 class TestBasisPriorDumps:
     def test_basis_dump(self, tmp_path):
         cfg = write_project(tmp_path)
@@ -585,13 +638,13 @@ class TestStoredStructures:
         code = (
             "import sys; from arealdlm.cli import main; "
             f"codes = main(['predict', '--config', {str(cfg)!r}]), main({rls_argv!r}); "
-            "print(*codes, 'scipy' in sys.modules)"
+            "print(*codes, 'scipy' in sys.modules, 'subprocess' in sys.modules)"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.splitlines()[-1] == "0 0 False"
+        assert out.stdout.splitlines()[-1] == "0 0 False False"
 
     def test_edited_covariates_refused(self, project, capsys):
         directory, cfg, rls_argv = project

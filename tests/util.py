@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from arealdlm.basis import build_basis_system
+from arealdlm.chainio import read_chain
 from arealdlm.data import (
     ArealGraph,
     DesignSet,
@@ -169,3 +170,12 @@ def observations_from_values(
 
 def write_lines(path, header: str, lines: list[str]) -> None:
     path.write_text("\n".join([header] + lines) + "\n")
+
+
+def assert_export_matches_store(directory, stored: int) -> None:
+    """Each ``<name>.csv`` of a chain holds the first ``stored`` rows of its ``.npy`` store."""
+    for name, rows in read_chain(directory).draws.items():
+        exported = np.loadtxt(directory / f"{name}.csv", delimiter=",", skiprows=1, ndmin=2)
+        rows = rows[:stored].reshape(stored, -1)
+        assert exported.shape == rows.shape
+        assert exported.tobytes() == rows.tobytes()
