@@ -11,12 +11,16 @@ standard files that ``np.load`` opens. A finished in-memory chain is written
 in one shot by ``ChainWriter(directory).finalize(chain)``.
 
 ``<name>.csv`` is a text export of the same rows, whose 17 significant
-digits round-trip exactly. A second process per writer derives it from the
-``.npy`` store (``export_csv``) while the sampler keeps sweeping: after each
-flush the writer sends it the new ``stored_draws``, and ``finalize`` (or
-``close``) waits for it, so the CSVs are complete when ``finalize`` returns
-and a failed export is a ChainStateError. After an interruption they hold at
-most the rows of the last flush. Identical runs give identical bytes.
+digits round-trip exactly. The first flush writes its header row; a second
+process per writer (``export.py``, standard library only) appends the rows,
+reading them back from the ``.npy`` store while the sampler keeps sweeping.
+After each flush the writer sends it the new ``stored_draws``; it lets the
+export fall at most one flush behind where a second core can run it, and
+none on a single usable core, where the two processes would only take turns
+on it (and thrash its caches). ``finalize`` (or ``close``) waits for the
+rest, so the CSVs are complete when ``finalize`` returns and a failed export
+is a ChainStateError. After an interruption they hold at most the rows of
+the last flush. Identical runs give identical bytes.
 
 ``fit`` also writes ``structures.npz`` once per run: the basis (every S_t
 and its eigenvalues) with the digests of the inputs it was built from, so
@@ -35,30 +39,29 @@ import os
 import sys
 import zipfile
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .basis import BasisSystem
 from .errors import ChainStateError
+from .export import FLOAT_FMT, float_line
 from .sampler import PosteriorChain, draw_shapes
 
 # 3: a .npy store per parameter group, read instead of the CSVs; stored_draws
 FORMAT_VERSION = 3
 STRUCTURES_FILE = "structures.npz"
-_FLOAT_FMT = "%.17g"
 _DTYPE = np.dtype("<f8")
 
 
-def _headers(shapes: dict[str, tuple], xi_offsets: dict) -> dict[str, list[str]]:
-    """The column labels of each group's CSV export (``shapes`` as ``sampler.draw_shapes``)."""
-    (T, r), (_, p) = shapes["eta"], shapes["beta"]
+def _headers(chain: PosteriorChain) -> dict[str, list[str]]:
+    """The column labels of each group's CSV export."""
+    _, T, r = chain.eta.shape
     times = range(1, T + 1)
-    blocks = sorted(xi_offsets.items())
+    blocks = sorted(chain.xi_offsets.items())
     return {
         "eta": [f"t{t}_k{k}" for t in times for k in range(r)],
         "xi": [f"t{t}_i{i}" for t, (lo, hi) in blocks for i in range(hi - lo)],
-        "beta": [f"t{t}_j{j}" for t in times for j in range(p)],
+        "beta": [f"t{t}_j{j}" for t in times for j in range(chain.beta.shape[2])],
         "sigma_k2": ["sigma_k2"],
         "sigma_xi2": [f"t{t}" for t in times],
     }
@@ -103,14 +106,14 @@ def write_rows(fh, rows) -> None:
     if isinstance(rows, np.ndarray):
         if rows.ndim == 1:
             rows = rows[:, None]
-        line = ",".join([_FLOAT_FMT] * rows.shape[1]) + "\n"
+        line = float_line(rows.shape[1])
         for row in rows:
             fh.write(line % tuple(row.tolist()))
         return
     writer = csv.writer(fh, lineterminator="\n")
     for row in rows:
         writer.writerow(
-            "" if v is None else _FLOAT_FMT % v if isinstance(v, float) else v for v in row
+            "" if v is None else FLOAT_FMT % v if isinstance(v, float) else v for v in row
         )
 
 
@@ -128,8 +131,8 @@ def write_csv(path: str | Path, header: list[str] | None, rows) -> None:
 class ChainWriter:
     """Appends the stored rows of one chain to a chain directory.
 
-    The first flush starts the export process; ``close`` (also on leaving a
-    ``with`` block) waits for it.
+    The first flush that stores rows starts the export process; ``close``
+    (also on leaving a ``with`` block) waits for it.
     """
 
     def __init__(self, directory: str | Path, input_sha256: dict | None = None):
@@ -137,8 +140,10 @@ class ChainWriter:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.input_sha256 = input_sha256
-        self._export = None  # the export process, between the first flush and close
-        self._written = None  # rows on disk; None until the store headers are written
+        self._written = None  # rows on disk; None until the headers are written
+        self._export = None  # the export process, between the first rows and close
+        self._behind = 0  # flushes the export process has not yet confirmed
+        self._lag = _export_lag()
 
     def __enter__(self) -> ChainWriter:
         return self
@@ -156,16 +161,25 @@ class ChainWriter:
         The export process is then told how many rows are on disk.
         """
         draws = chain.draws
-        notify = self._written is None or stored > self._written
         if self._written is None:
+            headers = _headers(chain)
             for name, array in draws.items():
+                try:
+                    with (self.directory / f"{name}.csv").open("w", encoding="utf-8",
+                                                               newline="") as fh:
+                        write_rows(fh, [headers[name]])
+                except OSError as exc:
+                    raise ChainStateError(
+                        f"cannot write the chain CSV export of {self.directory}: {exc}"
+                    ) from None
                 shape = (chain.num_draws, math.prod(array.shape[1:]))
                 with (self.directory / f"{name}.npy").open("wb") as fh:
                     np.lib.format.write_array_header_1_0(
                         fh, {"descr": _DTYPE.str, "fortran_order": False, "shape": shape}
                     )
             self._written = 0
-        if stored > self._written:
+        appended = stored > self._written
+        if appended:
             for name, array in draws.items():
                 rows = array[self._written : stored]
                 rows = np.ascontiguousarray(rows.reshape(len(rows), -1), dtype=_DTYPE)
@@ -176,14 +190,29 @@ class ChainWriter:
         if self.input_sha256 is not None:
             manifest["input_sha256"] = self.input_sha256
         write_json(self.directory / "manifest.json", manifest)
-        if notify:
+        if appended:
             if self._export is None:
-                self._export = _start_export(self.directory)
-            try:
-                self._export.stdin.write(b"%d\n" % stored)
-                self._export.stdin.flush()
-            except BrokenPipeError:  # the export process has failed
+                columns = {name: math.prod(array.shape[1:]) for name, array in draws.items()}
+                self._export = _start_export(self.directory, columns)
+            self._send(stored)
+
+    def _send(self, stored: int) -> None:
+        """Tell the export process that ``stored`` rows are on disk.
+
+        Then wait until it is at most ``_lag`` flushes behind. An export
+        process that ends before its input does has failed, and ``close``
+        raises its error.
+        """
+        try:
+            self._export.stdin.write(b"%d\n" % stored)
+            self._export.stdin.flush()
+        except BrokenPipeError:
+            self.close()
+        self._behind += 1
+        while self._behind > self._lag:
+            if not self._export.stdout.readline():
                 self.close()
+            self._behind -= 1
 
     def finalize(self, chain: PosteriorChain) -> None:
         """Write every remaining row and the complete manifest, then ``close``."""
@@ -195,7 +224,7 @@ class ChainWriter:
 
         A failed export is a ChainStateError naming the file.
         """
-        export, self._export = self._export, None
+        export, self._export, self._behind = self._export, None, 0
         if export is None:
             return
         _, err = export.communicate()
@@ -207,70 +236,43 @@ class ChainWriter:
             )
 
 
-def _start_export(directory: Path):
-    """Start the process that runs ``_export_loop(directory)`` with this copy of the package."""
+def _export_lag() -> int:
+    """How many flushes the CSV export may fall behind: 1 with a second usable CPU, else 0."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return 1 if cpus > 1 else 0
+
+
+def _start_export(directory: Path, columns: dict[str, int]):
+    """Start ``export.py`` on ``directory``, whose groups have ``columns`` values a row.
+
+    ``-I -S``: the script imports the standard library only, so neither the
+    environment nor site-packages are consulted. It runs in its own process
+    group, so a Ctrl-C at the terminal interrupts the sampler alone.
+    """
     import subprocess  # here only: commands that write no chain do not pay for the import
 
-    code = (
-        "import signal, sys; signal.signal(signal.SIGINT, signal.SIG_IGN); "
-        "sys.path.insert(0, sys.argv[1]); "
-        "from arealdlm.chainio import _export_loop; _export_loop(sys.argv[2])"
-    )
-    package_root = str(Path(__file__).resolve().parent.parent)
+    script = Path(__file__).with_name("export.py")
+    groups = [f"{name}={ncols}" for name, ncols in columns.items()]
     return subprocess.Popen(
-        [sys.executable, "-c", code, package_root, str(directory)],
+        [sys.executable, "-I", "-S", str(script), str(directory), *groups],
         stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        process_group=0,  # a Ctrl-C at the terminal interrupts the sampler alone
+        process_group=0,
     )
 
 
-def _export_loop(directory: str) -> None:
-    """The export process: for each row count read from stdin, export the rows up to it.
-
-    The process ignores SIGINT (``_start_export`` sets that) and runs in its
-    own process group, so an interrupted ``fit`` still gets the rows of its
-    last flush. It exits at the end of its input, or with one line on stderr
-    when the export fails.
-    """
-    done = 0
-    try:
-        for line in sys.stdin:
-            stored = int(line)
-            export_csv(directory, done, stored)
-            done = stored
-    except (OSError, ValueError, ChainStateError) as exc:
-        sys.exit(f"cannot write the chain CSV export of {directory}: {exc}")
-    os._exit(0)  # every file is closed; skip the interpreter's teardown, which ``close`` waits for
-
-
-def export_csv(directory: str | Path, start: int, stop: int) -> None:
-    """Append rows [start, stop) of each group's ``.npy`` store to ``<name>.csv``.
-
-    ``start`` 0 writes each file afresh, beginning with its header row.
-    """
-    directory = Path(directory)
-    layout = _read_manifest(directory)
-    headers = _headers(layout.shapes, layout.xi_offsets)
-    for name, shape in layout.shapes.items():
-        rows = _read_store(directory / f"{name}.npy", layout.num_draws, shape, start, stop)
-        with (directory / f"{name}.csv").open("w" if start == 0 else "a", encoding="utf-8",
-                                              newline="") as fh:
-            if start == 0:
-                write_rows(fh, [headers[name]])
-            write_rows(fh, rows.reshape(stop - start, math.prod(shape)))
-
-
-def _read_store(path: Path, num_draws: int, draw_shape: tuple, start: int, stop: int) -> np.ndarray:
-    """Draws [start, stop) of ``draw_shape`` from a ``.npy`` store of ``num_draws`` rows."""
+def _read_store(path: Path, num_draws: int, draw_shape: tuple, stored: int) -> np.ndarray:
+    """The first ``stored`` draws of ``draw_shape`` from a ``.npy`` store of ``num_draws`` rows."""
     cols = math.prod(draw_shape)
-    count = (stop - start) * cols
     try:
         with path.open("rb") as fh:
             version = np.lib.format.read_magic(fh)
             shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-            fh.seek(start * cols * _DTYPE.itemsize, os.SEEK_CUR)
-            rows = np.fromfile(fh, dtype=_DTYPE, count=count)
+            rows = np.fromfile(fh, dtype=_DTYPE, count=stored * cols)
     except (OSError, ValueError) as exc:
         raise ChainStateError(f"cannot read the chain store {path}: {exc}") from None
     header = (version, shape, fortran_order, dtype.str)
@@ -280,31 +282,21 @@ def _read_store(path: Path, num_draws: int, draw_shape: tuple, start: int, stop:
             f"the chain store {path} has the .npy version, shape, Fortran order and dtype "
             f"{header}, where the manifest implies {expected}"
         )
-    if rows.size != count:
+    if rows.size != stored * cols:
         raise ChainStateError(
-            f"the chain store {path} is short: {start * cols + rows.size} of the "
-            f"{stop * cols} values the manifest records"
+            f"the chain store {path} is short: {rows.size} of the {stored * cols} "
+            f"values the manifest records"
         )
-    return rows.reshape(stop - start, *draw_shape)
+    return rows.reshape(stored, *draw_shape)
 
 
-class _Layout(NamedTuple):
-    """What a chain manifest says about the files of its directory."""
+def read_chain(directory: str | Path) -> PosteriorChain:
+    """Load a (possibly partial) chain directory back into memory from its ``.npy`` store.
 
-    manifest: dict
-    run: dict  # seed, iterations, burn_in, thin
-    xi_offsets: dict[int, tuple[int, int]]
-    num_draws: int
-    stored: int
-    shapes: dict[str, tuple]  # sampler.draw_shapes
-
-
-def _read_manifest(directory: Path) -> _Layout:
-    """The manifest of the chain at ``directory``, checked.
-
-    A missing or unreadable manifest, or one of another format version, is a
-    ChainStateError.
+    A missing or unreadable manifest, one of another format version, and a
+    missing, mismatched or short store are each a ChainStateError.
     """
+    directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise ChainStateError(f"no chain manifest at {directory}")
@@ -326,25 +318,14 @@ def _read_manifest(directory: Path) -> _Layout:
             f"cannot read the chain manifest at {manifest_path}: {type(exc).__name__} {exc}"
         ) from None
     n = sum(hi - lo for lo, hi in xi_offsets.values())
-    return _Layout(manifest, run, xi_offsets, num_draws, stored, draw_shapes(T, r, p, n))
-
-
-def read_chain(directory: str | Path) -> PosteriorChain:
-    """Load a (possibly partial) chain directory back into memory from its ``.npy`` store.
-
-    A missing or unreadable manifest, one of another format version, and a
-    missing, mismatched or short store are each a ChainStateError.
-    """
-    directory = Path(directory)
-    layout = _read_manifest(directory)
-    rows = {name: _read_store(directory / f"{name}.npy", layout.num_draws, shape, 0, layout.stored)
-            for name, shape in layout.shapes.items()}
+    rows = {name: _read_store(directory / f"{name}.npy", num_draws, shape, stored)
+            for name, shape in draw_shapes(T, r, p, n).items()}
     meta = {
-        k: layout.manifest[k]
+        k: manifest[k]
         for k in ("sweep_order", "move_types", "r", "p", "T", "n", "input_sha256")
-        if k in layout.manifest
+        if k in manifest
     }
-    return PosteriorChain(**rows, xi_offsets=layout.xi_offsets, meta=meta, **layout.run)
+    return PosteriorChain(**rows, xi_offsets=xi_offsets, meta=meta, **run)
 
 
 def write_structures(path: str | Path, basis: BasisSystem, inputs: dict) -> None:

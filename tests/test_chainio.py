@@ -126,8 +126,8 @@ class TestExportProcess:
     def _started(self, monkeypatch):
         started = []
 
-        def start(directory):
-            started.append(start_export(directory))
+        def start(*args):
+            started.append(start_export(*args))
             return started[-1]
 
         start_export = chainio._start_export
@@ -155,6 +155,18 @@ class TestExportProcess:
         assert manifest["stored_draws"] == 70  # the rows of the flush at iteration 100
         assert_export_matches_store(tmp_path / "chain", 70)
 
+    @pytest.mark.parametrize("lag", [0, 1])
+    def test_export_falls_at_most_lag_flushes_behind(self, small_chain, tmp_path, monkeypatch,
+                                                     lag):
+        monkeypatch.setattr(chainio, "_export_lag", lambda: lag)
+        with ChainWriter(tmp_path / "chain") as writer:
+            for k in range(1, 5):
+                writer.flush(small_chain, 50 * k, 50 * k)
+                for name in CHAIN_FILES:
+                    exported = len((tmp_path / "chain" / f"{name}.csv").read_text().splitlines())
+                    assert 50 * (k - lag) <= exported - 1 <= 50 * k
+        assert_export_matches_store(tmp_path / "chain", 200)
+
     def test_flush_of_no_rows_exports_the_headers(self, small_chain, tmp_path):
         with ChainWriter(tmp_path / "chain") as writer:
             writer.flush(small_chain, 0, 50)  # still in burn-in
@@ -164,20 +176,38 @@ class TestExportProcess:
             writer.flush(small_chain, 30, 80)
         assert_export_matches_store(tmp_path / "chain", 30)
 
-    def test_failing_export_is_a_chain_state_error(self, small_chain, tmp_path, monkeypatch):
+    def _block(self, path):
+        path.unlink()
+        path.mkdir()
+
+    def test_unwritable_export_is_a_chain_state_error(self, small_chain, tmp_path, monkeypatch):
         started = self._started(monkeypatch)
         (tmp_path / "chain" / "xi.csv").mkdir(parents=True)
         with pytest.raises(ChainStateError) as info:
             ChainWriter(tmp_path / "chain").finalize(small_chain)
-        assert "cannot write the chain CSV export" in str(info.value)
+        assert str(info.value).startswith("cannot write the chain CSV export")
+        assert str(tmp_path / "chain" / "xi.csv") in str(info.value)
+        assert started == []
+
+    def test_failing_export_process_is_a_chain_state_error(self, small_chain, tmp_path,
+                                                           monkeypatch):
+        started = self._started(monkeypatch)
+        writer = ChainWriter(tmp_path / "chain")
+        writer.flush(small_chain, 0, 50)  # the header rows
+        self._block(tmp_path / "chain" / "xi.csv")
+        with pytest.raises(ChainStateError) as info:
+            writer.finalize(small_chain)
+        assert str(info.value).startswith("cannot write the chain CSV export")
         assert str(tmp_path / "chain" / "xi.csv") in str(info.value)
         assert "\n" not in str(info.value)
         assert started[0].returncode != 0
 
-    def test_an_error_inside_the_block_is_not_masked(self, small_chain, tmp_path):
-        (tmp_path / "chain" / "xi.csv").mkdir(parents=True)
+    def test_an_error_inside_the_block_is_not_masked(self, small_chain, tmp_path, monkeypatch):
+        monkeypatch.setattr(chainio, "_export_lag", lambda: 1)  # the flush does not wait
         with pytest.raises(KeyError, match="sampler"):
             with ChainWriter(tmp_path / "chain") as writer:
+                writer.flush(small_chain, 0, 10)
+                self._block(tmp_path / "chain" / "xi.csv")
                 writer.flush(small_chain, 10, 10)
                 raise KeyError("sampler")
 
@@ -186,7 +216,8 @@ class TestExportProcess:
         writer = ChainWriter(tmp_path / "chain")
         writer.flush(small_chain, 100, 100)
         deadline = time.monotonic() + 60
-        while not (tmp_path / "chain" / "eta.csv").exists() and time.monotonic() < deadline:
+        eta_csv = tmp_path / "chain" / "eta.csv"
+        while len(eta_csv.read_text().splitlines()) < 2 and time.monotonic() < deadline:
             time.sleep(0.01)  # the process ignores SIGINT from its first statement on
         started[0].send_signal(signal.SIGINT)
         writer.finalize(small_chain)

@@ -379,7 +379,10 @@ class TestChainExport:
             env=env, stderr=subprocess.DEVNULL, process_group=0,
         )
         deadline = time.monotonic() + 120
-        while not (chain_dir / "eta.csv").exists() and time.monotonic() < deadline:
+        eta_csv = chain_dir / "eta.csv"
+        while time.monotonic() < deadline:  # until the export process has written a row
+            if eta_csv.exists() and len(eta_csv.read_text().splitlines()) > 1:
+                break
             time.sleep(0.01)
         os.killpg(fit.pid, signal.SIGINT)  # a Ctrl-C at the terminal
         assert fit.wait(timeout=120) != 0
