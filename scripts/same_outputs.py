@@ -8,8 +8,7 @@ parent commit and this one). Each case's inputs are written once and copied
 into one directory per tree. Both trees then run ``simulate``, ``validate``,
 ``basis``, ``prior``, ``fit --chains 2`` (``--chains 1`` on ``wide``) and
 ``predict`` in a fresh process with ``PYTHONPATH`` set to that tree. ``fit``
-also writes the ``--trace`` files of ``TRACES``, built from the chain that
-``gibbs_run`` returns rather than the one read back from disk.
+also writes the ``--trace`` files of ``TRACES``.
 
 Cases: the benchmark inputs of ``perfbench/run.py`` for ``profile`` and
 ``wide`` (seed 1), and the ``tests/test_cli.py`` project plain, with

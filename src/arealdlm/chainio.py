@@ -1,14 +1,21 @@
 """Chain directory persistence: manifest.json, a binary store and a CSV export per parameter.
 
 Each parameter group of ``sampler.draw_shapes`` is stored one float64 row
-per stored draw in ``<name>.npy``, which ``read_chain`` reads back into the
-declared shapes. ``ChainWriter.flush`` writes each ``.npy`` header once with
-the final shape, appends the rows stored since the last flush, then replaces
-the manifest whole; its ``stored_draws`` counts the rows on disk, so an
-interrupted run leaves a readable partial chain. The manifest gains
-``num_draws`` once every iteration has run; the ``.npy`` files are then
+per stored draw in ``<name>.npy``. ``ChainWriter.flush`` writes each ``.npy``
+header once with the final shape, appends the rows stored since the last
+flush (from the buffer of ``sampler.gibbs_run``, which holds only those),
+then replaces the manifest whole; its ``stored_draws`` counts the rows on
+disk, so an interrupted run leaves a readable partial chain. The manifest
+gains ``num_draws`` once every iteration has run; the ``.npy`` files are then
 standard files that ``np.load`` opens. A finished in-memory chain is written
 in one shot by ``ChainWriter(directory).finalize(chain)``.
+
+``read_chain`` opens a chain directory: it checks the manifest and the
+header and length of every store, and reads no draw. Its ``StoredChain``
+then reads rows ``[start, stop)`` of a group, whole or only a block of
+columns, with ``np.fromfile`` at an offset (not a memmap, whose pages would
+count toward the resident set), the way ``sampler.PosteriorChain.read``
+gives them from memory. ``finalize`` returns the ``StoredChain`` it wrote.
 
 ``<name>.csv`` is a text export of the same rows, whose 17 significant
 digits round-trip exactly. The first flush writes its header row; a second
@@ -38,6 +45,7 @@ import math
 import os
 import sys
 import zipfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -55,13 +63,14 @@ _DTYPE = np.dtype("<f8")
 
 def _headers(chain: PosteriorChain) -> dict[str, list[str]]:
     """The column labels of each group's CSV export."""
-    _, T, r = chain.eta.shape
+    shapes = chain.shapes
+    T, r = shapes["eta"]
     times = range(1, T + 1)
     blocks = sorted(chain.xi_offsets.items())
     return {
         "eta": [f"t{t}_k{k}" for t in times for k in range(r)],
         "xi": [f"t{t}_i{i}" for t, (lo, hi) in blocks for i in range(hi - lo)],
-        "beta": [f"t{t}_j{j}" for t in times for j in range(chain.beta.shape[2])],
+        "beta": [f"t{t}_j{j}" for t in times for j in range(shapes["beta"][1])],
         "sigma_k2": ["sigma_k2"],
         "sigma_xi2": [f"t{t}" for t in times],
     }
@@ -141,6 +150,7 @@ class ChainWriter:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.input_sha256 = input_sha256
         self._written = None  # rows on disk; None until the headers are written
+        self._manifest = None  # as last written
         self._export = None  # the export process, between the first rows and close
         self._behind = 0  # flushes the export process has not yet confirmed
         self._lag = _export_lag()
@@ -158,12 +168,15 @@ class ChainWriter:
     def flush(self, chain: PosteriorChain, stored: int, completed_iterations: int) -> None:
         """Append rows [written, stored) of ``chain`` to the store and rewrite the manifest.
 
+        ``chain`` holds at least those rows: the whole chain, or the window of
+        ``sampler.gibbs_run`` that holds the rows stored since the last flush.
         The export process is then told how many rows are on disk.
         """
-        draws = chain.draws
+        shapes = chain.shapes
         if self._written is None:
             headers = _headers(chain)
-            for name, array in draws.items():
+            num_draws = _kept_draws(chain.iterations, chain.burn_in, chain.thin)
+            for name, draw_shape in shapes.items():
                 try:
                     with (self.directory / f"{name}.csv").open("w", encoding="utf-8",
                                                                newline="") as fh:
@@ -172,7 +185,7 @@ class ChainWriter:
                     raise ChainStateError(
                         f"cannot write the chain CSV export of {self.directory}: {exc}"
                     ) from None
-                shape = (chain.num_draws, math.prod(array.shape[1:]))
+                shape = (num_draws, math.prod(draw_shape))
                 with (self.directory / f"{name}.npy").open("wb") as fh:
                     np.lib.format.write_array_header_1_0(
                         fh, {"descr": _DTYPE.str, "fortran_order": False, "shape": shape}
@@ -180,19 +193,18 @@ class ChainWriter:
             self._written = 0
         appended = stored > self._written
         if appended:
-            for name, array in draws.items():
-                rows = array[self._written : stored]
-                rows = np.ascontiguousarray(rows.reshape(len(rows), -1), dtype=_DTYPE)
+            for name in shapes:
+                rows = chain.read(name, self._written, stored)
                 with (self.directory / f"{name}.npy").open("ab") as fh:
-                    fh.write(rows.data)
+                    fh.write(np.ascontiguousarray(rows, dtype=_DTYPE).data)
             self._written = stored
-        manifest = _manifest(chain, self._written, completed_iterations)
+        self._manifest = _manifest(chain, self._written, completed_iterations)
         if self.input_sha256 is not None:
-            manifest["input_sha256"] = self.input_sha256
-        write_json(self.directory / "manifest.json", manifest)
+            self._manifest["input_sha256"] = self.input_sha256
+        write_json(self.directory / "manifest.json", self._manifest)
         if appended:
             if self._export is None:
-                columns = {name: math.prod(array.shape[1:]) for name, array in draws.items()}
+                columns = {name: math.prod(shape) for name, shape in shapes.items()}
                 self._export = _start_export(self.directory, columns)
             self._send(stored)
 
@@ -214,10 +226,11 @@ class ChainWriter:
                 self.close()
             self._behind -= 1
 
-    def finalize(self, chain: PosteriorChain) -> None:
-        """Write every remaining row and the complete manifest, then ``close``."""
+    def finalize(self, chain) -> StoredChain:
+        """Write every remaining row and the complete manifest, ``close``, and open the store."""
         self.flush(chain, chain.num_draws, chain.iterations)
         self.close()
+        return _open_store(self.directory, self._manifest)
 
     def close(self) -> None:
         """Close the export process's input and wait until it has exported every row.
@@ -265,14 +278,80 @@ def _start_export(directory: Path, columns: dict[str, int]):
     )
 
 
-def _read_store(path: Path, num_draws: int, draw_shape: tuple, stored: int) -> np.ndarray:
-    """The first ``stored`` draws of ``draw_shape`` from a ``.npy`` store of ``num_draws`` rows."""
+def _kept_draws(iterations: int, burn_in: int, thin: int) -> int:
+    """How many draws a run stores: every ``thin``-th iteration from ``burn_in`` on."""
+    return (iterations - burn_in + thin - 1) // thin
+
+
+@dataclass(frozen=True)
+class StoredChain:
+    """A chain directory opened for reading: the manifest's metadata, no draws.
+
+    ``read`` gives rows of the ``.npy`` stores as ``sampler.PosteriorChain.read``
+    gives them from memory, so a reader holds only the block it asks for.
+    ``num_draws`` counts the rows on disk (``stored_draws``); ``data_offsets``
+    gives where each group's rows start in its store.
+    """
+
+    directory: Path
+    shapes: dict[str, tuple[int, ...]]
+    data_offsets: dict[str, int]
+    num_draws: int
+    xi_offsets: dict[int, tuple[int, int]]
+    seed: int
+    iterations: int
+    burn_in: int
+    thin: int
+    meta: dict
+
+    def read(self, name: str, start: int, stop: int, cols: tuple[int, int] | None = None):
+        """Rows [start, stop) of group ``name``, each draw flattened; ``cols`` = (lo, hi) limits
+        them to columns [lo, hi).
+
+        Whole rows are one read of the file, a block of columns one read per
+        row. A store that has become shorter since ``read_chain`` opened it is
+        a ChainStateError naming the file.
+        """
+        if not 0 <= start <= stop <= self.num_draws:
+            raise IndexError(f"rows [{start}, {stop}) are not in [0, {self.num_draws})")
+        ncols = math.prod(self.shapes[name])
+        lo, hi = (0, ncols) if cols is None else cols
+        path = self.directory / f"{name}.npy"
+        row_bytes = ncols * _DTYPE.itemsize
+        first = self.data_offsets[name] + start * row_bytes + lo * _DTYPE.itemsize
+        out = np.empty((stop - start, hi - lo), dtype=_DTYPE)
+        try:
+            if hi - lo == ncols:
+                out = np.fromfile(path, dtype=_DTYPE, count=out.size, offset=first)
+                missing = (stop - start) * ncols - out.size
+            else:
+                missing = 0
+                with path.open("rb", buffering=0) as fh:
+                    for j, row in enumerate(out):
+                        fh.seek(first + j * row_bytes)
+                        missing += row.size - fh.readinto(row) // _DTYPE.itemsize
+        except OSError as exc:
+            raise ChainStateError(f"cannot read the chain store {path}: {exc}") from None
+        if missing:
+            raise ChainStateError(
+                f"the chain store {path} is short: {missing} of the values of rows "
+                f"[{start}, {stop}) are missing"
+            )
+        return out.reshape(stop - start, hi - lo)
+
+
+def _store_offset(path: Path, num_draws: int, draw_shape: tuple, stored: int) -> int:
+    """Where the rows start in a ``.npy`` store of ``num_draws`` draws of ``draw_shape``.
+
+    The header must match, and the file must hold ``stored`` rows.
+    """
     cols = math.prod(draw_shape)
     try:
         with path.open("rb") as fh:
             version = np.lib.format.read_magic(fh)
             shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-            rows = np.fromfile(fh, dtype=_DTYPE, count=stored * cols)
+            offset = fh.tell()
+            values = (os.fstat(fh.fileno()).st_size - offset) // _DTYPE.itemsize
     except (OSError, ValueError) as exc:
         raise ChainStateError(f"cannot read the chain store {path}: {exc}") from None
     header = (version, shape, fortran_order, dtype.str)
@@ -282,19 +361,20 @@ def _read_store(path: Path, num_draws: int, draw_shape: tuple, stored: int) -> n
             f"the chain store {path} has the .npy version, shape, Fortran order and dtype "
             f"{header}, where the manifest implies {expected}"
         )
-    if rows.size != stored * cols:
+    if values < stored * cols:
         raise ChainStateError(
-            f"the chain store {path} is short: {rows.size} of the {stored * cols} "
+            f"the chain store {path} is short: {values} of the {stored * cols} "
             f"values the manifest records"
         )
-    return rows.reshape(stored, *draw_shape)
+    return offset
 
 
-def read_chain(directory: str | Path) -> PosteriorChain:
-    """Load a (possibly partial) chain directory back into memory from its ``.npy`` store.
+def read_chain(directory: str | Path) -> StoredChain:
+    """Open a (possibly partial) chain directory: its manifest and every ``.npy`` header.
 
-    A missing or unreadable manifest, one of another format version, and a
-    missing, mismatched or short store are each a ChainStateError.
+    No draw is read until ``StoredChain.read`` asks for it. A missing or
+    unreadable manifest, one of another format version, and a missing,
+    mismatched or short store are each a ChainStateError.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -303,29 +383,40 @@ def read_chain(directory: str | Path) -> PosteriorChain:
     try:
         manifest = json.loads(manifest_path.read_text())
         version = manifest.get("format_version")
-        if version != FORMAT_VERSION:
-            raise ChainStateError(
-                f"the chain at {directory} has format_version {version}, but this version "
-                f"reads {FORMAT_VERSION}; run fit again"
-            )
-        T, r, p = manifest["T"], manifest["r"], manifest["p"]
-        xi_offsets = {int(t): tuple(v) for t, v in manifest["xi_offsets"].items()}
-        run = {k: manifest[k] for k in ("seed", "iterations", "burn_in", "thin")}
-        num_draws = (run["iterations"] - run["burn_in"] + run["thin"] - 1) // run["thin"]
-        stored = int(manifest["stored_draws"])
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, AttributeError) as exc:
         raise ChainStateError(
             f"cannot read the chain manifest at {manifest_path}: {type(exc).__name__} {exc}"
         ) from None
-    n = sum(hi - lo for lo, hi in xi_offsets.values())
-    rows = {name: _read_store(directory / f"{name}.npy", num_draws, shape, stored)
-            for name, shape in draw_shapes(T, r, p, n).items()}
+    if version != FORMAT_VERSION:
+        raise ChainStateError(
+            f"the chain at {directory} has format_version {version}, but this version "
+            f"reads {FORMAT_VERSION}; run fit again"
+        )
+    return _open_store(directory, manifest)
+
+
+def _open_store(directory: Path, manifest: dict) -> StoredChain:
+    """The chain of ``directory`` whose manifest is ``manifest``, its stores' headers checked."""
+    try:
+        T, r, p = manifest["T"], manifest["r"], manifest["p"]
+        xi_offsets = {int(t): tuple(v) for t, v in manifest["xi_offsets"].items()}
+        run = {k: manifest[k] for k in ("seed", "iterations", "burn_in", "thin")}
+        num_draws = _kept_draws(run["iterations"], run["burn_in"], run["thin"])
+        stored = int(manifest["stored_draws"])
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ChainStateError(
+            f"cannot read the chain manifest at {directory / 'manifest.json'}: "
+            f"{type(exc).__name__} {exc}"
+        ) from None
+    shapes = draw_shapes(T, r, p, sum(hi - lo for lo, hi in xi_offsets.values()))
+    offsets = {name: _store_offset(directory / f"{name}.npy", num_draws, shape, stored)
+               for name, shape in shapes.items()}
     meta = {
         k: manifest[k]
         for k in ("sweep_order", "move_types", "r", "p", "T", "n", "input_sha256")
         if k in manifest
     }
-    return PosteriorChain(**rows, xi_offsets=xi_offsets, meta=meta, **run)
+    return StoredChain(directory, shapes, offsets, stored, xi_offsets, meta=meta, **run)
 
 
 def write_structures(path: str | Path, basis: BasisSystem, inputs: dict) -> None:

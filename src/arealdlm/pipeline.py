@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .basis import BasisSystem, build_basis_system
-from .chainio import STRUCTURES_FILE, read_chain, read_structures
+from .chainio import STRUCTURES_FILE, StoredChain, read_chain, read_structures
 from .config import RunConfig
 from .data import (
     AlignedData,
@@ -34,7 +34,6 @@ from .data import (
 )
 from .errors import ChainStateError, MissingInputError
 from .prior import PriorStructure, build_prior_structure
-from .sampler import PosteriorChain
 
 # the inputs of a fit; the graph, the design and the basis depend on the first three
 DESIGN_INPUTS = ("covariates", "edges", "[design]")
@@ -50,9 +49,11 @@ def _json_sha256(value) -> str:
 
 
 def _file_sha256(path: Path) -> str:
+    """sha256 of a file's bytes, read in blocks rather than whole."""
     if not path.exists():
         raise MissingInputError(f"input file not found: {path}")
-    return _sha256(path.read_bytes())
+    with path.open("rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 @dataclass(frozen=True)
@@ -169,7 +170,7 @@ def load_data(
     return obs, align_observations(structures.design_set, obs)
 
 
-def load_chain(chain_dir: Path, inputs: InputDigests) -> PosteriorChain:
+def load_chain(chain_dir: Path, inputs: InputDigests) -> StoredChain:
     """A fitted chain; one fitted to inputs other than ``inputs`` is a ChainStateError."""
     chain = read_chain(chain_dir)
     inputs.check(chain.meta.get("input_sha256", {}), f"the chain at {chain_dir}")

@@ -3,7 +3,12 @@
 Predictions of the latent field are assembled draw by draw from the stored
 chain; the fine-scale term comes from its stored draw at observed cells and
 from its prior at never-observed cells, so uncertainty at unobserved
-locations carries the fine-scale variance floor.
+locations carries the fine-scale variance floor. ``posterior_y`` and
+``select_series`` read the chain through its ``read`` method, the same for a
+chain in memory (``sampler.PosteriorChain``) and one on disk
+(``chainio.StoredChain``). ``posterior_y`` takes the times in order and, for
+each, blocks of draws of at most ``CHUNK_BYTES``, merging per-location
+moments block by block, so its memory does not grow with the chain.
 """
 
 from __future__ import annotations
@@ -25,7 +30,10 @@ from .data import (
 )
 from .errors import ChainStateError, ValidationError
 from .prior import PriorStructure
-from .sampler import PosteriorChain, _draw_path, _path_factors, _transitions
+from .sampler import _draw_path, _path_factors, _transitions
+
+# Bytes of the widest array ``posterior_y`` reads or builds for one block of draws.
+CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -41,8 +49,39 @@ class PredictionSurface:
     draws: np.ndarray | None = None  # (J, n_locations) when requested
 
 
+class _Moments:
+    """Per-location mean and variance of draws that arrive in blocks of rows.
+
+    A later block is added to the running sum row by row in draw order, as
+    ``np.mean(axis=0)`` adds the rows of a block with more than one column,
+    so the mean is bit for bit that of all rows at once. The sums of squared
+    deviations merge block by block (Chan, Golub & LeVeque 1979). One block
+    gives ``np.mean`` and ``np.var`` bit for bit.
+    """
+
+    def __init__(self, width: int):
+        self.count = 0
+        self.total = np.zeros(width)
+        self.m2 = np.zeros(width)
+
+    def add(self, rows: np.ndarray) -> None:
+        n = len(rows)
+        total = rows.sum(axis=0)
+        m2 = np.square(rows - total / n).sum(axis=0)
+        if self.count:
+            delta = total / n - self.total / self.count
+            m2 += self.m2 + np.square(delta) * (self.count * n / (self.count + n))
+            total = np.concatenate((self.total[None], rows)).sum(axis=0)
+        self.total, self.m2 = total, m2
+        self.count += n
+
+    def result(self) -> tuple[np.ndarray, np.ndarray]:
+        """(mean, variance) over every row added."""
+        return self.total / self.count, self.m2 / self.count
+
+
 def posterior_y(
-    chain: PosteriorChain,
+    chain,
     design_set: DesignSet,
     basis: BasisSystem,
     aligned: AlignedData,
@@ -56,9 +95,12 @@ def posterior_y(
     Each draw evaluates fixed effects plus the basis term plus the fine-scale
     term (stored at observed cells, drawn from its prior elsewhere);
     back-transformed summaries invert the declared link per draw before
-    averaging. A chain whose fine-scale block at some t is wider or narrower
-    than the observed cells there was fitted to other observations: that is
-    a ``ChainStateError``.
+    averaging. ``chain`` is a ``PosteriorChain`` or a ``chainio.StoredChain``:
+    for each time, blocks of draws of at most ``CHUNK_BYTES`` a block are
+    read from it in draw order, so memory does not grow with the number of
+    draws (except the draws that ``keep_draws`` returns). A chain whose
+    fine-scale block at some t is wider or narrower than the observed cells
+    there was fitted to other observations: that is a ``ChainStateError``.
     """
     design = design_set.design
     if locations is None:
@@ -81,6 +123,8 @@ def posterior_y(
         rng = np.random.default_rng(chain.seed + 1)
 
     J = chain.num_draws
+    T, r = chain.shapes["eta"]
+    p = chain.shapes["beta"][1]
     n_loc = len(locations)
     yhat = np.zeros(n_loc)
     mspe = np.zeros(n_loc)
@@ -98,41 +142,50 @@ def posterior_y(
         x_rows = design_set.matrices[t][rows]
         s_rows = basis.s[t][rows]
         t0 = t - 1
-        draws_t = chain.beta[:, t0, :] @ x_rows.T
-        draws_t += chain.eta[:, t0, :] @ s_rows.T
 
         # fine-scale term: stored draw where observed, prior draw elsewhere;
-        # column[row] is the chain's xi column of a prediction row, -1 if unobserved
-        lo, _ = chain.xi_offsets[t]
+        # column[row] is the row's column in time t's xi block, -1 if unobserved
+        lo, hi = chain.xi_offsets[t]
         column = np.full(design_set.N_t(t), -1)
-        column[aligned.obs_idx[t]] = lo + np.arange(aligned.n_t(t))
+        column[aligned.obs_idx[t]] = np.arange(aligned.n_t(t))
         cols = column[rows]
         observed = cols >= 0
         unobserved = ~observed
-        draws_t[:, observed] += chain.xi[:, cols[observed]]
-        if unobserved.any():
-            sd = np.sqrt(chain.sigma_xi2[:, t0])[:, None]
-            draws_t[:, unobserved] += sd * rng.standard_normal((J, np.count_nonzero(unobserved)))
+        n_unobserved = np.count_nonzero(unobserved)
 
-        yhat[loc_idx] = draws_t.mean(axis=0)
-        mspe[loc_idx] = draws_t.var(axis=0)
+        specs = {}
         if want_bt:
             variables = np.array([locations[i][0] for i in loc_idx])
             specs = {
                 int(ell): transforms.get(int(ell), TransformSpec("identity"))
                 for ell in np.unique(variables)
             }
-            if all(spec.kind == "identity" for spec in specs.values()):
-                yhat_bt[loc_idx], mspe_bt[loc_idx] = yhat[loc_idx], mspe[loc_idx]
-            else:
-                bt = np.empty_like(draws_t)
+        linked = any(spec.kind != "identity" for spec in specs.values())
+        moments, moments_bt = _Moments(len(loc_idx)), _Moments(len(loc_idx))
+        widest = max(len(loc_idx), hi - lo, T * max(r, p), 1)
+        step = max(1, CHUNK_BYTES // (8 * widest))
+        for a in range(0, J, step):
+            b = min(a + step, J)
+            draws = chain.read("beta", a, b)[:, t0 * p : t * p] @ x_rows.T
+            draws += chain.read("eta", a, b)[:, t0 * r : t * r] @ s_rows.T
+            draws[:, observed] += chain.read("xi", a, b, (lo, hi))[:, cols[observed]]
+            if n_unobserved:
+                sd = np.sqrt(chain.read("sigma_xi2", a, b)[:, t0])[:, None]
+                draws[:, unobserved] += sd * rng.standard_normal((b - a, n_unobserved))
+            moments.add(draws)
+            if linked:
+                bt = np.empty_like(draws)
                 for ell, spec in specs.items():
                     at = variables == ell
-                    bt[:, at] = spec.inverse(draws_t[:, at])
-                yhat_bt[loc_idx] = bt.mean(axis=0)
-                mspe_bt[loc_idx] = bt.var(axis=0)
-        if keep_draws:
-            all_draws[:, loc_idx] = draws_t
+                    bt[:, at] = spec.inverse(draws[:, at])
+                moments_bt.add(bt)
+            if keep_draws:
+                all_draws[a:b, loc_idx] = draws
+
+        yhat[loc_idx], mspe[loc_idx] = moments.result()
+        if want_bt:
+            source = moments_bt if linked else moments
+            yhat_bt[loc_idx], mspe_bt[loc_idx] = source.result()
 
     return PredictionSurface(
         locations=tuple(locations),
@@ -277,12 +330,14 @@ def selector_column(
     return name, t, None if name == "sigma_xi2" else i, column
 
 
-def select_series(chain: PosteriorChain, selector: str) -> np.ndarray:
-    """Per-draw series of one scalar parameter (selectors as ``selector_column``)."""
-    _, T, r = chain.eta.shape
-    name, *_, column = selector_column(selector, T, r, chain.beta.shape[2], chain.xi_offsets)
-    draws = chain.draws[name]
-    return draws.reshape(len(draws), -1)[:, column]
+def select_series(chain, selector: str) -> np.ndarray:
+    """Per-draw series of one scalar parameter (selectors as ``selector_column``).
+
+    ``chain`` is a ``PosteriorChain`` or a ``chainio.StoredChain``.
+    """
+    T, r = chain.shapes["eta"]
+    name, *_, column = selector_column(selector, T, r, chain.shapes["beta"][1], chain.xi_offsets)
+    return chain.read(name, 0, chain.num_draws, (column, column + 1))[:, 0]
 
 
 def write_predictions_csv(surface: PredictionSurface, path: str | Path) -> None:

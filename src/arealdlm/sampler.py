@@ -36,9 +36,11 @@ unit scale, and ``predict.simulate`` at the true scale.
 frozen ``ModelState`` and the generator: path, fine-scale field, regression
 coefficients, scale variance, fine-scale variances (the last four for all
 times at once). ``draw_shapes`` declares that order and each group's shape.
-``gibbs_run`` only checks each state for non-finite values, stores the kept
-draws in its ``PosteriorChain`` and has a ``chainio.ChainWriter`` append the
-new rows every ``FLUSH_EVERY`` iterations.
+``gibbs_run`` only checks each state for non-finite values and stores the
+kept draws in a buffer of the draws stored since the last flush, from which
+a ``chainio.ChainWriter`` appends them every ``FLUSH_EVERY`` iterations, so
+a fit holds at most one flush of draws. With no writer nothing is flushed:
+the buffer holds the whole chain, and is returned as a ``PosteriorChain``.
 """
 
 from __future__ import annotations
@@ -475,10 +477,13 @@ def draw_shapes(T: int, r: int, p: int, n: int) -> dict[str, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class PosteriorChain:
-    """Stored draws (post burn-in, thinned) plus run metadata.
+    """Stored draws (post burn-in, thinned) held in memory, plus run metadata.
 
     ``xi`` is flat over all observed cells, time-major; ``xi_offsets[t]``
-    gives the start of time t's block (1-based times).
+    gives the start of time t's block (1-based times). The arrays hold rows
+    ``[start, num_draws)`` of the chain: all of them unless this is the
+    window of a streamed run, the rows stored since its last flush.
+    ``read`` gives rows as ``chainio.StoredChain.read`` gives them from disk.
     """
 
     eta: np.ndarray  # (J, T, r)
@@ -492,17 +497,31 @@ class PosteriorChain:
     burn_in: int
     thin: int
     meta: dict = field(default_factory=dict)
+    start: int = 0
 
     @property
     def num_draws(self) -> int:
-        return self.eta.shape[0]
+        return self.start + self.eta.shape[0]
 
     @property
     def draws(self) -> dict[str, np.ndarray]:
         """The (J, ...) array of each parameter group, keyed and ordered as ``draw_shapes``."""
+        return {name: getattr(self, name) for name in self.shapes}
+
+    @property
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """``draw_shapes`` of this chain."""
         _, T, r = self.eta.shape
-        names = draw_shapes(T, r, self.beta.shape[2], self.xi.shape[1])
-        return {name: getattr(self, name) for name in names}
+        return draw_shapes(T, r, self.beta.shape[2], self.xi.shape[1])
+
+    def read(self, name: str, start: int, stop: int, cols: tuple[int, int] | None = None):
+        """Rows [start, stop) of group ``name``, each draw flattened; ``cols`` = (lo, hi) limits
+        them to columns [lo, hi)."""
+        if not self.start <= start <= stop <= self.num_draws:
+            raise IndexError(f"rows [{start}, {stop}) are not in [{self.start}, {self.num_draws})")
+        rows = getattr(self, name)[start - self.start : stop - self.start]
+        rows = rows.reshape(len(rows), -1)
+        return rows if cols is None else rows[:, cols[0] : cols[1]]
 
 
 class _Precomputed:
@@ -624,12 +643,14 @@ def gibbs_run(
     thin: int = 1,
     seed: int = 0,
     writer=None,
-) -> PosteriorChain:
+):
     """Run one Gibbs chain and return the stored draws.
 
-    When ``writer`` is given (see chainio.ChainWriter), the rows stored since
-    its last flush are appended to disk every ``FLUSH_EVERY`` iterations, so
-    interrupted runs remain inspectable.
+    With no ``writer`` the draws are returned in memory. With a
+    ``chainio.ChainWriter``, the rows stored since its last flush are
+    appended to disk every ``FLUSH_EVERY`` iterations, so memory holds at
+    most one flush of draws and interrupted runs remain inspectable; what
+    ``writer.finalize`` returns (the store it wrote) is returned.
     """
     check_run_settings(iterations, burn_in, thin, seed)
     aligned = align_observations(design_set, data)
@@ -638,26 +659,31 @@ def gibbs_run(
     state = _initial_state(pre, rng)
     num_draws = (iterations - burn_in + thin - 1) // thin
     shapes = draw_shapes(pre.T, pre.r, pre.p, pre.n_total)
-    chain = PosteriorChain(
-        **{name: np.zeros((num_draws, *shape)) for name, shape in shapes.items()},
+    run = dict(
         xi_offsets=pre.xi_offsets, seed=seed, iterations=iterations, burn_in=burn_in, thin=thin,
         meta={"sweep_order": list(shapes), "move_types": "gibbs",
               "r": pre.r, "p": pre.p, "T": pre.T, "n": pre.n_total},
     )
-    draws = chain.draws
-    stored = 0
+    # the draws stored since the last flush; with no writer nothing is flushed
+    capacity = num_draws if writer is None else min(num_draws, -(-FLUSH_EVERY // thin))
+    buffer = {name: np.empty((capacity, *shape)) for name, shape in shapes.items()}
+    stored = held = 0
+
+    def window() -> PosteriorChain:
+        rows = {name: rows[:held] for name, rows in buffer.items()}
+        return PosteriorChain(**rows, **run, start=stored - held)
 
     for it in range(iterations):
         state = _sweep(pre, state, hyper, rng)
-        if not all(np.all(np.isfinite(getattr(state, name))) for name in draws):
+        if not all(np.all(np.isfinite(getattr(state, name))) for name in shapes):
             raise ChainStateError(f"non-finite sampler state at iteration {it}")
         if it >= burn_in and (it - burn_in) % thin == 0:
-            for name, rows in draws.items():
-                rows[stored] = getattr(state, name)
+            for name, rows in buffer.items():
+                rows[held] = getattr(state, name)
             stored += 1
+            held += 1
         if writer is not None and (it + 1) % FLUSH_EVERY == 0:
-            writer.flush(chain, stored, it + 1)
+            writer.flush(window(), stored, it + 1)
+            held = 0
 
-    if writer is not None:
-        writer.finalize(chain)
-    return chain
+    return window() if writer is None else writer.finalize(window())

@@ -11,7 +11,7 @@ from arealdlm.errors import ChainStateError
 from arealdlm.predict import simulate
 from arealdlm.sampler import Hyperparams, gibbs_run
 
-from util import assert_export_matches_store, toy_structures
+from util import assert_export_matches_store, every_draw, toy_structures
 
 CHAIN_FILES = ("eta", "beta", "xi", "sigma_k2", "sigma_xi2")
 
@@ -28,11 +28,10 @@ def small_chain():
 
 
 def assert_chains_equal(a, b):
-    assert np.array_equal(a.eta, b.eta)
-    assert np.array_equal(a.beta, b.beta)
-    assert np.array_equal(a.xi, b.xi)
-    assert np.array_equal(a.sigma_k2, b.sigma_k2)
-    assert np.array_equal(a.sigma_xi2, b.sigma_xi2)
+    a_draws, b_draws = every_draw(a), every_draw(b)
+    assert sorted(a_draws) == sorted(b_draws) == sorted(CHAIN_FILES)
+    for name in CHAIN_FILES:
+        assert np.array_equal(a_draws[name], b_draws[name])
     assert a.xi_offsets == b.xi_offsets
     assert (a.seed, a.iterations, a.burn_in, a.thin) == (b.seed, b.iterations, b.burn_in, b.thin)
 
@@ -62,13 +61,14 @@ class TestRoundTrip:
     def test_streaming_matches_one_shot(self, tmp_path):
         _, _, design_set, basis, prior = toy_structures(n_units=6, T=2, p=2, r=2, seed=43)
         truth = simulate(design_set, basis, prior, np.array([0.0, 0.0]), 1.0, 0.1, 0.1, seed=44)
-        writer = ChainWriter(tmp_path / "streamed")
-        chain = gibbs_run(
-            truth.observations, design_set, basis, prior, Hyperparams(),
-            iterations=230, burn_in=30, seed=45, writer=writer,
+        run = dict(iterations=230, burn_in=30, seed=45)
+        streamed = gibbs_run(
+            truth.observations, design_set, basis, prior, Hyperparams(), **run,
+            writer=ChainWriter(tmp_path / "streamed"),
         )
-        loaded = read_chain(tmp_path / "streamed")
-        assert_chains_equal(chain, loaded)
+        chain = gibbs_run(truth.observations, design_set, basis, prior, Hyperparams(), **run)
+        assert_chains_equal(chain, streamed)
+        assert_chains_equal(chain, read_chain(tmp_path / "streamed"))
         ChainWriter(tmp_path / "one_shot").finalize(chain)
         names = [f"{name}{suffix}" for name in CHAIN_FILES for suffix in (".csv", ".npy")]
         for name in names + ["manifest.json"]:
@@ -82,8 +82,8 @@ class TestRoundTrip:
             writer.flush(small_chain, 100, 100)
         partial = read_chain(tmp_path / "partial")
         assert partial.num_draws == 100  # only the flushed rows are on disk
-        for name in CHAIN_FILES:
-            assert np.array_equal(getattr(partial, name), getattr(small_chain, name)[:100])
+        for name, rows in every_draw(partial).items():
+            assert np.array_equal(rows, getattr(small_chain, name)[:100])
         manifest = json.loads((tmp_path / "partial" / "manifest.json").read_text())
         assert manifest["completed_iterations"] == 100
         assert manifest["stored_draws"] == 100
@@ -299,6 +299,40 @@ class TestBinaryStore:
         assert "eta.npy is short: 800 of the 804 values" in self._damaged(
             small_chain, tmp_path, overclaim
         )
+
+
+def test_memory_does_not_grow_with_stored_draws(tmp_path):
+    # one design, 200 and then 2000 stored draws: fit holds at most one flush
+    # of draws and predict one block, so the traced peaks barely move (in
+    # memory, 2000 draws of the 600 cells would be 9.6 MB)
+    import tracemalloc
+
+    from arealdlm import predict
+    from arealdlm.data import align_observations
+
+    _, _, design_set, basis, prior = toy_structures(n_units=300, T=2, p=2, r=3, seed=46)
+    truth = simulate(design_set, basis, prior, np.array([0.2, -0.1]), 1.0, 0.05, 0.1, seed=47)
+    aligned = align_observations(design_set, truth.observations)
+    assert 200 * 8 * len(design_set.layout[1]) > predict.CHUNK_BYTES  # 200 draws fill a block
+
+    def peaks(draws: int) -> tuple[int, int]:
+        directory = tmp_path / f"chain{draws}"
+        tracemalloc.start()
+        try:
+            gibbs_run(truth.observations, design_set, basis, prior, Hyperparams(),
+                      iterations=draws, burn_in=0, seed=48, writer=ChainWriter(directory))
+            fit = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            chain = read_chain(directory)
+            predict.posterior_y(chain, design_set, basis, aligned)
+            return fit, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peaks(20)  # first calls allocate what any run needs once (imports, caches)
+    (fit_200, predict_200), (fit_2000, predict_2000) = peaks(200), peaks(2000)
+    assert abs(fit_2000 - fit_200) < 0.1 * fit_200
+    assert abs(predict_2000 - predict_200) < 0.1 * predict_200
 
 
 class TestStructuresFile:

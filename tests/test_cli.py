@@ -725,6 +725,27 @@ class TestStoredStructures:
         assert "Traceback" not in err
         assert not (directory / "out" / "predictions.csv").exists()
 
+    def test_store_cut_after_opening_refused(self, project, capsys, monkeypatch):
+        # predict reads the store in blocks after opening it; a block cut short is exit 4
+        import arealdlm.pipeline
+
+        directory, cfg, _ = project
+        path = directory / "out" / "chain0" / "xi.npy"
+        read_chain = arealdlm.pipeline.read_chain
+
+        def open_then_cut(chain_dir):
+            chain = read_chain(chain_dir)
+            path.write_bytes(path.read_bytes()[:-100])
+            return chain
+
+        monkeypatch.setattr(arealdlm.pipeline, "read_chain", open_then_cut)
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert f"error: the chain store {path} is short" in err
+        assert "Traceback" not in err
+        assert not (directory / "out" / "predictions.csv").exists()
+
     def test_truncated_chain_manifest_refused(self, project, capsys):
         directory, cfg, _ = project
         path = directory / "out" / "chain0" / "manifest.json"

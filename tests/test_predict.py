@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from arealdlm import predict
+from arealdlm.chainio import ChainWriter, read_chain
 from arealdlm.data import TransformSpec, align_observations
 from arealdlm.errors import ChainStateError, ValidationError
 from arealdlm.predict import (
@@ -136,6 +138,74 @@ class TestPosteriorY:
         message = "holds 8 fine-scale cells at t=2 but the observations have 7"
         with pytest.raises(ChainStateError, match=message):
             posterior_y(chain, design_set, basis, aligned)
+
+
+class TestStreamedReader:
+    """``posterior_y`` reads a stored chain in blocks of draws, as it reads one in memory."""
+
+    @pytest.fixture(scope="class")
+    def stored(self, tmp_path_factory):
+        # one unit never observed, so its cells take prior draws of the fine-scale term
+        graph, design, design_set, basis, prior = toy_structures(
+            n_units=10, T=2, p=2, r=3, seed=53
+        )
+        mask = {(1, t, graph.units[0]) for t in (1, 2)}
+        truth = simulate(
+            design_set, basis, prior, np.array([0.3, 0.1]), 1.0, 0.2, 0.05,
+            missing_mask=mask, seed=54,
+        )
+        chain = gibbs_run(
+            truth.observations, design_set, basis, prior, Hyperparams(),
+            iterations=230, burn_in=30, seed=55,
+        )
+        directory = tmp_path_factory.mktemp("streamed") / "chain"
+        ChainWriter(directory).finalize(chain)
+        aligned = align_observations(design_set, truth.observations)
+        return chain, directory, design_set, basis, aligned
+
+    def _surfaces(self, stored, **kwargs):
+        chain, directory, design_set, basis, aligned = stored
+        args = (design_set, basis, aligned)
+        kwargs.update(transforms={1: TransformSpec("logit")}, keep_draws=True)
+        in_memory = posterior_y(chain, *args, rng=np.random.default_rng(3), **kwargs)
+        return in_memory, posterior_y(
+            read_chain(directory), *args, rng=np.random.default_rng(3), **kwargs
+        )
+
+    def test_one_block_is_bit_identical(self, stored):
+        a, b = self._surfaces(stored)
+        for name in ("yhat", "mspe", "yhat_backtransformed", "mspe_backtransformed", "draws"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+    def test_blocks_that_do_not_divide_the_draws(self, stored, monkeypatch):
+        chain, _, design_set, basis, aligned = stored
+        in_memory = posterior_y(
+            chain, design_set, basis, aligned, transforms={1: TransformSpec("logit")},
+            rng=np.random.default_rng(3), keep_draws=True,
+        )
+        per_time = max(len(design_set.layout[t]) for t in (1, 2))
+        monkeypatch.setattr(predict, "CHUNK_BYTES", 8 * per_time * 7)  # 7 draws a block
+        assert chain.num_draws % 7 != 0
+        _, streamed = self._surfaces(stored)
+        unobserved = [i for i, loc in enumerate(streamed.locations) if loc[2] == "u0"]
+        assert unobserved and np.all(streamed.mspe[unobserved] > 0)
+        for name in ("yhat", "yhat_backtransformed", "draws"):
+            assert np.array_equal(getattr(streamed, name), getattr(in_memory, name)), name
+        for name in ("mspe", "mspe_backtransformed"):
+            new, old = getattr(streamed, name), getattr(in_memory, name)
+            assert np.max(np.abs(new - old) / np.abs(old)) <= 1e-12, name
+
+    @pytest.mark.parametrize("name", ["xi", "eta"], ids=["column-block", "whole-rows"])
+    def test_store_cut_after_opening_refused(self, stored, tmp_path, name):
+        import shutil
+
+        chain, directory, design_set, basis, aligned = stored
+        shutil.copytree(directory, tmp_path / "chain")
+        opened = read_chain(tmp_path / "chain")
+        path = tmp_path / "chain" / f"{name}.npy"
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ChainStateError, match=f"the chain store {path} is short"):
+            posterior_y(opened, design_set, basis, aligned)
 
 
 class TestRls:

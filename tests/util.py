@@ -172,9 +172,15 @@ def write_lines(path, header: str, lines: list[str]) -> None:
     path.write_text("\n".join([header] + lines) + "\n")
 
 
+def every_draw(chain) -> dict[str, np.ndarray]:
+    """Every row of each group of ``chain``, in memory or on disk, in the shapes of its draws."""
+    return {name: chain.read(name, 0, chain.num_draws).reshape(chain.num_draws, *shape)
+            for name, shape in chain.shapes.items()}
+
+
 def assert_export_matches_store(directory, stored: int) -> None:
     """Each ``<name>.csv`` of a chain holds the first ``stored`` rows of its ``.npy`` store."""
-    for name, rows in read_chain(directory).draws.items():
+    for name, rows in every_draw(read_chain(directory)).items():
         exported = np.loadtxt(directory / f"{name}.csv", delimiter=",", skiprows=1, ndmin=2)
         rows = rows[:stored].reshape(stored, -1)
         assert exported.shape == rows.shape
