@@ -53,7 +53,7 @@ import numpy as np
 from .basis import BasisSystem
 from .errors import ChainStateError
 from .export import FLOAT_FMT, float_line
-from .sampler import PosteriorChain, draw_shapes
+from .sampler import PosteriorChain, _kept_draws, draw_shapes
 
 # 3: a .npy store per parameter group, read instead of the CSVs; stored_draws
 FORMAT_VERSION = 3
@@ -276,11 +276,6 @@ def _start_export(directory: Path, columns: dict[str, int]):
         stderr=subprocess.PIPE,
         process_group=0,
     )
-
-
-def _kept_draws(iterations: int, burn_in: int, thin: int) -> int:
-    """How many draws a run stores: every ``thin``-th iteration from ``burn_in`` on."""
-    return (iterations - burn_in + thin - 1) // thin
 
 
 @dataclass(frozen=True)

@@ -466,6 +466,11 @@ def sample_sigma_xi(
     return rate / rng.gamma(shape)
 
 
+def _kept_draws(iterations: int, burn_in: int, thin: int) -> int:
+    """How many draws a run stores: every ``thin``-th iteration from ``burn_in`` on."""
+    return (iterations - burn_in + thin - 1) // thin
+
+
 def draw_shapes(T: int, r: int, p: int, n: int) -> dict[str, tuple[int, ...]]:
     """The shape of one draw of each parameter group, in sweep order.
 
@@ -657,7 +662,7 @@ def gibbs_run(
     pre = _Precomputed(design_set, basis, prior, aligned, hyper)
     rng = np.random.default_rng(seed)
     state = _initial_state(pre, rng)
-    num_draws = (iterations - burn_in + thin - 1) // thin
+    num_draws = _kept_draws(iterations, burn_in, thin)
     shapes = draw_shapes(pre.T, pre.r, pre.p, pre.n_total)
     run = dict(
         xi_offsets=pre.xi_offsets, seed=seed, iterations=iterations, burn_in=burn_in, thin=thin,
