@@ -185,7 +185,7 @@ def cmd_predict(cfg: RunConfig, chain_dir: str | None) -> int:
         structures.basis,
         aligned,
         transforms=cfg.transforms,
-        rng=np.random.default_rng(cfg.seed + 1),
+        rng=predict.prediction_rng(cfg.seed),
     )
     cfg.output.mkdir(parents=True, exist_ok=True)
     out = cfg.output / "predictions.csv"
@@ -289,7 +289,7 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
         structures.basis,
         aligned_full,
         locations=cells,
-        rng=np.random.default_rng(cfg.seed + 1),
+        rng=predict.prediction_rng(cfg.seed),
         keep_draws=True,
     )
     survey_means = {}
@@ -302,7 +302,7 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
             structures.basis,
             aligned_m,
             locations=cells,
-            rng=np.random.default_rng(cfg.seed + 1 + m),
+            rng=predict.prediction_rng(cfg.seed, m),
         )
         survey_means[m] = surface_m.yhat
     values = predict.rls(full_surface.draws, full_surface.yhat, survey_means)

@@ -36,6 +36,17 @@ from .sampler import _draw_path, _path_factors, _transitions
 CHUNK_BYTES = 1 << 18
 
 
+def prediction_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """The generator of the prior draws at unobserved cells for the run seed ``seed``.
+
+    Stream 0 serves ``predict`` and the full-data chain of ``rls``, stream m
+    the chain of survey m. Each is the child ``spawn_key=(stream,)`` of
+    ``SeedSequence(seed)``; a chain's sampler uses ``default_rng(seed + i)``,
+    whose spawn key is empty, so no chain's stream is a prediction stream.
+    """
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
+
+
 @dataclass(frozen=True)
 class PredictionSurface:
     """Posterior mean and variance of the latent field per location."""
@@ -120,7 +131,7 @@ def posterior_y(
                 f"observations have {aligned.n_t(t)}; refit after changing the observations"
             )
     if rng is None:
-        rng = np.random.default_rng(chain.seed + 1)
+        rng = prediction_rng(chain.seed)
 
     J = chain.num_draws
     T, r = chain.shapes["eta"]

@@ -208,6 +208,16 @@ class TestStreamedReader:
             posterior_y(opened, design_set, basis, aligned)
 
 
+def test_prediction_streams_are_not_chain_streams():
+    # fit --chains N samples chain i with default_rng(seed + i); the prior
+    # draws of predict and rls must come from none of those streams
+    seed = 5
+    streams = [predict.prediction_rng(seed, m).standard_normal(8) for m in range(4)]
+    chains = [np.random.default_rng(seed + i).standard_normal(8) for i in range(100)]
+    for k, stream in enumerate(streams):
+        assert not any(np.array_equal(stream, other) for other in chains + streams[:k])
+
+
 class TestRls:
     def test_identical_predictors_give_one(self):
         rng = np.random.default_rng(60)
