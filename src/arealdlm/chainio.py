@@ -226,7 +226,7 @@ class ChainWriter:
                 self.close()
             self._behind -= 1
 
-    def finalize(self, chain) -> StoredChain:
+    def finalize(self, chain: PosteriorChain) -> StoredChain:
         """Write every remaining row and the complete manifest, ``close``, and open the store."""
         self.flush(chain, chain.num_draws, chain.iterations)
         self.close()
@@ -314,17 +314,19 @@ class StoredChain:
         path = self.directory / f"{name}.npy"
         row_bytes = ncols * _DTYPE.itemsize
         first = self.data_offsets[name] + start * row_bytes + lo * _DTYPE.itemsize
-        out = np.empty((stop - start, hi - lo), dtype=_DTYPE)
+        shape = (stop - start, hi - lo)
         try:
             if hi - lo == ncols:
-                out = np.fromfile(path, dtype=_DTYPE, count=out.size, offset=first)
-                missing = (stop - start) * ncols - out.size
+                out = np.fromfile(path, dtype=_DTYPE, count=math.prod(shape), offset=first)
+                missing = math.prod(shape) - out.size
             else:
-                missing = 0
+                out = np.empty(shape, dtype=_DTYPE)
+                got = 0
                 with path.open("rb", buffering=0) as fh:
                     for j, row in enumerate(out):
                         fh.seek(first + j * row_bytes)
-                        missing += row.size - fh.readinto(row) // _DTYPE.itemsize
+                        got += fh.readinto(row)
+                missing = out.size - got // _DTYPE.itemsize
         except OSError as exc:
             raise ChainStateError(f"cannot read the chain store {path}: {exc}") from None
         if missing:
@@ -332,7 +334,7 @@ class StoredChain:
                 f"the chain store {path} is short: {missing} of the values of rows "
                 f"[{start}, {stop}) are missing"
             )
-        return out.reshape(stop - start, hi - lo)
+        return out.reshape(shape)
 
 
 def _store_offset(path: Path, num_draws: int, draw_shape: tuple, stored: int) -> int:

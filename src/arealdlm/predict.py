@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import BasisSystem
-from .chainio import write_csv
+from .chainio import StoredChain, write_csv
 from .data import (
     AlignedData,
     DesignSet,
@@ -30,10 +30,10 @@ from .data import (
 )
 from .errors import ChainStateError, ValidationError
 from .prior import PriorStructure
-from .sampler import _draw_path, _path_factors, _transitions
+from .sampler import PosteriorChain, _draw_path, _path_factors, _transitions
 
 # Bytes of the widest array ``posterior_y`` reads or builds for one block of draws.
-CHUNK_BYTES = 1 << 18
+CHUNK_BYTES = 1 << 19
 
 
 def prediction_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -92,7 +92,7 @@ class _Moments:
 
 
 def posterior_y(
-    chain,
+    chain: PosteriorChain | StoredChain,
     design_set: DesignSet,
     basis: BasisSystem,
     aligned: AlignedData,
@@ -106,12 +106,12 @@ def posterior_y(
     Each draw evaluates fixed effects plus the basis term plus the fine-scale
     term (stored at observed cells, drawn from its prior elsewhere);
     back-transformed summaries invert the declared link per draw before
-    averaging. ``chain`` is a ``PosteriorChain`` or a ``chainio.StoredChain``:
-    for each time, blocks of draws of at most ``CHUNK_BYTES`` a block are
-    read from it in draw order, so memory does not grow with the number of
-    draws (except the draws that ``keep_draws`` returns). A chain whose
-    fine-scale block at some t is wider or narrower than the observed cells
-    there was fitted to other observations: that is a ``ChainStateError``.
+    averaging. For each time, blocks of draws of at most ``CHUNK_BYTES`` an
+    array are read from ``chain`` in draw order, so memory does not grow
+    with the number of draws (except the draws that ``keep_draws`` returns).
+    A chain whose fine-scale block at some t is wider or narrower than the
+    observed cells there was fitted to other observations: that is a
+    ``ChainStateError``.
     """
     design = design_set.design
     if locations is None:
@@ -341,11 +341,8 @@ def selector_column(
     return name, t, None if name == "sigma_xi2" else i, column
 
 
-def select_series(chain, selector: str) -> np.ndarray:
-    """Per-draw series of one scalar parameter (selectors as ``selector_column``).
-
-    ``chain`` is a ``PosteriorChain`` or a ``chainio.StoredChain``.
-    """
+def select_series(chain: PosteriorChain | StoredChain, selector: str) -> np.ndarray:
+    """Per-draw series of one scalar parameter (selectors as ``selector_column``)."""
     T, r = chain.shapes["eta"]
     name, *_, column = selector_column(selector, T, r, chain.shapes["beta"][1], chain.xi_offsets)
     return chain.read(name, 0, chain.num_draws, (column, column + 1))[:, 0]

@@ -675,7 +675,7 @@ def gibbs_run(
     stored = held = 0
 
     def window() -> PosteriorChain:
-        rows = {name: rows[:held] for name, rows in buffer.items()}
+        rows = {name: array[:held] for name, array in buffer.items()}
         return PosteriorChain(**rows, **run, start=stored - held)
 
     for it in range(iterations):

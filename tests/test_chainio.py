@@ -304,13 +304,13 @@ class TestBinaryStore:
 def test_memory_does_not_grow_with_stored_draws(tmp_path):
     # one design, 200 and then 2000 stored draws: fit holds at most one flush
     # of draws and predict one block, so the traced peaks barely move (in
-    # memory, 2000 draws of the 600 cells would be 9.6 MB)
+    # memory, 2000 draws of the 800 cells would be 12.8 MB)
     import tracemalloc
 
     from arealdlm import predict
     from arealdlm.data import align_observations
 
-    _, _, design_set, basis, prior = toy_structures(n_units=300, T=2, p=2, r=3, seed=46)
+    _, _, design_set, basis, prior = toy_structures(n_units=400, T=2, p=2, r=3, seed=46)
     truth = simulate(design_set, basis, prior, np.array([0.2, -0.1]), 1.0, 0.05, 0.1, seed=47)
     aligned = align_observations(design_set, truth.observations)
     assert 200 * 8 * len(design_set.layout[1]) > predict.CHUNK_BYTES  # 200 draws fill a block
