@@ -9,12 +9,19 @@ measurement-error variance.
 All matrices use a fixed row ordering: variables ascending, then units by
 their first-seen dense index. Ingestion is pure; every structure here is
 immutable after construction.
+
+Each input file is read once, as a stream of rows that are checked as they
+are read and not kept: ``assemble_design`` reads the covariate file, then the
+edge file over the units it found; ``load_observations`` reads the
+observation file. A fault is reported at the first row that has one, so
+faults come in file order, and a message names ``file:line``.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -176,29 +183,32 @@ class ObservationSet:
         return len(self.observations)
 
 
-def _open_csv(path: str | Path, expected_header: list[str]) -> list[tuple[int, dict]]:
-    """The data rows of a CSV file, each with its 1-based line number in the file.
+def _open_csv(path: str | Path, expected_header: list[str]):
+    """Yield the data rows of a CSV file as (1-based line number, fields).
 
-    Header names may carry surrounding spaces; the rows are keyed by
-    ``expected_header``. Blank lines are skipped, so the line numbers are
-    read from the reader rather than counted.
+    Header names may carry surrounding spaces. Blank lines are skipped, so
+    the line numbers are read from the reader rather than counted. Each row
+    is checked for its field count as it is read, and none is kept.
     """
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"input file not found: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [h.strip() for h in reader.fieldnames] != expected_header:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or [h.strip() for h in header] != expected_header:
             raise ValidationError(
                 f"{path}: expected header {','.join(expected_header)}, "
-                f"got {','.join(reader.fieldnames or [])}"
+                f"got {','.join(header or [])}"
             )
-        reader.fieldnames = expected_header
-        rows = [(reader.line_num, row) for row in reader]
-    for k, row in rows:
-        if None in row or None in row.values():  # too many or too few fields
-            raise ValidationError(f"{path}:{k}: expected {len(expected_header)} fields")
-    return rows
+        for fields in reader:
+            if not fields:
+                continue
+            if len(fields) != len(expected_header):
+                raise ValidationError(
+                    f"{path}:{reader.line_num}: expected {len(expected_header)} fields"
+                )
+            yield reader.line_num, fields
 
 
 def _finite(text: str, where: str) -> float:
@@ -233,16 +243,17 @@ def load_observations(
     model scale. When ``design_set`` is given, every observed location must
     be a prediction location.
     """
-    rows = _open_csv(obs_file, ["variable", "time", "unit", "z", "v"])
     seen: set[tuple[int, int, str]] = set()
     obs: list[Observation] = []
-    for k, row in rows:
+    for k, (variable, time, unit, z, v) in _open_csv(
+        obs_file, ["variable", "time", "unit", "z", "v"]
+    ):
         where = f"{obs_file}:{k}"
-        ell = _index(row["variable"], where)
-        t = _index(row["time"], where)
-        unit = row["unit"].strip()
-        z = _finite(row["z"], where)
-        v = _finite(row["v"], where)
+        ell = _index(variable, where)
+        t = _index(time, where)
+        unit = unit.strip()
+        z = _finite(z, where)
+        v = _finite(v, where)
         if not design.in_window(ell, t):
             raise ValidationError(
                 f"{where}: ({ell},{t}) outside the window for variable {ell}"
@@ -274,10 +285,9 @@ def build_adjacency(edge_file: str | Path, units: list[str]) -> ArealGraph:
     index = {u: i for i, u in enumerate(units)}
     if len(index) != len(units):
         raise ValidationError("duplicate unit identifiers")
-    rows = _open_csv(edge_file, ["unit_a", "unit_b"])
     edges: set[tuple[int, int]] = set()
-    for k, row in rows:
-        a, b = row["unit_a"].strip(), row["unit_b"].strip()
+    for k, (a, b) in _open_csv(edge_file, ["unit_a", "unit_b"]):
+        a, b = a.strip(), b.strip()
         for u in (a, b):
             if u not in index:
                 raise ValidationError(f"{edge_file}:{k}: unknown unit {u!r}")
@@ -376,18 +386,6 @@ def align_observations(design_set: DesignSet, obs_set: ObservationSet) -> Aligne
     return AlignedData(obs_idx, z, v)
 
 
-def scan_units(covariate_file: str | Path, p: int) -> list[str]:
-    """Unit identifiers from the covariate file in first-seen order."""
-    header = ["variable", "time", "unit"] + [f"x{j}" for j in range(1, p + 1)]
-    rows = _open_csv(covariate_file, header)
-    seen: dict[str, None] = {}
-    for _, row in rows:
-        seen.setdefault(row["unit"].strip(), None)
-    if not seen:
-        raise ValidationError(f"{covariate_file}: no covariate rows")
-    return list(seen)
-
-
 def _rank(mat: np.ndarray) -> int:
     s = np.linalg.svd(mat, compute_uv=False)
     if s.size == 0:
@@ -396,36 +394,40 @@ def _rank(mat: np.ndarray) -> int:
 
 
 def assemble_design(
-    covariate_file: str | Path, design: StudyDesign, graph: ArealGraph
+    covariate_file: str | Path, design: StudyDesign, edge_file: str | Path
 ) -> DesignSet:
-    """Read covariates.csv and build the stacked X_t with rank and intercept checks.
+    """Read covariates.csv, then edges.csv, and build the stacked X_t with its checks.
 
-    The covariate file defines the prediction locations: one row per
-    (variable, time, unit) with p covariate values. Every X_t must have full
-    column rank and contain an exact-ones intercept column.
+    The covariate file defines the prediction locations, one row per
+    (variable, time, unit) with p covariate values, and the units in
+    first-seen order; the edge file is read over those units. Every X_t must
+    have full column rank and contain an exact-ones intercept column.
     """
     header = ["variable", "time", "unit"] + [f"x{j}" for j in range(1, design.p + 1)]
-    rows = _open_csv(covariate_file, header)
-    unit_index = {u: i for i, u in enumerate(graph.units)}
-    per_cell: dict[tuple[int, int, str], np.ndarray] = {}
+    unit_index: dict[str, int] = {}
+    row_of: dict[tuple[int, int, int], int] = {}  # (variable, time, unit index) -> file row
     units_at: dict[tuple[int, int], list[int]] = {}
-    for k, row in rows:
+    values = array("d")  # the covariate values, row after row in file order
+    for k, fields in _open_csv(covariate_file, header):
         where = f"{covariate_file}:{k}"
-        ell = _index(row["variable"], where)
-        t = _index(row["time"], where)
-        unit = row["unit"].strip()
-        if unit not in unit_index:
-            raise ValidationError(f"{where}: unknown unit {unit!r}")
+        ell = _index(fields[0], where)
+        t = _index(fields[1], where)
+        unit = fields[2].strip()
         if not design.in_window(ell, t):
             raise ValidationError(
                 f"{where}: ({ell},{t}) outside the window for variable {ell}"
             )
-        key = (ell, t, unit)
-        if key in per_cell:
-            raise ValidationError(f"{where}: duplicate covariate row {key}")
-        per_cell[key] = np.array([_finite(row[f"x{j}"], where) for j in range(1, design.p + 1)])
-        units_at.setdefault((ell, t), []).append(unit_index[unit])
+        u = unit_index.setdefault(unit, len(unit_index))
+        if (ell, t, u) in row_of:
+            raise ValidationError(f"{where}: duplicate covariate row {(ell, t, unit)}")
+        values.extend([_finite(x, where) for x in fields[3:]])
+        row_of[(ell, t, u)] = len(row_of)
+        units_at.setdefault((ell, t), []).append(u)
+    if not row_of:
+        raise ValidationError(f"{covariate_file}: no covariate rows")
+    graph = build_adjacency(edge_file, list(unit_index))
 
+    x = np.frombuffer(values, dtype=float).reshape(-1, design.p)
     layout: dict[int, tuple[tuple[int, int], ...]] = {}
     matrices: dict[int, np.ndarray] = {}
     row_lookup: dict[tuple[int, int, str], int] = {}
@@ -439,9 +441,7 @@ def assemble_design(
                 )
             rows_t.extend((ell, u) for u in units_here)
         layout[t] = tuple(rows_t)
-        x_t = np.vstack(
-            [per_cell[(ell, t, graph.units[u])] for ell, u in rows_t]
-        )
+        x_t = x[[row_of[(ell, t, u)] for ell, u in rows_t]]
         if _rank(x_t) < design.p:
             raise ValidationError(f"design matrix X_t is rank-deficient at t={t}")
         if not np.any(np.all(x_t == 1.0, axis=0)):

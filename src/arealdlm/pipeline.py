@@ -28,9 +28,7 @@ from .data import (
     ObservationSet,
     align_observations,
     assemble_design,
-    build_adjacency,
     load_observations,
-    scan_units,
 )
 from .errors import ChainStateError, MissingInputError
 from .prior import PriorStructure, build_prior_structure
@@ -117,13 +115,8 @@ class ModelStructures(DesignStructures):
     prior: PriorStructure
 
 
-def _design_set(cfg: RunConfig) -> DesignSet:
-    units = scan_units(cfg.covariates, cfg.design.p)
-    return assemble_design(cfg.covariates, cfg.design, build_adjacency(cfg.edges, units))
-
-
 def build_design_structures(cfg: RunConfig) -> DesignStructures:
-    design_set = _design_set(cfg)
+    design_set = assemble_design(cfg.covariates, cfg.design, cfg.edges)
     return DesignStructures(design_set, build_basis_system(design_set))
 
 
@@ -140,7 +133,7 @@ def load_design_structures(
     path = Path(chain_dir).parent / STRUCTURES_FILE
     basis, recorded = read_structures(path)
     inputs.check(recorded, str(path), DESIGN_INPUTS)
-    return DesignStructures(_design_set(cfg), basis)
+    return DesignStructures(assemble_design(cfg.covariates, cfg.design, cfg.edges), basis)
 
 
 def build_structures(cfg: RunConfig) -> ModelStructures:

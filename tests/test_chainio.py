@@ -13,7 +13,8 @@ from arealdlm.sampler import Hyperparams, gibbs_run
 
 from util import assert_export_matches_store, every_draw, toy_structures
 
-CHAIN_FILES = ("eta", "beta", "xi", "sigma_k2", "sigma_xi2")
+# one chain file per parameter group; the names do not depend on the sizes
+CHAIN_FILES = tuple(sampler.draw_shapes(T=1, r=1, p=1, n=1))
 
 
 @pytest.fixture(scope="module")

@@ -194,6 +194,25 @@ class TestExitCodes:
         (tmp_path / "cov.csv").write_text("\n".join(lines) + "\n")
         assert main(["validate", "--config", str(cfg)]) == 3
 
+    def test_empty_covariate_file_refused_before_the_edges_are_read(self, tmp_path, capsys):
+        cfg = write_project(tmp_path)
+        (tmp_path / "cov.csv").write_text("variable,time,unit,x1,x2\n")
+        (tmp_path / "edges.csv").unlink()
+        capsys.readouterr()
+        assert main(["validate", "--config", str(cfg)]) == 3
+        assert "cov.csv: no covariate rows" in capsys.readouterr().err
+
+    def test_faults_reported_in_file_order(self, tmp_path, capsys):
+        # a bad covariate value is reported before a self-loop in the edge file
+        cfg = write_project(tmp_path)
+        lines = (tmp_path / "cov.csv").read_text().splitlines()
+        lines[1] = ",".join(lines[1].split(",")[:3] + ["1.0", "abc"])
+        (tmp_path / "cov.csv").write_text("\n".join(lines) + "\n")
+        (tmp_path / "edges.csv").write_text("unit_a,unit_b\nu0,u0\n")
+        capsys.readouterr()
+        assert main(["validate", "--config", str(cfg)]) == 3
+        assert "cov.csv:2: 'abc' is not a finite number" in capsys.readouterr().err
+
     def test_burn_in_config_error(self, tmp_path):
         cfg = write_project(tmp_path, iterations=50, burn_in=50)
         assert main(["validate", "--config", str(cfg)]) == 3
@@ -615,26 +634,29 @@ class TestStoredStructures:
 
         hashed, parsed = [], []
         file_sha256 = arealdlm.pipeline._file_sha256
-        load_observations = arealdlm.data.load_observations
+        open_csv = arealdlm.data._open_csv
 
         def hash_once(path):
             hashed.append(Path(path).name)
             return file_sha256(path)
 
-        def parse_once(path, *args, **kwargs):
+        def parse_once(path, expected_header):
             parsed.append(Path(path).name)
-            return load_observations(path, *args, **kwargs)
+            return open_csv(path, expected_header)
 
         monkeypatch.setattr(arealdlm.pipeline, "_file_sha256", hash_once)
-        monkeypatch.setattr(arealdlm.pipeline, "load_observations", parse_once)
+        monkeypatch.setattr(arealdlm.data, "_open_csv", parse_once)
         directory, cfg, rls_argv = project
-        assert main(["predict", "--config", str(cfg)]) == 0
-        assert sorted(hashed) == ["cov.csv", "edges.csv", "obs.csv"]
-        assert parsed == ["obs.csv"]
-        hashed.clear(), parsed.clear()
-        assert main(rls_argv) == 0
-        assert sorted(hashed) == ["cov.csv", "edges.csv", "obs.csv", "s1.csv", "s2.csv"]
-        assert sorted(parsed) == ["obs.csv", "s1.csv", "s2.csv"]
+        inputs = ["cov.csv", "edges.csv", "obs.csv"]
+        for argv, files in [
+            (["fit", "--config", str(cfg)], inputs),
+            (["predict", "--config", str(cfg)], inputs),
+            (rls_argv, inputs + ["s1.csv", "s2.csv"]),
+        ]:
+            hashed.clear(), parsed.clear()
+            assert main(argv) == 0
+            assert sorted(hashed) == files, argv[0]
+            assert sorted(parsed) == files, argv[0]
 
     def test_predict_and_rls_do_not_import_scipy(self, project):
         directory, cfg, rls_argv = project

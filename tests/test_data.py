@@ -14,7 +14,6 @@ from arealdlm.data import (
     assemble_design,
     build_adjacency,
     load_observations,
-    scan_units,
 )
 from arealdlm.errors import MissingInputError, ValidationError
 
@@ -233,8 +232,7 @@ class TestAssembleDesign:
         cov = tmp_path / "cov.csv"
         write_covariates(cov, [f"1,1,{u},1" for u in "abc"], p=1)
         design = StudyDesign(1, ((1, 1),), 1, 1)
-        graph = build_adjacency_empty(tmp_path, ["a", "b", "c"])
-        ds = assemble_design(cov, design, graph)
+        ds = assemble_design(cov, design, empty_edges(tmp_path))
         assert ds.matrices[1].shape == (3, 1)
         assert np.all(ds.matrices[1] == 1.0)
 
@@ -257,8 +255,7 @@ class TestAssembleDesign:
         cov = tmp_path / "cov.csv"
         write_covariates(cov, rows, p=7)
         design = StudyDesign(2, ((1, T), (1, T)), 7, 2)
-        graph = build_adjacency_empty(tmp_path, units)
-        ds = assemble_design(cov, design, graph)
+        ds = assemble_design(cov, design, empty_edges(tmp_path))
         for t in range(1, T + 1):
             assert ds.matrices[t].shape == (20, 7)
 
@@ -270,9 +267,8 @@ class TestAssembleDesign:
         cov = tmp_path / "cov.csv"
         write_covariates(cov, rows, p=2)
         design = StudyDesign(1, ((1, 2),), 2, 1)
-        graph = build_adjacency_empty(tmp_path, units)
         with pytest.raises(ValidationError, match="rank-deficient.*t=1"):
-            assemble_design(cov, design, graph)
+            assemble_design(cov, design, empty_edges(tmp_path))
 
     def test_duplicated_column_rank_error(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -285,57 +281,90 @@ class TestAssembleDesign:
         cov = tmp_path / "cov.csv"
         write_covariates(cov, rows, p=3)
         design = StudyDesign(1, ((1, 2),), 3, 1)
-        graph = build_adjacency_empty(tmp_path, units)
         with pytest.raises(ValidationError, match="rank-deficient"):
-            assemble_design(cov, design, graph)
+            assemble_design(cov, design, empty_edges(tmp_path))
 
     def test_missing_rows_rejected(self, tmp_path):
         cov = tmp_path / "cov.csv"
         write_covariates(cov, ["1,1,a,1", "1,1,b,1"], p=1)  # nothing at t=2
         design = StudyDesign(1, ((1, 2),), 1, 1)
-        graph = build_adjacency_empty(tmp_path, ["a", "b"])
         with pytest.raises(ValidationError, match="missing covariate rows.*t=2"):
-            assemble_design(cov, design, graph)
+            assemble_design(cov, design, empty_edges(tmp_path))
 
     def test_no_intercept_rejected(self, tmp_path):
         rng = np.random.default_rng(2)
         cov = tmp_path / "cov.csv"
         write_covariates(cov, [f"1,1,{u},{rng.normal()}" for u in "abc"], p=1)
         design = StudyDesign(1, ((1, 1),), 1, 1)
-        graph = build_adjacency_empty(tmp_path, ["a", "b", "c"])
         with pytest.raises(ValidationError, match="intercept"):
-            assemble_design(cov, design, graph)
+            assemble_design(cov, design, empty_edges(tmp_path))
 
     def test_rank_too_large_rejected(self, tmp_path):
         cov = tmp_path / "cov.csv"
         write_covariates(cov, [f"1,1,{u},1" for u in "abc"], p=1)
         design = StudyDesign(1, ((1, 1),), 1, 3)
-        graph = build_adjacency_empty(tmp_path, ["a", "b", "c"])
         with pytest.raises(ValidationError, match="exceeds min over t"):
-            assemble_design(cov, design, graph)
+            assemble_design(cov, design, empty_edges(tmp_path))
 
     def test_unknown_unit_in_observations(self, tmp_path):
         cov = tmp_path / "cov.csv"
         write_covariates(cov, [f"1,1,{u},1" for u in "ab"], p=1)
         design = StudyDesign(1, ((1, 1),), 1, 1)
-        graph = build_adjacency_empty(tmp_path, ["a", "b"])
-        ds = assemble_design(cov, design, graph)
+        ds = assemble_design(cov, design, empty_edges(tmp_path))
         obs_file = tmp_path / "obs.csv"
         write_lines(obs_file, "variable,time,unit,z,v", ["1,1,zz,0.5,0.1"])
         with pytest.raises(ValidationError, match="not a prediction location"):
             load_observations(obs_file, design, design_set=ds)
 
-    def test_scan_units_first_seen_order(self, tmp_path):
+    def test_value_fault_reported_before_a_later_short_row(self, tmp_path):
+        cov = tmp_path / "cov.csv"
+        write_covariates(cov, ["1,1,a,x", "1,1,b"], p=1)
+        design = StudyDesign(1, ((1, 1),), 1, 1)
+        with pytest.raises(ValidationError, match=r"cov\.csv:2: 'x' is not a finite number"):
+            assemble_design(cov, design, empty_edges(tmp_path))
+
+    def test_units_in_first_seen_order(self, tmp_path):
         cov = tmp_path / "cov.csv"
         write_covariates(cov, ["1,1,b,1", "1,1,a,1", "1,1,c,1"], p=1)
-        assert scan_units(cov, 1) == ["b", "a", "c"]
+        design = StudyDesign(1, ((1, 1),), 1, 1)
+        assert assemble_design(cov, design, empty_edges(tmp_path)).graph.units == ("b", "a", "c")
 
 
-def build_adjacency_empty(tmp_path, units):
+# tracemalloc peak of reading a 20,000-row design (p = 3); holding every
+# parsed row before checking it, with the covariate file parsed twice, peaked
+# at 20.7 MB, and reading it row by row once peaks at 7.4 MB
+DESIGN_READ_PEAK_BYTES = 12e6
+
+
+def test_design_read_memory(tmp_path):
+    import tracemalloc
+
+    units, T = 1000, 20
+    rng = np.random.default_rng(66)
+    x = rng.normal(size=(T, units, 2))
+    write_covariates(
+        tmp_path / "cov.csv",
+        [f"1,{t},u{i},1,{x[t - 1, i, 0]},{x[t - 1, i, 1]}"
+         for t in range(1, T + 1) for i in range(units)],
+        p=3,
+    )
+    write_lines(tmp_path / "edges.csv", "unit_a,unit_b", [f"u{i},u{i + 1}" for i in range(units - 1)])
+    design = StudyDesign(1, ((1, T),), 3, 5)
+    tracemalloc.start()
+    try:
+        design_set = assemble_design(tmp_path / "cov.csv", design, tmp_path / "edges.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(design_set.N_t(t) for t in range(1, T + 1)) == 20_000
+    assert peak < DESIGN_READ_PEAK_BYTES
+
+
+def empty_edges(tmp_path):
     edge_file = tmp_path / "edges_empty.csv"
     if not edge_file.exists():
         write_lines(edge_file, "unit_a,unit_b", [])
-    return build_adjacency(edge_file, units)
+    return edge_file
 
 
 class TestAlignment:
@@ -343,8 +372,7 @@ class TestAlignment:
         cov = tmp_path / "cov.csv"
         write_covariates(cov, [f"1,1,{u},1" for u in ("b", "a", "c")], p=1)
         design = StudyDesign(1, ((1, 1),), 1, 1)
-        graph = build_adjacency_empty(tmp_path, ["b", "a", "c"])
-        ds = assemble_design(cov, design, graph)
+        ds = assemble_design(cov, design, empty_edges(tmp_path))
         obs_file = tmp_path / "obs.csv"
         # file order deliberately scrambled relative to the unit order
         write_lines(obs_file, "variable,time,unit,z,v", ["1,1,c,3.0,0.1", "1,1,b,1.0,0.2"])
