@@ -63,7 +63,9 @@ def _dense_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Leading r+1 eigenpairs of the MI operator on the complement of col(x), by dense eigh.
 
-    Returns r pairs when the complement of col(x) has dimension r.
+    Returns r pairs when the complement of col(x) has dimension r. Only the
+    leading r+1 pairs, and the rest of a degenerate cluster that straddles
+    pair r+1, are ordered: the same leading columns as ordering all pairs.
     """
     x = np.asarray(x, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -72,7 +74,11 @@ def _dense_pairs(
     reduced = symmetrize(comp.T @ a @ comp)
     values, vectors = np.linalg.eigh(reduced)
     lifted = comp @ vectors
-    values, lifted = order_eigh_descending(values, lifted)
+    idx = np.argsort(-values, kind="stable")
+    keep = min(r + 1, idx.size)
+    while keep < idx.size and values[idx[keep - 1]] - values[idx[keep]] < CLUSTER_GAP:
+        keep += 1
+    values, lifted = order_eigh_descending(values[idx[:keep]], lifted[:, idx[:keep]])
     return values[: r + 1], lifted[:, : r + 1]
 
 

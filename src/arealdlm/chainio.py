@@ -1,14 +1,17 @@
 """Chain directory persistence: manifest.json, a binary store and a CSV export per parameter.
 
 Each parameter group of ``sampler.draw_shapes`` is stored one float64 row
-per stored draw in ``<name>.npy``. ``ChainWriter.flush`` writes each ``.npy``
-header once with the final shape, appends the rows stored since the last
-flush (from the buffer of ``sampler.gibbs_run``, which holds only those),
-then replaces the manifest whole; its ``stored_draws`` counts the rows on
-disk, so an interrupted run leaves a readable partial chain. The manifest
-gains ``num_draws`` once every iteration has run; the ``.npy`` files are then
-standard files that ``np.load`` opens. A finished in-memory chain is written
-in one shot by ``ChainWriter(directory).finalize(chain)``.
+per stored draw in ``<name>.npy``. ``sampler.gibbs_run`` holds the rows
+stored since the last flush in a buffer and flushes each time the iterations
+that fill it have run: the buffer holds ``ceil(FLUSH_EVERY / thin)`` rows, or
+fewer where that many rows of the widest group would exceed
+``sampler.CHUNK_BYTES``. ``ChainWriter.flush`` writes each ``.npy`` header
+once with the final shape, appends those rows, then replaces the manifest
+whole; its ``stored_draws`` counts the rows on disk, so an interrupted run
+leaves a readable partial chain. The manifest gains ``num_draws`` once every
+iteration has run; the ``.npy`` files are then standard files that
+``np.load`` opens. A finished in-memory chain is written in one shot by
+``ChainWriter(directory).finalize(chain)``.
 
 ``read_chain`` opens a chain directory: it checks the manifest and the
 header and length of every store, and reads no draw. Its ``StoredChain``

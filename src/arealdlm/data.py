@@ -359,7 +359,11 @@ class AlignedData:
 
 
 def align_observations(design_set: DesignSet, obs_set: ObservationSet) -> AlignedData:
-    """Sort observations into canonical per-time row order of the design."""
+    """Sort observations into canonical per-time row order of the design.
+
+    An observation outside the prediction locations, or a second observation
+    of one cell, is a ValidationError naming the cell.
+    """
     design = design_set.design
     by_cell = {}
     for o in obs_set.observations:
@@ -368,6 +372,8 @@ def align_observations(design_set: DesignSet, obs_set: ObservationSet) -> Aligne
             raise ValidationError(
                 f"observation {key} is not a prediction location"
             )
+        if key in by_cell:
+            raise ValidationError(f"duplicate observation {key}")
         by_cell[key] = o
     obs_idx: dict[int, np.ndarray] = {}
     z: dict[int, np.ndarray] = {}

@@ -7,8 +7,10 @@ locations carries the fine-scale variance floor. ``posterior_y`` and
 ``select_series`` read the chain through its ``read`` method, the same for a
 chain in memory (``sampler.PosteriorChain``) and one on disk
 (``chainio.StoredChain``). ``posterior_y`` takes the times in order and, for
-each, blocks of draws of at most ``CHUNK_BYTES``, merging per-location
-moments block by block, so its memory does not grow with the chain.
+each, blocks of draws of at most ``CHUNK_BYTES`` (the budget of
+``sampler``, which also caps the draws a fit holds between two flushes),
+merging per-location moments block by block, so its memory does not grow
+with the chain.
 """
 
 from __future__ import annotations
@@ -30,10 +32,7 @@ from .data import (
 )
 from .errors import ChainStateError, ValidationError
 from .prior import PriorStructure
-from .sampler import PosteriorChain, _draw_path, _path_factors, _transitions
-
-# Bytes of the widest array ``posterior_y`` reads or builds for one block of draws.
-CHUNK_BYTES = 1 << 19
+from .sampler import CHUNK_BYTES, PosteriorChain, _draw_path, _path_factors, _transitions
 
 
 def prediction_rng(seed: int, stream: int = 0) -> np.random.Generator:

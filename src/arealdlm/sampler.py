@@ -8,13 +8,14 @@ or p x p.
 
 Only the step of the forward filter that needs the step before runs once per
 time, as one r x r inverse (``_filter_core``). Everything else is a
-(T, r, r) or (T, p, p) stack handled by one batched call: the
-predicted-covariance inverses, the backward gains, covariances and their
-factors, and the conjugate draws. Within a sweep the cell arrays are flat
-over all observed cells, time-major, with one ``(start, stop)`` row block per
-time (the layout of ``PosteriorChain.xi``); ``sample_xi``, ``sample_beta``
-and ``sample_sigma_xi`` take those blocks and draw every time in one call,
-bit for bit the per-time calls in time order.
+(T, r, r) or (T, p, p) stack handled by one batched call: the backward
+gains (one solve against the predicted covariances, which are never
+inverted), the backward covariances and their factors, and the conjugate
+draws. Within a sweep the cell arrays are flat over all observed cells,
+time-major, with one ``(start, stop)`` row block per time (the layout of
+``PosteriorChain.xi``); ``sample_xi``, ``sample_beta`` and
+``sample_sigma_xi`` take those blocks and draw every time in one call, bit
+for bit the per-time calls in time order.
 
 Each constant has one builder: ``_information`` gives S'V^-1 and S'V^-1 S,
 ``_beta_moments`` the stacked regression-coefficient posterior covariances,
@@ -37,15 +38,19 @@ frozen ``ModelState`` and the generator: path, fine-scale field, regression
 coefficients, scale variance, fine-scale variances (the last four for all
 times at once). ``draw_shapes`` declares that order and each group's shape.
 ``gibbs_run`` only checks each state for non-finite values and stores the
-kept draws in a buffer of the draws stored since the last flush, from which
-a ``chainio.ChainWriter`` appends them every ``FLUSH_EVERY`` iterations, so
-a fit holds at most one flush of draws. With no writer nothing is flushed:
-the buffer holds the whole chain, and is returned as a ``PosteriorChain``.
+kept draws in a buffer of the draws stored since the last flush. With a
+``chainio.ChainWriter`` the buffer holds ``_flush_rows`` rows (those of
+``FLUSH_EVERY`` iterations, fewer where they would exceed ``CHUNK_BYTES`` in
+the widest group, at least one), and the writer appends them every
+``_flush_rows`` x ``thin`` iterations, so a fit holds at most one flush of
+draws. With no writer nothing is flushed: the buffer holds the whole chain,
+and is returned as a ``PosteriorChain``.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,13 +58,16 @@ import numpy as np
 from .basis import BasisSystem
 from .data import AlignedData, DesignSet, ObservationSet, align_observations
 from .errors import ChainStateError, ValidationError
-from .linops import chol_psd, inv, inv_spd, symmetrize
+from .linops import chol_psd, inv, inv_spd, solve_spd, symmetrize
 from .prior import PriorStructure
 
 log = logging.getLogger(__name__)
 
-# Iterations between two appends of a chain writer.
+# Iterations between two appends of a chain writer, unless CHUNK_BYTES allows fewer rows.
 FLUSH_EVERY = 100
+# Bytes of the widest block of draws held in memory: one group's rows of one
+# flush here, one block of draws in ``predict.posterior_y``.
+CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -106,7 +114,6 @@ class FilterResult:
     means_pred: np.ndarray  # (T, r)
     covs_filt: np.ndarray  # (T, r, r)
     covs_pred: np.ndarray  # (T, r, r)
-    covs_pred_inv: np.ndarray = field(repr=False)  # (T-1, r, r): R_2..R_T inverted
 
 
 def _information(s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,9 +143,7 @@ def _filter_core(
     (I + R G)^-1 R and (I + R G)^-1 (a + R h). I + R G is nonsingular for
     any PSD R, so a singular innovation needs no special case, and a time
     with nothing observed (G = 0, h = 0) keeps its predicted moments
-    exactly. The covariances are symmetrized after the loop, and the
-    predicted-covariance inverses the backward pass needs, of R_2..R_T, are
-    one batched inverse.
+    exactly. The covariances are symmetrized after the loop.
     """
     T = len(h_seq)
     r = k1.shape[0]
@@ -158,10 +163,7 @@ def _filter_core(
         shrink = inv(ident + cov @ g_seq[i])
         covs_filt[i] = shrink @ cov
         means_filt[i] = shrink @ (mean + cov @ h_seq[i])
-    covs_pred = symmetrize(covs_pred)
-    return FilterResult(
-        means_filt, means_pred, symmetrize(covs_filt), covs_pred, inv_spd(covs_pred[1:])
-    )
+    return FilterResult(means_filt, means_pred, symmetrize(covs_filt), symmetrize(covs_pred))
 
 
 def kalman_filter(
@@ -192,10 +194,11 @@ def kalman_filter(
     Returns
     -------
     FilterResult
-        Filtered and one-step-ahead means/covariances per time, plus cached
-        inverses of the predicted covariances at times 2..T for the
-        backward pass. Singular predicted covariances fall back to a logged
-        eigenvalue pseudo-inverse, never silently.
+        Filtered and one-step-ahead means/covariances per time. The
+        backward pass applies the inverses of the predicted covariances at
+        times 2..T through one batched solve (``_backward_gains``), where a
+        singular one falls back to a logged eigenvalue pseudo-inverse,
+        never silently.
     """
     T = len(z_tilde)
     if not (len(s_seq) == len(v_seq) == T and len(m_seq) == len(w_seq) == T - 1):
@@ -225,11 +228,12 @@ def _backward_gains(
 
     The mean of state i < T-1 given the filter and state i+1 = x is
     offset_i + J_i x, with offset_i = m_i - J_i a_{i+1}; the last offset is
-    the last filtered mean.
+    the last filtered mean. R is never inverted: J_i' = R_{i+1}^-1 M_i P_i
+    for all times is one batched ``solve_spd``.
     """
     T, r = filtered.means_filt.shape
     cross = filtered.covs_filt[:-1] @ _stack(m_seq, r).swapaxes(-1, -2)
-    gains = cross @ filtered.covs_pred_inv
+    gains = solve_spd(filtered.covs_pred[1:], cross.swapaxes(-1, -2)).swapaxes(-1, -2)
     offsets = filtered.means_filt.copy()
     offsets[:-1] -= (gains @ filtered.means_pred[1:, :, None])[..., 0]
     return gains, offsets, cross
@@ -480,6 +484,15 @@ def draw_shapes(T: int, r: int, p: int, n: int) -> dict[str, tuple[int, ...]]:
     return {"eta": (T, r), "xi": (n,), "beta": (T, p), "sigma_k2": (), "sigma_xi2": (T,)}
 
 
+def _flush_rows(shapes: dict[str, tuple[int, ...]], thin: int) -> int:
+    """Rows of one flush: those of ``FLUSH_EVERY`` iterations, capped by ``CHUNK_BYTES``.
+
+    The cap applies to the widest group's draws; a flush holds at least one row.
+    """
+    widest = max(math.prod(shape) for shape in shapes.values())
+    return min(-(-FLUSH_EVERY // thin), max(1, CHUNK_BYTES // (8 * widest)))
+
+
 @dataclass(frozen=True)
 class PosteriorChain:
     """Stored draws (post burn-in, thinned) held in memory, plus run metadata.
@@ -653,9 +666,11 @@ def gibbs_run(
 
     With no ``writer`` the draws are returned in memory. With a
     ``chainio.ChainWriter``, the rows stored since its last flush are
-    appended to disk every ``FLUSH_EVERY`` iterations, so memory holds at
-    most one flush of draws and interrupted runs remain inspectable; what
-    ``writer.finalize`` returns (the store it wrote) is returned.
+    appended to disk every ``thin`` x ``_flush_rows`` iterations, so memory
+    holds at most one flush of draws, no group's rows more than
+    ``CHUNK_BYTES`` unless one draw is wider, and interrupted runs remain
+    inspectable; what ``writer.finalize`` returns (the store it
+    wrote) is returned.
     """
     check_run_settings(iterations, burn_in, thin, seed)
     aligned = align_observations(design_set, data)
@@ -670,7 +685,8 @@ def gibbs_run(
               "r": pre.r, "p": pre.p, "T": pre.T, "n": pre.n_total},
     )
     # the draws stored since the last flush; with no writer nothing is flushed
-    capacity = num_draws if writer is None else min(num_draws, -(-FLUSH_EVERY // thin))
+    per_flush = _flush_rows(shapes, thin)
+    capacity = num_draws if writer is None else min(num_draws, per_flush)
     buffer = {name: np.empty((capacity, *shape)) for name, shape in shapes.items()}
     stored = held = 0
 
@@ -687,7 +703,7 @@ def gibbs_run(
                 rows[held] = getattr(state, name)
             stored += 1
             held += 1
-        if writer is not None and (it + 1) % FLUSH_EVERY == 0:
+        if writer is not None and (it + 1) % (per_flush * thin) == 0:
             writer.flush(window(), stored, it + 1)
             held = 0
 

@@ -21,6 +21,7 @@ from arealdlm.basis import (
 )
 from arealdlm.data import StudyDesign
 from arealdlm.errors import ValidationError
+from arealdlm.linops import CLUSTER_GAP, order_eigh_descending, symmetrize
 
 from util import (
     cycle_graph,
@@ -348,3 +349,19 @@ def test_small_builds_do_not_import_scipy():
     print(sorted(set(basis.provenance["solver"].values())), "scipy" in sys.modules)
     """
     assert run_python(code) == "['dense'] False"
+
+
+@pytest.mark.parametrize("n, r", [(8, 2), (8, 4), (12, 2), (12, 4), (12, 6)])
+def test_restricted_ordering_keeps_the_leading_columns_of_full_ordering(n, r):
+    # intercept-only n-cycle: the restricted eigenvalues 2cos(2 pi k / n) come
+    # in pairs, so at these r a degenerate pair straddles pair r+1, and the
+    # lexicographic order inside it must see both of its columns
+    x = np.ones((n, 1))
+    a = np.roll(np.eye(n), 1, axis=1) + np.roll(np.eye(n), -1, axis=1)
+    values, vectors = basis_module._dense_pairs(x, a, r)
+    comp = basis_module._complement_basis(x)
+    all_values, all_vectors = np.linalg.eigh(symmetrize(comp.T @ a @ comp))
+    full_values, full_vectors = order_eigh_descending(all_values, comp @ all_vectors)
+    assert full_values[r] - full_values[r + 1] < CLUSTER_GAP  # a pair straddles r+1
+    assert np.array_equal(values, full_values[: r + 1])
+    assert np.array_equal(vectors, full_vectors[:, : r + 1])

@@ -28,6 +28,13 @@ def small_chain():
     return chain
 
 
+def assert_same_chain_files(a, b):
+    """The chain directories ``a`` and ``b`` hold the same stores, exports and manifest."""
+    names = [f"{name}{suffix}" for name in CHAIN_FILES for suffix in (".csv", ".npy")]
+    for name in names + ["manifest.json"]:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def assert_chains_equal(a, b):
     a_draws, b_draws = every_draw(a), every_draw(b)
     assert sorted(a_draws) == sorted(b_draws) == sorted(CHAIN_FILES)
@@ -71,11 +78,36 @@ class TestRoundTrip:
         assert_chains_equal(chain, streamed)
         assert_chains_equal(chain, read_chain(tmp_path / "streamed"))
         ChainWriter(tmp_path / "one_shot").finalize(chain)
-        names = [f"{name}{suffix}" for name in CHAIN_FILES for suffix in (".csv", ".npy")]
-        for name in names + ["manifest.json"]:
-            assert (tmp_path / "streamed" / name).read_bytes() == (
-                tmp_path / "one_shot" / name
-            ).read_bytes()
+        assert_same_chain_files(tmp_path / "streamed", tmp_path / "one_shot")
+
+    def test_flushes_capped_by_the_byte_budget(self, tmp_path, monkeypatch):
+        # a budget of 5 rows of the widest group (xi): each flush holds at
+        # most 5 stored draws and comes every 5 x thin iterations, and the
+        # store is still the one-shot store, byte for byte
+        _, _, design_set, basis, prior = toy_structures(n_units=6, T=2, p=2, r=2, seed=43)
+        truth = simulate(design_set, basis, prior, np.array([0.0, 0.0]), 1.0, 0.1, 0.1, seed=44)
+        n = len(truth.observations.observations)
+        monkeypatch.setattr(sampler, "CHUNK_BYTES", 8 * n * 5 + 7)
+        flushes = []
+
+        class Recording(ChainWriter):
+            def flush(self, chain, stored, completed_iterations):
+                flushes.append((chain.eta.shape[0], completed_iterations))
+                super().flush(chain, stored, completed_iterations)
+
+        run = dict(iterations=230, burn_in=30, thin=3, seed=45)
+        streamed = gibbs_run(
+            truth.observations, design_set, basis, prior, Hyperparams(), **run,
+            writer=Recording(tmp_path / "streamed"),
+        )
+        *periodic, last = flushes
+        assert [done for _, done in periodic] == list(range(15, 230, 15))
+        assert last[1] == 230
+        assert max(held for held, _ in flushes) == 5
+        assert sum(held for held, _ in flushes) == streamed.num_draws == 67
+        chain = gibbs_run(truth.observations, design_set, basis, prior, Hyperparams(), **run)
+        ChainWriter(tmp_path / "one_shot").finalize(chain)
+        assert_same_chain_files(tmp_path / "streamed", tmp_path / "one_shot")
 
     def test_partial_flush_is_readable(self, small_chain, tmp_path):
         # simulate an interrupted run: flush mid-way, never finalize

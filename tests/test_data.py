@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arealdlm.data import (
+    Observation,
+    ObservationSet,
     StudyDesign,
     TransformSpec,
     align_observations,
@@ -382,3 +384,18 @@ class TestAlignment:
         assert aligned.obs_idx[1].tolist() == [0, 2]
         assert aligned.z[1].tolist() == [1.0, 3.0]
         assert aligned.v[1].tolist() == [0.2, 0.1]
+
+    def test_duplicate_cell_in_code_built_observations_refused(self, tmp_path):
+        # load_observations refuses a second observation of one cell; a set
+        # built in code must not let the last one win (n would read 2, the
+        # aligned time 1 cell)
+        cov = tmp_path / "cov.csv"
+        write_covariates(cov, [f"1,1,{u},1" for u in "abcd"], p=1)
+        edges = tmp_path / "edges.csv"
+        write_lines(edges, "unit_a,unit_b", ["a,b", "b,c", "c,d", "d,a"])
+        design = StudyDesign(1, ((1, 1),), 1, 1)
+        ds = assemble_design(cov, design, edges)
+        obs = ObservationSet(design, (Observation(1, 1, "a", 1.0, 0.1),
+                                      Observation(1, 1, "a", 2.0, 0.1)))
+        with pytest.raises(ValidationError, match=r"duplicate observation \(1, 1, 'a'\)"):
+            align_observations(ds, obs)

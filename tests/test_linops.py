@@ -6,13 +6,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arealdlm.linops import (
+    SIGN_TOL,
     chol_psd,
     inv,
     inv_spd,
     order_eigh_descending,
     sign_fix_columns,
+    solve_spd,
     track_dense_solves,
 )
+
+
+def sign_fix_loop(vectors):
+    """Column by column: negate where the first entry with |entry| > SIGN_TOL is negative."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        nz = np.nonzero(np.abs(col) > SIGN_TOL)[0]
+        if nz.size and col[nz[0]] < 0:
+            out[:, j] = -col
+    return out
 
 
 class TestSignFix:
@@ -34,6 +47,23 @@ class TestSignFix:
         fixed = sign_fix_columns(vecs)
         assert np.array_equal(sign_fix_columns(fixed), fixed)
         assert np.array_equal(sign_fix_columns(-vecs), fixed)
+
+    @given(st.integers(0, 500))
+    @settings(max_examples=30, deadline=None)
+    def test_equals_the_column_loop(self, seed):
+        # zero columns, leading entries at +-SIGN_TOL (not significant) and
+        # just above it, and negative zeros all keep the loop's bits
+        rng = np.random.default_rng(seed)
+        vecs = rng.normal(size=(6, 8))
+        vecs[rng.random(vecs.shape) < 0.4] = 0.0
+        vecs[:, 0] = 0.0
+        vecs[:, 1] = -0.0
+        vecs[:2, 2] = [SIGN_TOL, -SIGN_TOL]
+        vecs[:2, 3] = [-SIGN_TOL, -2 * SIGN_TOL]
+        vecs[0, 4] = -np.nextafter(SIGN_TOL, 1.0)
+        out = sign_fix_columns(vecs)
+        assert np.array_equal(out, sign_fix_loop(vecs))
+        assert np.array_equal(np.signbit(out), np.signbit(sign_fix_loop(vecs)))
 
 
 class TestEighDescending:
@@ -68,6 +98,28 @@ class TestSpdHelpers:
     def test_indefinite_rejected(self):
         with pytest.raises(np.linalg.LinAlgError, match="indefinite"):
             inv_spd(np.diag([1.0, -1.0]))
+
+    def test_solve_of_a_stack_with_one_singular_matrix(self, caplog):
+        # the singular PSD member takes the pseudo-inverse, with one WARNING;
+        # the others are the plain solve
+        rng = np.random.default_rng(3)
+        g = rng.normal(size=(4, 3, 3))
+        a = g @ g.swapaxes(-1, -2) + 0.3 * np.eye(3)
+        a[1] = np.diag([2.0, 0.0, 0.0])
+        b = rng.normal(size=(4, 3, 2))
+        with caplog.at_level(logging.WARNING, logger="arealdlm.linops"):
+            with track_dense_solves() as tracker:
+                out = solve_spd(a, b)
+        assert len(caplog.records) == 1
+        assert tracker.dims == [3] * 4
+        assert np.allclose(out[1], np.diag([0.5, 0.0, 0.0]) @ b[1], atol=1e-12)
+        for i in (0, 2, 3):
+            assert np.array_equal(out[i], np.linalg.solve(a[i], b[i]))
+
+    def test_solve_of_an_indefinite_stack_rejected(self):
+        a = np.stack([np.eye(2), np.diag([1.0, -1.0])])
+        with pytest.raises(np.linalg.LinAlgError, match="indefinite"):
+            solve_spd(a, np.ones((2, 2, 1)))
 
     def test_chol_psd_of_singular(self):
         a = np.ones((2, 2))

@@ -11,6 +11,7 @@ from arealdlm.linops import track_dense_solves
 from arealdlm.predict import simulate
 from arealdlm.sampler import (
     Hyperparams,
+    _backward_gains,
     _initial_state,
     _Precomputed,
     _sweep,
@@ -153,13 +154,19 @@ class TestKalmanFilter:
         )
         assert np.allclose(out.means_filt[2], mean[2:4], atol=1e-8)
 
-    def test_predicted_inverses_from_the_second_time(self):
-        # the backward pass reads R_2..R_T inverted; R_1 = K_1 is never inverted
+    def test_gains_equal_the_explicit_inverse_form(self):
+        # J_i = P_i M_i' R_{i+1}^-1 from R_2..R_T; R_1 = K_1 is never used
         rng = np.random.default_rng(5)
         z, s, m_seq, k1, w, v = random_instance(rng, T=4, r=3, n_per_t=5)
+        assert not np.allclose(m_seq[0], np.eye(3))
         out = kalman_filter(z, s, m_seq, k1, w, v)
-        assert out.covs_pred_inv.shape == (3, 3, 3)
-        assert np.allclose(out.covs_pred_inv @ out.covs_pred[1:], np.eye(3), atol=1e-8)
+        gains, _, cross = _backward_gains(out, m_seq)
+        expected = np.stack([
+            out.covs_filt[i] @ m_seq[i].T @ np.linalg.inv(out.covs_pred[i + 1]) for i in range(3)
+        ])
+        assert gains.shape == (3, 3, 3)
+        assert np.allclose(cross, out.covs_filt[:-1] @ np.stack(m_seq).swapaxes(-1, -2))
+        assert np.allclose(gains, expected, rtol=0, atol=1e-10)
 
     def test_covariances_symmetric_psd(self):
         rng = np.random.default_rng(4)
