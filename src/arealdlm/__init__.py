@@ -1,5 +1,14 @@
 """Reduced-rank Bayesian inference for multivariate spatio-temporal areal data."""
 
+import os
+
+# BLAS thread pools are sized from these when numpy is first imported. One thread unless
+# the environment says otherwise: with more, a multithreaded BLAS rounds differently with
+# each thread count, so the bytes of a fit would depend on how many CPUs it may use.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in _BLAS_THREAD_VARIABLES:
+    os.environ.setdefault(_name, "1")
+
 from .basis import (
     BasisSystem,
     build_basis_system,

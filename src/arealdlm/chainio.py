@@ -27,22 +27,27 @@ reading them back from the ``.npy`` store while the sampler keeps sweeping.
 After each flush the writer sends it the new ``stored_draws``; it lets the
 export fall at most one flush behind where a second core can run it, and
 none on a single usable core, where the two processes would only take turns
-on it (and thrash its caches). ``finalize`` (or ``close``) waits for the
-rest, so the CSVs are complete when ``finalize`` returns and a failed export
-is a ChainStateError. After an interruption they hold at most the rows of
-the last flush. Identical runs give identical bytes.
+on it (and thrash its caches). The sampler's BLAS runs one thread unless
+the environment asks for more (``arealdlm/__init__.py``), so on two cores
+the export process has the second core to itself. ``finalize`` (or
+``close``) waits for the rest, so the CSVs are complete when ``finalize``
+returns and a failed export is a ChainStateError. After an interruption
+they hold at most the rows of the last flush. Identical runs give identical
+bytes.
 
 ``fit`` also writes ``structures.npz`` once per run: the basis (every S_t
 and its eigenvalues) with the digests of the inputs it was built from, so
 ``predict`` and ``rls`` read it instead of solving the eigenproblems again.
 
 ``write_json`` and ``write_csv`` write every other file a command emits;
-``write_rows`` writes every CSV line, the chain exports' included.
+``write_rows`` writes every CSV line, the chain exports' header rows
+included, and ``csv_fields`` quotes text fields as it would.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -108,19 +113,23 @@ def write_json(path: str | Path, value) -> None:
     os.replace(partial, path)
 
 
-def write_rows(fh, rows) -> None:
+def write_rows(fh, rows, line: str | None = None) -> None:
     """Append ``rows`` to the open text file ``fh`` as CSV lines ending in ``\n``.
 
     A float array is streamed row by row (a 1-D array one value per line);
     other rows mix str, int, float and None, quoted only where needed. Floats
-    carry 17 significant digits and None is an empty field.
+    carry 17 significant digits and None is an empty field. With ``line``, a
+    %-format that ends in ``\n``, each row is written as ``line % row`` and
+    its fields must already be quoted (``csv_fields``).
     """
     if isinstance(rows, np.ndarray):
         if rows.ndim == 1:
             rows = rows[:, None]
         line = float_line(rows.shape[1])
+        rows = (row.tolist() for row in rows)
+    if line is not None:
         for row in rows:
-            fh.write(line % tuple(row.tolist()))
+            fh.write(line % tuple(row))
         return
     writer = csv.writer(fh, lineterminator="\n")
     for row in rows:
@@ -129,14 +138,30 @@ def write_rows(fh, rows) -> None:
         )
 
 
-def write_csv(path: str | Path, header: list[str] | None, rows) -> None:
-    """Write ``header`` (unless None) and ``rows`` under a temporary name, then rename."""
+def csv_fields(texts) -> dict[str, str]:
+    """Each distinct string of ``texts`` as one field of a line of ``write_rows``, quoted
+    exactly where ``csv.writer`` quotes it."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    fields = {}
+    for text in texts:
+        if text not in fields:
+            writer.writerow(("", text))  # a lone empty field would be quoted; this one is not
+            fields[text] = out.getvalue()[1:-1]
+            out.seek(0)
+            out.truncate()
+    return fields
+
+
+def write_csv(path: str | Path, header: list[str] | None, rows, line: str | None = None) -> None:
+    """Write ``header`` (unless None) and ``rows`` (as ``write_rows``) under a temporary name,
+    then rename."""
     path = Path(path)
     partial = path.with_name(path.name + ".partial")
     with partial.open("w", encoding="utf-8", newline="") as fh:
         if header is not None:
             write_rows(fh, [header])
-        write_rows(fh, rows)
+        write_rows(fh, rows, line)
     os.replace(partial, path)
 
 

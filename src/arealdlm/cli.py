@@ -185,7 +185,7 @@ def cmd_predict(cfg: RunConfig, chain_dir: str | None) -> int:
         structures.basis,
         aligned,
         transforms=cfg.transforms,
-        rng=predict.prediction_rng(cfg.seed),
+        seed=cfg.seed,
     )
     cfg.output.mkdir(parents=True, exist_ok=True)
     out = cfg.output / "predictions.csv"
@@ -289,8 +289,7 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
         structures.basis,
         aligned_full,
         locations=cells,
-        rng=predict.prediction_rng(cfg.seed),
-        keep_draws=True,
+        seed=cfg.seed,
     )
     survey_means = {}
     for m, (d, digests) in enumerate(zip(survey_chain_dirs, survey_inputs), start=1):
@@ -302,10 +301,13 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
             structures.basis,
             aligned_m,
             locations=cells,
-            rng=predict.prediction_rng(cfg.seed, m),
+            seed=cfg.seed,
+            stream=m,
         )
         survey_means[m] = surface_m.yhat
-    values = predict.rls(full_surface.draws, full_surface.yhat, survey_means)
+    values = predict.rls_from_moments(
+        full_surface.yhat, full_surface.mspe, full_surface.yhat, survey_means
+    )
     cfg.output.mkdir(parents=True, exist_ok=True)
     out = cfg.output / "rls.json"
     chainio.write_json(

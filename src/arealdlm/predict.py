@@ -6,11 +6,13 @@ from its prior at never-observed cells, so uncertainty at unobserved
 locations carries the fine-scale variance floor. ``posterior_y`` and
 ``select_series`` read the chain through its ``read`` method, the same for a
 chain in memory (``sampler.PosteriorChain``) and one on disk
-(``chainio.StoredChain``). ``posterior_y`` takes the times in order and, for
-each, blocks of draws of at most ``CHUNK_BYTES`` (the budget of
-``sampler``, which also caps the draws a fit holds between two flushes),
-merging per-location moments block by block, so its memory does not grow
-with the chain.
+(``chainio.StoredChain``). ``posterior_y`` makes one pass over the chain: it
+reads blocks of whole rows of at most ``CHUNK_BYTES`` (the budget of
+``sampler``, which also caps the draws a fit holds between two flushes), one
+read per group and block, and merges each time's per-location moments block
+by block, so its memory does not grow with the chain. The prior normals of
+time t come from a generator of their own (``prediction_rng``), so the
+result does not depend on the block size. ``rls`` needs only those moments.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import BasisSystem
-from .chainio import StoredChain, write_csv
+from .chainio import StoredChain, csv_fields, write_csv
 from .data import (
     AlignedData,
     DesignSet,
@@ -31,19 +33,20 @@ from .data import (
     TransformSpec,
 )
 from .errors import ChainStateError, ValidationError
+from .export import float_line
 from .prior import PriorStructure
 from .sampler import CHUNK_BYTES, PosteriorChain, _draw_path, _path_factors, _transitions
 
 
-def prediction_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    """The generator of the prior draws at unobserved cells for the run seed ``seed``.
+def prediction_rng(seed: int, stream: int, t: int) -> np.random.Generator:
+    """The generator of time t's prior draws at unobserved cells for the run seed ``seed``.
 
     Stream 0 serves ``predict`` and the full-data chain of ``rls``, stream m
-    the chain of survey m. Each is the child ``spawn_key=(stream,)`` of
+    the chain of survey m. Each is the child ``spawn_key=(stream, t)`` of
     ``SeedSequence(seed)``; a chain's sampler uses ``default_rng(seed + i)``,
     whose spawn key is empty, so no chain's stream is a prediction stream.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, t)))
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,62 @@ class _Moments:
         return self.total / self.count, self.m2 / self.count
 
 
+class _TimeDraws:
+    """The draws at the locations of one time: their constants and running moments.
+
+    ``loc_idx`` are the positions of those locations in the surface; ``rng``
+    draws the prior normals of the unobserved ones in draw order.
+    """
+
+    def __init__(self, t, loc_idx, locations, design_set, basis, aligned, chain, transforms, rng):
+        r, p = chain.shapes["eta"][1], chain.shapes["beta"][1]
+        self.t0, self.loc_idx = t - 1, loc_idx
+        self.beta_cols, self.eta_cols = slice((t - 1) * p, t * p), slice((t - 1) * r, t * r)
+        rows = np.array([design_set.row_lookup[locations[i]] for i in loc_idx])
+        self.x_rows = design_set.matrices[t][rows]
+        self.s_rows = basis.s[t][rows]
+
+        # fine-scale term: stored draw where observed, prior draw elsewhere;
+        # column[row] is the row's column in a draw of xi, -1 if unobserved
+        column = np.full(design_set.N_t(t), -1)
+        column[aligned.obs_idx[t]] = np.arange(*chain.xi_offsets[t])
+        cols = column[rows]
+        self.observed = cols >= 0
+        self.xi_cols = cols[self.observed]
+        self.unobserved = ~self.observed
+        self.n_unobserved = np.count_nonzero(self.unobserved)
+        self.rng = rng
+
+        self.specs = {}
+        if transforms is not None:
+            self.variables = np.array([locations[i][0] for i in loc_idx])
+            self.specs = {
+                ell: transforms.get(ell, TransformSpec("identity"))
+                for ell in sorted(set(self.variables.tolist()))
+            }
+        self.linked = any(spec.kind != "identity" for spec in self.specs.values())
+        self.moments, self.moments_bt = _Moments(len(loc_idx)), _Moments(len(loc_idx))
+
+    def add(self, beta, eta, xi, sigma_xi2) -> np.ndarray:
+        """Form the draws of one block of whole rows of each group, add them, return them."""
+        draws = beta[:, self.beta_cols] @ self.x_rows.T
+        draws += eta[:, self.eta_cols] @ self.s_rows.T
+        draws[:, self.observed] += xi[:, self.xi_cols]
+        if self.n_unobserved:
+            sd = np.sqrt(sigma_xi2[:, self.t0])[:, None]
+            draws[:, self.unobserved] += sd * self.rng.standard_normal(
+                (len(draws), self.n_unobserved)
+            )
+        self.moments.add(draws)
+        if self.linked:
+            bt = np.empty_like(draws)
+            for ell, spec in self.specs.items():
+                at = self.variables == ell
+                bt[:, at] = spec.inverse(draws[:, at])
+            self.moments_bt.add(bt)
+        return draws
+
+
 def posterior_y(
     chain: PosteriorChain | StoredChain,
     design_set: DesignSet,
@@ -97,6 +156,8 @@ def posterior_y(
     aligned: AlignedData,
     locations: list[tuple[int, int, str]] | None = None,
     transforms: dict[int, TransformSpec] | None = None,
+    seed: int | None = None,
+    stream: int = 0,
     rng: np.random.Generator | None = None,
     keep_draws: bool = False,
 ) -> PredictionSurface:
@@ -105,12 +166,16 @@ def posterior_y(
     Each draw evaluates fixed effects plus the basis term plus the fine-scale
     term (stored at observed cells, drawn from its prior elsewhere);
     back-transformed summaries invert the declared link per draw before
-    averaging. For each time, blocks of draws of at most ``CHUNK_BYTES`` an
-    array are read from ``chain`` in draw order, so memory does not grow
-    with the number of draws (except the draws that ``keep_draws`` returns).
-    A chain whose fine-scale block at some t is wider or narrower than the
-    observed cells there was fitted to other observations: that is a
-    ``ChainStateError``.
+    averaging. The chain is read in one pass, in blocks of whole rows of at
+    most ``CHUNK_BYTES`` for the widest row, one ``read`` per group and
+    block; within a block each time's draws are formed and added to its
+    moments. So memory does not grow with the number of draws (except the
+    draws that ``keep_draws`` returns). The prior normals of time t are drawn
+    in draw order from ``prediction_rng(seed, stream, t)`` (``seed`` defaults
+    to the chain's), or from child t − 1 of ``rng.spawn(T)`` when a generator
+    is given, so they do not depend on the block size. A chain whose
+    fine-scale block at some t is wider or narrower than the observed cells
+    there was fitted to other observations: that is a ``ChainStateError``.
     """
     design = design_set.design
     if locations is None:
@@ -129,73 +194,47 @@ def posterior_y(
                 f"the chain holds {hi - lo} fine-scale cells at t={t} but the "
                 f"observations have {aligned.n_t(t)}; refit after changing the observations"
             )
-    if rng is None:
-        rng = prediction_rng(chain.seed)
-
-    J = chain.num_draws
     T, r = chain.shapes["eta"]
-    p = chain.shapes["beta"][1]
-    n_loc = len(locations)
-    yhat = np.zeros(n_loc)
-    mspe = np.zeros(n_loc)
-    want_bt = transforms is not None
-    yhat_bt = np.zeros(n_loc) if want_bt else None
-    mspe_bt = np.zeros(n_loc) if want_bt else None
-    all_draws = np.zeros((J, n_loc)) if keep_draws else None
+    if rng is not None:
+        generators = dict(zip(range(1, T + 1), rng.spawn(T)))
+    else:
+        seed = chain.seed if seed is None else seed
+        generators = {t: prediction_rng(seed, stream, t) for t in range(1, T + 1)}
 
     by_time: dict[int, list[int]] = {}
     for i, (_, t, _) in enumerate(locations):
         by_time.setdefault(t, []).append(i)
+    parts = [
+        _TimeDraws(t, loc_idx, locations, design_set, basis, aligned, chain, transforms,
+                   generators[t])
+        for t, loc_idx in sorted(by_time.items())
+    ]
 
-    for t, loc_idx in sorted(by_time.items()):
-        rows = np.array([design_set.row_lookup[locations[i]] for i in loc_idx])
-        x_rows = design_set.matrices[t][rows]
-        s_rows = basis.s[t][rows]
-        t0 = t - 1
-
-        # fine-scale term: stored draw where observed, prior draw elsewhere;
-        # column[row] is the row's column in time t's xi block, -1 if unobserved
-        lo, hi = chain.xi_offsets[t]
-        column = np.full(design_set.N_t(t), -1)
-        column[aligned.obs_idx[t]] = np.arange(aligned.n_t(t))
-        cols = column[rows]
-        observed = cols >= 0
-        unobserved = ~observed
-        n_unobserved = np.count_nonzero(unobserved)
-
-        specs = {}
-        if want_bt:
-            variables = np.array([locations[i][0] for i in loc_idx])
-            specs = {
-                int(ell): transforms.get(int(ell), TransformSpec("identity"))
-                for ell in np.unique(variables)
-            }
-        linked = any(spec.kind != "identity" for spec in specs.values())
-        moments, moments_bt = _Moments(len(loc_idx)), _Moments(len(loc_idx))
-        widest = max(len(loc_idx), hi - lo, T * max(r, p), 1)
-        step = max(1, CHUNK_BYTES // (8 * widest))
-        for a in range(0, J, step):
-            b = min(a + step, J)
-            draws = chain.read("beta", a, b)[:, t0 * p : t * p] @ x_rows.T
-            draws += chain.read("eta", a, b)[:, t0 * r : t * r] @ s_rows.T
-            draws[:, observed] += chain.read("xi", a, b, (lo, hi))[:, cols[observed]]
-            if n_unobserved:
-                sd = np.sqrt(chain.read("sigma_xi2", a, b)[:, t0])[:, None]
-                draws[:, unobserved] += sd * rng.standard_normal((b - a, n_unobserved))
-            moments.add(draws)
-            if linked:
-                bt = np.empty_like(draws)
-                for ell, spec in specs.items():
-                    at = variables == ell
-                    bt[:, at] = spec.inverse(draws[:, at])
-                moments_bt.add(bt)
+    J = chain.num_draws
+    n_loc = len(locations)
+    all_draws = np.zeros((J, n_loc)) if keep_draws else None
+    p = chain.shapes["beta"][1]
+    widest = max(T * max(r, p), chain.shapes["xi"][0], *map(len, by_time.values()), 1)
+    step = max(1, CHUNK_BYTES // (8 * widest))
+    with_prior = any(part.n_unobserved for part in parts)
+    for a in range(0, J, step):
+        b = min(a + step, J)
+        beta, eta, xi = (chain.read(name, a, b) for name in ("beta", "eta", "xi"))
+        sigma_xi2 = chain.read("sigma_xi2", a, b) if with_prior else None
+        for part in parts:
+            draws = part.add(beta, eta, xi, sigma_xi2)
             if keep_draws:
-                all_draws[a:b, loc_idx] = draws
+                all_draws[a:b, part.loc_idx] = draws
 
-        yhat[loc_idx], mspe[loc_idx] = moments.result()
+    yhat, mspe = np.zeros(n_loc), np.zeros(n_loc)
+    want_bt = transforms is not None
+    yhat_bt = np.zeros(n_loc) if want_bt else None
+    mspe_bt = np.zeros(n_loc) if want_bt else None
+    for part in parts:
+        yhat[part.loc_idx], mspe[part.loc_idx] = part.moments.result()
         if want_bt:
-            source = moments_bt if linked else moments
-            yhat_bt[loc_idx], mspe_bt[loc_idx] = source.result()
+            source = part.moments_bt if part.linked else part.moments
+            yhat_bt[part.loc_idx], mspe_bt[part.loc_idx] = source.result()
 
     return PredictionSurface(
         locations=tuple(locations),
@@ -213,19 +252,38 @@ def rls(
     full_predictions: np.ndarray,
     survey_predictions: dict[int, np.ndarray],
 ) -> dict[int, float]:
-    """Relative leave-one-survey-out criterion per survey.
+    """Relative leave-one-survey-out criterion per survey, from the full-data chain's draws.
 
     RLS(m) = sum_j sum_cells (Y_draw - single_survey_mean_m)^2
            / sum_j sum_cells (Y_draw - full_mean)^2,
     with the draws taken from the full-data chain and both sums over the same
-    cells. Values above 1 mean fusing surveys beats survey m alone.
+    cells. Values above 1 mean fusing surveys beats survey m alone. The
+    draws enter only through their per-cell mean and variance
+    (``rls_from_moments``).
     """
     truth_draws = np.asarray(truth_draws, dtype=float)
+    return rls_from_moments(
+        truth_draws.mean(axis=0), truth_draws.var(axis=0), full_predictions, survey_predictions
+    )
+
+
+def rls_from_moments(
+    yhat: np.ndarray,
+    mspe: np.ndarray,
+    full_predictions: np.ndarray,
+    survey_predictions: dict[int, np.ndarray],
+) -> dict[int, float]:
+    """``rls`` from the per-cell mean ``yhat`` and variance ``mspe`` of the truth draws.
+
+    Over J draws, sum_j (Y_j - f)^2 = J * mspe + J * (yhat - f)^2 per cell,
+    and J cancels in the ratio, so ``posterior_y``'s moments are enough.
+    """
+    yhat, mspe = np.asarray(yhat, dtype=float), np.asarray(mspe, dtype=float)
     full_predictions = np.asarray(full_predictions, dtype=float)
-    n = truth_draws.shape[1]
+    n = len(yhat)
     if full_predictions.shape != (n,):
         raise ValidationError("full predictions are misaligned with the truth draws")
-    denom = float(np.sum((truth_draws - full_predictions) ** 2))
+    denom = float(np.sum(mspe + (yhat - full_predictions) ** 2))
     if denom == 0.0:
         raise ValidationError("degenerate criterion: full-chain residuals are all zero")
     out = {}
@@ -233,7 +291,7 @@ def rls(
         pred = np.asarray(pred, dtype=float)
         if pred.shape != (n,):
             raise ValidationError(f"survey {m} predictions are misaligned with the truth draws")
-        out[m] = float(np.sum((truth_draws - pred) ** 2)) / denom
+        out[m] = float(np.sum(mspe + (yhat - pred) ** 2)) / denom
     return out
 
 
@@ -348,15 +406,22 @@ def select_series(chain: PosteriorChain | StoredChain, selector: str) -> np.ndar
 
 
 def write_predictions_csv(surface: PredictionSurface, path: str | Path) -> None:
-    """One row per location; the back-transformed fields are empty when not computed."""
-    empty = [None] * len(surface.locations)
-    columns = zip(
-        surface.locations,
-        surface.yhat,
-        surface.mspe,
-        empty if surface.yhat_backtransformed is None else surface.yhat_backtransformed,
-        empty if surface.mspe_backtransformed is None else surface.mspe_backtransformed,
+    """One row per location; the back-transformed fields are empty when not computed.
+
+    Each row is one %-format line, floats with 17 significant digits, and the
+    unit is quoted once per distinct unit, as ``csv.writer`` would quote it.
+    """
+    columns = [surface.yhat, surface.mspe]
+    if surface.yhat_backtransformed is not None:
+        columns += [surface.yhat_backtransformed, surface.mspe_backtransformed]
+    line = "%d,%d,%s," + float_line(len(columns))
+    if len(columns) == 2:
+        line = line[:-1] + ",,\n"
+    quoted = csv_fields(unit for _, _, unit in surface.locations)
+    rows = (
+        (ell, t, quoted[unit], *values)
+        for (ell, t, unit), *values in zip(surface.locations, *(c.tolist() for c in columns))
     )
     header = ["variable", "time", "unit", "yhat", "mspe", "yhat_backtransformed",
               "mspe_backtransformed"]
-    write_csv(path, header, ((*location, *values) for location, *values in columns))
+    write_csv(path, header, rows, line)

@@ -517,6 +517,26 @@ class TestRlsCommand:
         assert out["cells"] == 4 * 3
         assert all(v > 0 for v in out["rls"].values())
 
+    def test_memory_does_not_grow_with_the_draws(self, tmp_path, monkeypatch, capsys):
+        import tracemalloc
+
+        from arealdlm import predict
+
+        # blocks of 50 draws of the fused chain (24 fine-scale cells), 100 of a survey chain
+        monkeypatch.setattr(predict, "CHUNK_BYTES", 8 * 24 * 50)
+        peaks = {}
+        for draws in (200, 2000):
+            (tmp_path / str(draws)).mkdir()
+            argv = write_rls_project(tmp_path / str(draws), iterations=draws, burn_in=0)
+            assert main(argv) == 0  # once untraced, so no first-call cost is counted
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks[draws] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[2000] - peaks[200]) < 0.1 * peaks[200], peaks
+
     def test_rls_requires_section(self, tmp_path):
         cfg = write_project(tmp_path)
         main(["simulate", "--config", str(cfg)])
@@ -671,6 +691,20 @@ class TestStoredStructures:
         )
         assert out.stdout.splitlines()[-1] == "0 0 False False"
 
+    def test_predict_does_not_import_numpy_ma(self, project):
+        # numpy.ma costs a predict about 13 ms and 1.3 MB; np.unique imports it
+        directory, cfg, rls_argv = project
+        code = (
+            "import sys; from arealdlm.cli import main; "
+            f"code = main(['predict', '--config', {str(cfg)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.splitlines()[-1] == "0 False"
+
     def test_edited_covariates_refused(self, project, capsys):
         directory, cfg, rls_argv = project
         path = directory / "cov.csv"
@@ -787,6 +821,53 @@ class TestStoredStructures:
         written = {p.name for p in directory.rglob("*.json")}
         assert {"manifest.json", "validation.json", "rls.json", "truth_params.json"} <= written
         assert not list(directory.rglob("*.partial"))
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _env_without_blas_threads() -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return env
+
+
+class TestOneBlasThread:
+    """Importing arealdlm sets one BLAS thread unless the environment sets another count."""
+
+    def test_import_defaults_blas_threads_to_one(self):
+        code = "import os, arealdlm; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        for preset, expected in ((None, "1"), ("3", "3")):
+            env = _env_without_blas_threads()
+            if preset is not None:
+                env["OPENBLAS_NUM_THREADS"] = preset
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True)
+            assert out.stdout.strip() == expected
+
+    @pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity") else True,
+        reason="needs two usable CPUs",
+    )
+    def test_fit_bytes_do_not_depend_on_the_cpus(self, tmp_path):
+        # a design large enough for multithreaded BLAS to round differently
+        cfg = write_project(tmp_path, n_units=300, T=2, p=3, r=20, iterations=30, burn_in=10)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        code = (
+            "import os, sys\n"
+            "if sys.argv[1] == 'one':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "from arealdlm.cli import main\n"
+            "sys.exit(main(['fit', '--config', sys.argv[2], '--output', sys.argv[3]]))"
+        )
+        for cpus in ("one", "all"):
+            subprocess.run([sys.executable, "-c", code, cpus, str(cfg), str(tmp_path / cpus)],
+                           env=_env_without_blas_threads(), capture_output=True, check=True)
+        names = ["structures.npz"] + [f"chain0/{g}.npy" for g in
+                                      ("eta", "xi", "beta", "sigma_k2", "sigma_xi2")]
+        differ = [n for n in names
+                  if (tmp_path / "one" / n).read_bytes() != (tmp_path / "all" / n).read_bytes()]
+        assert differ == []
 
 
 # the input files each command reads; rls also reads the files of its surveys

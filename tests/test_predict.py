@@ -35,6 +35,28 @@ def constant_chain(value_eta, T, r, p, n, J=7):
     )
 
 
+def oracle_draws(chain, design_set, basis, aligned, seed):
+    """Every draw at every default prediction location, built from the chain's arrays at once.
+
+    The prior normals at the unobserved cells of time t are the first J rows
+    of ``prediction_rng(seed, 0, t)``.
+    """
+    columns = []
+    for t in range(1, design_set.design.T + 1):
+        y = chain.beta[:, t - 1] @ design_set.matrices[t].T + chain.eta[:, t - 1] @ basis.s[t].T
+        lo, hi = chain.xi_offsets[t]
+        observed = aligned.obs_idx[t]
+        y[:, observed] += chain.xi[:, lo:hi]
+        unobserved = np.setdiff1d(np.arange(design_set.N_t(t)), observed)
+        if len(unobserved):
+            normals = predict.prediction_rng(seed, 0, t).standard_normal(
+                (chain.num_draws, len(unobserved))
+            )
+            y[:, unobserved] += np.sqrt(chain.sigma_xi2[:, t - 1])[:, None] * normals
+        columns.append(y)
+    return np.hstack(columns)
+
+
 @pytest.fixture(scope="module")
 def fitted_toy():
     graph, design, design_set, basis, prior = toy_structures(
@@ -77,9 +99,10 @@ class TestPosteriorY:
 
     def test_variance_matches_two_pass(self, fitted_toy):
         design_set, basis, _, _, chain, aligned = fitted_toy
-        surface = posterior_y(chain, design_set, basis, aligned, keep_draws=True)
-        draws = surface.draws
+        surface = posterior_y(chain, design_set, basis, aligned)
+        draws = oracle_draws(chain, design_set, basis, aligned, chain.seed)
         two_pass = ((draws - draws.mean(axis=0)) ** 2).mean(axis=0)
+        assert np.max(np.abs(surface.yhat - draws.mean(axis=0))) < 1e-12
         assert np.max(np.abs(surface.mspe - two_pass)) < 1e-12
 
     def test_unobserved_cells_have_larger_mspe(self):
@@ -110,16 +133,15 @@ class TestPosteriorY:
     def test_backtransform_is_per_draw_monotone(self, fitted_toy):
         design_set, basis, _, _, chain, aligned = fitted_toy
         transforms = {1: TransformSpec("logit")}
-        surface = posterior_y(
-            chain, design_set, basis, aligned, transforms=transforms, keep_draws=True
-        )
+        surface = posterior_y(chain, design_set, basis, aligned, transforms=transforms)
+        draws = oracle_draws(chain, design_set, basis, aligned, chain.seed)
         expit = TransformSpec("logit").inverse
-        manual = np.array([expit(surface.draws[:, i]).mean() for i in range(5)])
+        manual = np.array([expit(draws[:, i]).mean() for i in range(5)])
         assert np.allclose(surface.yhat_backtransformed[:5], manual, atol=1e-12)
         # per-draw inverse link preserves ordering of draws at each location
         i = 0
-        order = np.argsort(surface.draws[:, i])
-        assert np.all(np.diff(expit(surface.draws[order, i])) >= 0)
+        order = np.argsort(draws[:, i])
+        assert np.all(np.diff(expit(draws[order, i])) >= 0)
 
     def test_location_outside_prediction_set(self, fitted_toy):
         design_set, basis, _, _, chain, aligned = fitted_toy
@@ -166,34 +188,36 @@ class TestStreamedReader:
     def _surfaces(self, stored, **kwargs):
         chain, directory, design_set, basis, aligned = stored
         args = (design_set, basis, aligned)
-        kwargs.update(transforms={1: TransformSpec("logit")}, keep_draws=True)
-        in_memory = posterior_y(chain, *args, rng=np.random.default_rng(3), **kwargs)
-        return in_memory, posterior_y(
-            read_chain(directory), *args, rng=np.random.default_rng(3), **kwargs
-        )
+        kwargs.update(transforms={1: TransformSpec("logit")}, seed=3, keep_draws=True)
+        in_memory = posterior_y(chain, *args, **kwargs)
+        return in_memory, posterior_y(read_chain(directory), *args, **kwargs)
 
     def test_one_block_is_bit_identical(self, stored):
+        chain, _, design_set, basis, aligned = stored
         a, b = self._surfaces(stored)
         for name in ("yhat", "mspe", "yhat_backtransformed", "mspe_backtransformed", "draws"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        # the prior normals of time t are the first rows of prediction_rng(3, 0, t)
+        draws = oracle_draws(chain, design_set, basis, aligned, seed=3)
+        assert np.max(np.abs(a.draws - draws)) < 1e-12
+        assert np.max(np.abs(a.yhat - draws.mean(axis=0))) < 1e-12
 
     def test_blocks_that_do_not_divide_the_draws(self, stored, monkeypatch):
+        # three block sizes, none dividing the draws; the widest row is a draw of xi
         chain, _, design_set, basis, aligned = stored
-        in_memory = posterior_y(
-            chain, design_set, basis, aligned, transforms={1: TransformSpec("logit")},
-            rng=np.random.default_rng(3), keep_draws=True,
-        )
-        per_time = max(len(design_set.layout[t]) for t in (1, 2))
-        monkeypatch.setattr(predict, "CHUNK_BYTES", 8 * per_time * 7)  # 7 draws a block
-        assert chain.num_draws % 7 != 0
-        _, streamed = self._surfaces(stored)
-        unobserved = [i for i, loc in enumerate(streamed.locations) if loc[2] == "u0"]
-        assert unobserved and np.all(streamed.mspe[unobserved] > 0)
-        for name in ("yhat", "yhat_backtransformed", "draws"):
-            assert np.array_equal(getattr(streamed, name), getattr(in_memory, name)), name
-        for name in ("mspe", "mspe_backtransformed"):
-            new, old = getattr(streamed, name), getattr(in_memory, name)
-            assert np.max(np.abs(new - old) / np.abs(old)) <= 1e-12, name
+        whole, _ = self._surfaces(stored)
+        unobserved = [i for i, loc in enumerate(whole.locations) if loc[2] == "u0"]
+        assert unobserved and np.all(whole.mspe[unobserved] > 0)
+        for rows in (7, 13, 64):
+            assert chain.num_draws % rows != 0
+            monkeypatch.setattr(predict, "CHUNK_BYTES", 8 * chain.xi.shape[1] * rows)
+            in_memory, streamed = self._surfaces(stored)
+            for surface in (in_memory, streamed):
+                for name in ("yhat", "yhat_backtransformed", "draws"):
+                    assert np.array_equal(getattr(surface, name), getattr(whole, name)), name
+                for name in ("mspe", "mspe_backtransformed"):
+                    new, old = getattr(surface, name), getattr(whole, name)
+                    assert np.max(np.abs(new - old) / np.abs(old)) <= 1e-12, name
 
     @pytest.mark.parametrize("name", ["xi", "eta"], ids=["column-block", "whole-rows"])
     def test_store_cut_after_opening_refused(self, stored, tmp_path, name):
@@ -212,7 +236,9 @@ def test_prediction_streams_are_not_chain_streams():
     # fit --chains N samples chain i with default_rng(seed + i); the prior
     # draws of predict and rls must come from none of those streams
     seed = 5
-    streams = [predict.prediction_rng(seed, m).standard_normal(8) for m in range(4)]
+    streams = [
+        predict.prediction_rng(seed, m, t).standard_normal(8) for m in range(4) for t in (1, 2, 3)
+    ]
     chains = [np.random.default_rng(seed + i).standard_normal(8) for i in range(100)]
     for k, stream in enumerate(streams):
         assert not any(np.array_equal(stream, other) for other in chains + streams[:k])
@@ -243,6 +269,18 @@ class TestRls:
         base = rls(draws, full, {1: single})[1]
         scaled = rls(3.0 * draws, 3.0 * full, {1: 3.0 * single})[1]
         assert scaled == pytest.approx(base, rel=1e-12)
+
+    def test_moment_form_matches_draw_form(self):
+        rng = np.random.default_rng(62)
+        draws = rng.normal(loc=2.0, size=(300, 9))
+        full = draws.mean(axis=0) + rng.normal(scale=0.1, size=9)
+        surveys = {m: rng.normal(loc=2.0, size=9) for m in (1, 2)}
+        denom = np.sum((draws - full) ** 2)
+        direct = {m: np.sum((draws - pred) ** 2) / denom for m, pred in surveys.items()}
+        moments = predict.rls_from_moments(draws.mean(axis=0), draws.var(axis=0), full, surveys)
+        for values in (rls(draws, full, surveys), moments):
+            for m in surveys:
+                assert values[m] == pytest.approx(direct[m], rel=1e-12, abs=0)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(ValidationError, match="misaligned"):
@@ -383,3 +421,33 @@ class TestFusedCoverageDirection:
         both = np.mean([v for (ell, t, u), v in mspe.items() if ell == 1 and u in covered])
         single = np.mean([v for (ell, t, u), v in mspe.items() if ell == 1 and u not in covered])
         assert both < single
+
+
+@pytest.mark.parametrize("backtransformed", [False, True], ids=["model-scale", "backtransformed"])
+def test_predictions_csv_bytes_match_the_csv_writer(tmp_path, backtransformed):
+    from arealdlm.chainio import write_csv
+
+    rng = np.random.default_rng(70)
+    units = ["u0", 'County 1, "FL"', "a\nb", "a\rb", "", " padded ", "x'y", "semi;colon",
+             "tab\there"]
+    locations = tuple((ell, t, unit) for t in (1, 2) for ell in (1, 2) for unit in units)
+    n = len(locations)
+    values = rng.normal(scale=1e3, size=(4, n)) * 10.0 ** rng.integers(-12, 12, size=(4, n))
+    values[0, :3] = [0.0, -0.0, 1 / 3]
+    surface = predict.PredictionSurface(
+        locations, values[0], np.abs(values[1]),
+        values[2] if backtransformed else None,
+        np.abs(values[3]) if backtransformed else None,
+        num_draws=5,
+    )
+    predict.write_predictions_csv(surface, tmp_path / "fast.csv")
+    empty = [None] * n
+    columns = zip(
+        locations, values[0], np.abs(values[1]),
+        values[2] if backtransformed else empty, np.abs(values[3]) if backtransformed else empty,
+    )
+    header = ["variable", "time", "unit", "yhat", "mspe", "yhat_backtransformed",
+              "mspe_backtransformed"]
+    write_csv(tmp_path / "csv.csv", header, ((*loc, *rest) for loc, *rest in columns))
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
+    assert not list(tmp_path.glob("*.partial"))
