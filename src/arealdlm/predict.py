@@ -33,7 +33,7 @@ from .data import (
     TransformSpec,
 )
 from .errors import ChainStateError, ValidationError
-from .export import float_line
+from .export import FLOAT_FMT
 from .prior import PriorStructure
 from .sampler import CHUNK_BYTES, PosteriorChain, _draw_path, _path_factors, _transitions
 
@@ -216,13 +216,11 @@ def posterior_y(
     p = chain.shapes["beta"][1]
     widest = max(T * max(r, p), chain.shapes["xi"][0], *map(len, by_time.values()), 1)
     step = max(1, CHUNK_BYTES // (8 * widest))
-    with_prior = any(part.n_unobserved for part in parts)
     for a in range(0, J, step):
         b = min(a + step, J)
-        beta, eta, xi = (chain.read(name, a, b) for name in ("beta", "eta", "xi"))
-        sigma_xi2 = chain.read("sigma_xi2", a, b) if with_prior else None
+        rows = [chain.read(name, a, b) for name in ("beta", "eta", "xi", "sigma_xi2")]
         for part in parts:
-            draws = part.add(beta, eta, xi, sigma_xi2)
+            draws = part.add(*rows)
             if keep_draws:
                 all_draws[a:b, part.loc_idx] = draws
 
@@ -414,9 +412,8 @@ def write_predictions_csv(surface: PredictionSurface, path: str | Path) -> None:
     columns = [surface.yhat, surface.mspe]
     if surface.yhat_backtransformed is not None:
         columns += [surface.yhat_backtransformed, surface.mspe_backtransformed]
-    line = "%d,%d,%s," + float_line(len(columns))
-    if len(columns) == 2:
-        line = line[:-1] + ",,\n"
+    fields = ["%d", "%d", "%s"] + [FLOAT_FMT] * len(columns)
+    line = ",".join(fields + [""] * (7 - len(fields))) + "\n"
     quoted = csv_fields(unit for _, _, unit in surface.locations)
     rows = (
         (ell, t, quoted[unit], *values)
