@@ -8,7 +8,10 @@ parent commit and this one). Each case's inputs are written once and copied
 into one directory per tree. Both trees then run ``simulate``, ``validate``,
 ``basis``, ``prior``, ``fit --chains 2`` (``--chains 1`` on ``wide``) and
 ``predict`` in a fresh process with ``PYTHONPATH`` set to that tree. ``fit``
-also writes the ``--trace`` files of ``TRACES``.
+also writes the ``--trace`` files of ``TRACES``. Both trees get the caller's
+environment; a tree from before ``arealdlm`` defaulted to one BLAS thread
+gives bytes that depend on the thread count, so compare such a tree with
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to 1.
 
 Cases: the benchmark inputs of ``perfbench/run.py`` for ``profile`` and
 ``wide`` (seed 1), and the ``tests/test_cli.py`` project plain, with

@@ -4,10 +4,16 @@ import os
 
 # BLAS thread pools are sized from these when numpy is first imported. One thread unless
 # the environment says otherwise: with more, a multithreaded BLAS rounds differently with
-# each thread count, so the bytes of a fit would depend on how many CPUs it may use.
+# each thread count, so the bytes of a fit would depend on how many CPUs it may use. The
+# names set here are removed once numpy is imported, so they reach no other library and
+# no child process.
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-for _name in _BLAS_THREAD_VARIABLES:
-    os.environ.setdefault(_name, "1")
+_set_here = [name for name in _BLAS_THREAD_VARIABLES if name not in os.environ]
+os.environ.update(dict.fromkeys(_set_here, "1"))
+import numpy as _numpy  # noqa: E402, F401  (sizes the BLAS pools)
+
+for _name in _set_here:
+    os.environ.pop(_name, None)
 
 from .basis import (
     BasisSystem,

@@ -185,7 +185,7 @@ def cmd_predict(cfg: RunConfig, chain_dir: str | None) -> int:
         structures.basis,
         aligned,
         transforms=cfg.transforms,
-        seed=cfg.seed,
+        rng=predict.prediction_rng(cfg.seed),
     )
     cfg.output.mkdir(parents=True, exist_ok=True)
     out = cfg.output / "predictions.csv"
@@ -289,7 +289,7 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
         structures.basis,
         aligned_full,
         locations=cells,
-        seed=cfg.seed,
+        rng=predict.prediction_rng(cfg.seed),
     )
     survey_means = {}
     for m, (d, digests) in enumerate(zip(survey_chain_dirs, survey_inputs), start=1):
@@ -301,8 +301,7 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
             structures.basis,
             aligned_m,
             locations=cells,
-            seed=cfg.seed,
-            stream=m,
+            rng=predict.prediction_rng(cfg.seed, m),
         )
         survey_means[m] = surface_m.yhat
     values = predict.rls_from_moments(

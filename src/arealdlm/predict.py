@@ -11,8 +11,9 @@ reads blocks of whole rows of at most ``CHUNK_BYTES`` (the budget of
 ``sampler``, which also caps the draws a fit holds between two flushes), one
 read per group and block, and merges each time's per-location moments block
 by block, so its memory does not grow with the chain. The prior normals of
-time t come from a generator of their own (``prediction_rng``), so the
-result does not depend on the block size. ``rls`` needs only those moments.
+time t come from a child generator of their own, spawned from
+``prediction_rng``, so the result does not depend on the block size.
+``rls`` needs only those moments.
 """
 
 from __future__ import annotations
@@ -38,15 +39,15 @@ from .prior import PriorStructure
 from .sampler import CHUNK_BYTES, PosteriorChain, _draw_path, _path_factors, _transitions
 
 
-def prediction_rng(seed: int, stream: int, t: int) -> np.random.Generator:
-    """The generator of time t's prior draws at unobserved cells for the run seed ``seed``.
+def prediction_rng(seed: int, stream: int = 0) -> np.random.Generator:
+    """The generator of the prior draws at unobserved cells for the run seed ``seed``.
 
     Stream 0 serves ``predict`` and the full-data chain of ``rls``, stream m
-    the chain of survey m. Each is the child ``spawn_key=(stream, t)`` of
+    the chain of survey m. Each is the child ``spawn_key=(stream,)`` of
     ``SeedSequence(seed)``; a chain's sampler uses ``default_rng(seed + i)``,
     whose spawn key is empty, so no chain's stream is a prediction stream.
     """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream, t)))
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(stream,)))
 
 
 @dataclass(frozen=True)
@@ -156,8 +157,6 @@ def posterior_y(
     aligned: AlignedData,
     locations: list[tuple[int, int, str]] | None = None,
     transforms: dict[int, TransformSpec] | None = None,
-    seed: int | None = None,
-    stream: int = 0,
     rng: np.random.Generator | None = None,
     keep_draws: bool = False,
 ) -> PredictionSurface:
@@ -171,11 +170,11 @@ def posterior_y(
     block; within a block each time's draws are formed and added to its
     moments. So memory does not grow with the number of draws (except the
     draws that ``keep_draws`` returns). The prior normals of time t are drawn
-    in draw order from ``prediction_rng(seed, stream, t)`` (``seed`` defaults
-    to the chain's), or from child t − 1 of ``rng.spawn(T)`` when a generator
-    is given, so they do not depend on the block size. A chain whose
-    fine-scale block at some t is wider or narrower than the observed cells
-    there was fitted to other observations: that is a ``ChainStateError``.
+    in draw order from child t − 1 of ``rng.spawn(T)`` (``rng`` defaults to
+    ``prediction_rng`` of the chain's seed), so they do not depend on the
+    block size. A chain whose fine-scale block at some t is wider or narrower
+    than the observed cells there was fitted to other observations: that is a
+    ``ChainStateError``.
     """
     design = design_set.design
     if locations is None:
@@ -195,18 +194,16 @@ def posterior_y(
                 f"observations have {aligned.n_t(t)}; refit after changing the observations"
             )
     T, r = chain.shapes["eta"]
-    if rng is not None:
-        generators = dict(zip(range(1, T + 1), rng.spawn(T)))
-    else:
-        seed = chain.seed if seed is None else seed
-        generators = {t: prediction_rng(seed, stream, t) for t in range(1, T + 1)}
+    if rng is None:
+        rng = prediction_rng(chain.seed)
+    generators = rng.spawn(T)
 
     by_time: dict[int, list[int]] = {}
     for i, (_, t, _) in enumerate(locations):
         by_time.setdefault(t, []).append(i)
     parts = [
         _TimeDraws(t, loc_idx, locations, design_set, basis, aligned, chain, transforms,
-                   generators[t])
+                   generators[t - 1])
         for t, loc_idx in sorted(by_time.items())
     ]
 

@@ -836,8 +836,23 @@ class TestOneBlasThread:
     """Importing arealdlm sets one BLAS thread unless the environment sets another count."""
 
     def test_import_defaults_blas_threads_to_one(self):
-        code = "import os, arealdlm; print(os.environ['OPENBLAS_NUM_THREADS'])"
-        for preset, expected in ((None, "1"), ("3", "3")):
+        # what numpy sees when it is imported, then what is left in the environment
+        code = (
+            "import os, sys\n"
+            f"names = {BLAS_THREAD_VARIABLES!r}\n"
+            "seen = []\n"
+            "class Spy:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name == 'numpy' and not seen:\n"
+            "            seen.append([os.environ.get(n) for n in names])\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "import arealdlm\n"
+            "print(seen[0], [os.environ.get(n) for n in names])\n"
+        )
+        for preset, expected in (
+            (None, "['1', '1', '1'] [None, None, None]"),
+            ("3", "['3', '1', '1'] ['3', None, None]"),
+        ):
             env = _env_without_blas_threads()
             if preset is not None:
                 env["OPENBLAS_NUM_THREADS"] = preset

@@ -39,9 +39,10 @@ def oracle_draws(chain, design_set, basis, aligned, seed):
     """Every draw at every default prediction location, built from the chain's arrays at once.
 
     The prior normals at the unobserved cells of time t are the first J rows
-    of ``prediction_rng(seed, 0, t)``.
+    of child t - 1 of ``prediction_rng(seed).spawn(T)``.
     """
     columns = []
+    generators = predict.prediction_rng(seed).spawn(design_set.design.T)
     for t in range(1, design_set.design.T + 1):
         y = chain.beta[:, t - 1] @ design_set.matrices[t].T + chain.eta[:, t - 1] @ basis.s[t].T
         lo, hi = chain.xi_offsets[t]
@@ -49,7 +50,7 @@ def oracle_draws(chain, design_set, basis, aligned, seed):
         y[:, observed] += chain.xi[:, lo:hi]
         unobserved = np.setdiff1d(np.arange(design_set.N_t(t)), observed)
         if len(unobserved):
-            normals = predict.prediction_rng(seed, 0, t).standard_normal(
+            normals = generators[t - 1].standard_normal(
                 (chain.num_draws, len(unobserved))
             )
             y[:, unobserved] += np.sqrt(chain.sigma_xi2[:, t - 1])[:, None] * normals
@@ -188,16 +189,18 @@ class TestStreamedReader:
     def _surfaces(self, stored, **kwargs):
         chain, directory, design_set, basis, aligned = stored
         args = (design_set, basis, aligned)
-        kwargs.update(transforms={1: TransformSpec("logit")}, seed=3, keep_draws=True)
-        in_memory = posterior_y(chain, *args, **kwargs)
-        return in_memory, posterior_y(read_chain(directory), *args, **kwargs)
+        kwargs.update(transforms={1: TransformSpec("logit")}, keep_draws=True)
+        in_memory = posterior_y(chain, *args, rng=predict.prediction_rng(3), **kwargs)
+        return in_memory, posterior_y(
+            read_chain(directory), *args, rng=predict.prediction_rng(3), **kwargs
+        )
 
     def test_one_block_is_bit_identical(self, stored):
         chain, _, design_set, basis, aligned = stored
         a, b = self._surfaces(stored)
         for name in ("yhat", "mspe", "yhat_backtransformed", "mspe_backtransformed", "draws"):
             assert np.array_equal(getattr(a, name), getattr(b, name)), name
-        # the prior normals of time t are the first rows of prediction_rng(3, 0, t)
+        # the prior normals of time t are the first rows of prediction_rng(3).spawn(T)[t - 1]
         draws = oracle_draws(chain, design_set, basis, aligned, seed=3)
         assert np.max(np.abs(a.draws - draws)) < 1e-12
         assert np.max(np.abs(a.yhat - draws.mean(axis=0))) < 1e-12
@@ -229,7 +232,13 @@ class TestStreamedReader:
         path = tmp_path / "chain" / f"{name}.npy"
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ChainStateError, match=f"the chain store {path} is short"):
-            posterior_y(opened, design_set, basis, aligned)
+            if name == "xi":
+                # one column, a seek and a read per row; the cut takes the last row's last cell
+                T = opened.shapes["eta"][0]
+                lo, hi = opened.xi_offsets[T]
+                select_series(opened, f"xi[{T},{hi - lo - 1}]")
+            else:
+                posterior_y(opened, design_set, basis, aligned)
 
 
 def test_prediction_streams_are_not_chain_streams():
@@ -237,7 +246,9 @@ def test_prediction_streams_are_not_chain_streams():
     # draws of predict and rls must come from none of those streams
     seed = 5
     streams = [
-        predict.prediction_rng(seed, m, t).standard_normal(8) for m in range(4) for t in (1, 2, 3)
+        child.standard_normal(8)
+        for m in range(4)
+        for child in predict.prediction_rng(seed, m).spawn(3)
     ]
     chains = [np.random.default_rng(seed + i).standard_normal(8) for i in range(100)]
     for k, stream in enumerate(streams):
