@@ -8,12 +8,12 @@ locations carries the fine-scale variance floor. ``posterior_y`` and
 chain in memory (``sampler.PosteriorChain``) and one on disk
 (``chainio.StoredChain``). ``posterior_y`` makes one pass over the chain: it
 reads blocks of whole rows of at most ``CHUNK_BYTES`` (the budget of
-``sampler``, which also caps the draws a fit holds between two flushes), one
-read per group and block, and merges each time's per-location moments block
-by block, so its memory does not grow with the chain. The prior normals of
-time t come from a child generator of their own, spawned from
-``prediction_rng``, so the result does not depend on the block size.
-``rls`` needs only those moments.
+``sampler``, which also caps the draws a fit holds between two flushes) but
+at least ``MIN_BLOCK_DRAWS`` rows, one read per group and block, and merges
+each time's per-location moments block by block, so its memory does not
+grow with the chain. The prior normals of time t come from a child
+generator of their own, spawned from ``prediction_rng``, so the result does
+not depend on the block size. ``rls`` needs only those moments.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ from .errors import ChainStateError, ValidationError
 from .export import FLOAT_FMT
 from .prior import PriorStructure
 from .sampler import CHUNK_BYTES, PosteriorChain, _draw_path, _path_factors, _transitions
+
+# Fewest draws in a block of ``posterior_y``: each block costs every time a few
+# small products and generator calls. 16 draws of xi at 45 k cells are 5.8 MB.
+MIN_BLOCK_DRAWS = 16
 
 
 def prediction_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -166,14 +170,15 @@ def posterior_y(
     term (stored at observed cells, drawn from its prior elsewhere);
     back-transformed summaries invert the declared link per draw before
     averaging. The chain is read in one pass, in blocks of whole rows of at
-    most ``CHUNK_BYTES`` for the widest row, one ``read`` per group and
-    block; within a block each time's draws are formed and added to its
-    moments. So memory does not grow with the number of draws (except the
-    draws that ``keep_draws`` returns). The prior normals of time t are drawn
+    most ``CHUNK_BYTES`` for the widest row but at least ``MIN_BLOCK_DRAWS``
+    rows, one ``read`` per group and block; within a block each time's draws
+    are formed and added to its moments. So memory does not grow with the
+    number of draws (except the draws that ``keep_draws`` returns). The prior normals of time t are drawn
     in draw order from child t − 1 of ``rng.spawn(T)`` (``rng`` defaults to
     ``prediction_rng`` of the chain's seed), so they do not depend on the
     block size. A chain whose fine-scale block at some t is wider or narrower
-    than the observed cells there was fitted to other observations: that is a
+    than the observed cells there was fitted to other observations, and a
+    chain with no stored draws has nothing to average: each is a
     ``ChainStateError``.
     """
     design = design_set.design
@@ -193,6 +198,10 @@ def posterior_y(
                 f"the chain holds {hi - lo} fine-scale cells at t={t} but the "
                 f"observations have {aligned.n_t(t)}; refit after changing the observations"
             )
+    if chain.num_draws == 0:
+        where = f"at {chain.directory}" if isinstance(chain, StoredChain) else "in memory"
+        raise ChainStateError(f"the chain {where} holds no stored draws (its fit stopped "
+                              "in burn-in); run fit again")
     T, r = chain.shapes["eta"]
     if rng is None:
         rng = prediction_rng(chain.seed)
@@ -212,7 +221,7 @@ def posterior_y(
     all_draws = np.zeros((J, n_loc)) if keep_draws else None
     p = chain.shapes["beta"][1]
     widest = max(T * max(r, p), chain.shapes["xi"][0], *map(len, by_time.values()), 1)
-    step = max(1, CHUNK_BYTES // (8 * widest))
+    step = max(MIN_BLOCK_DRAWS, CHUNK_BYTES // (8 * widest))
     for a in range(0, J, step):
         b = min(a + step, J)
         rows = [chain.read(name, a, b) for name in ("beta", "eta", "xi", "sigma_xi2")]

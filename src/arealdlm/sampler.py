@@ -17,14 +17,16 @@ time-major, with one ``(start, stop)`` row block per time (the layout of
 ``sample_sigma_xi`` take those blocks and draw every time in one call, bit
 for bit the per-time calls in time order.
 
-Each constant has one builder: ``_information`` gives S'V^-1 and S'V^-1 S,
-``_beta_moments`` the stacked regression-coefficient posterior covariances,
-their factors and X'V^-1, and ``_scale_factors`` the factors of K*_1 and
-W*_t and their inverses. The public conditionals call them on every call;
-``_Precomputed`` calls them once per chain, and ``_sweep`` passes the
-results in, with one ``_basis_term`` (S_t eta_t per cell) for both
-``sample_xi`` and ``sample_beta``. A time with nothing observed needs no
-branch: the empty products give zero information.
+Each observed-cell array is held once (the observed rows of X_t and S_t, z
+and v); V is diagonal, so S'V^-1 y is S'(y / v) per row block. Each constant
+has one builder: ``_gram`` gives S'V^-1 S, ``_beta_moments`` the stacked
+regression-coefficient posterior covariances and their factors, and
+``_scale_factors`` the factors of K*_1 and W*_t and their inverses. The
+public conditionals call them on every call; ``_Precomputed`` calls them
+once per chain, and ``_sweep`` passes the results in, with one
+``_basis_term`` (S_t eta_t per cell, and X_t beta_t) for both ``sample_xi``
+and ``sample_beta``. A time with nothing observed needs no branch: the
+empty products give zero information.
 
 The latent path follows eta_1 ~ N(0, sigma_k2 K*_1) and eta_t = M_t
 eta_{t-1} + u_t with u_t ~ N(0, sigma_k2 W*_t). ``_transitions`` is the one
@@ -116,10 +118,9 @@ class FilterResult:
     covs_pred: np.ndarray  # (T, r, r)
 
 
-def _information(s: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S' V^-1, S' V^-1 S) for diagonal V; zeros when nothing is observed."""
-    sv = s.T / v
-    return sv, sv @ s
+def _gram(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """S' V^-1 S for diagonal V; zeros when nothing is observed."""
+    return (s.T / v) @ s
 
 
 def _stack(mats, r: int) -> np.ndarray:
@@ -137,7 +138,7 @@ def _filter_core(
     """Covariance-form filter from the observation sufficient statistics.
 
     h_seq[i] = S_i' V_i^-1 z_i and g_seq[i] = S_i' V_i^-1 S_i (see
-    ``_information``); m_seq[i] propagates state i to i+1. The one step per
+    ``_gram``); m_seq[i] propagates state i to i+1. The one step per
     time that needs the step before is a single r x r inverse: from the
     predicted mean a and covariance R, the filtered moments are
     (I + R G)^-1 R and (I + R G)^-1 (a + R h). I + R G is nonsingular for
@@ -215,9 +216,8 @@ def kalman_filter(
             raise ValidationError(f"non-finite filter input at index {i}")
         if not np.all(v > 0):
             raise ValidationError(f"measurement variances must be positive at index {i}")
-        sv, g = _information(s, v)
-        h_seq.append(sv @ z)
-        g_seq.append(g)
+        h_seq.append(s.T @ (z / v))
+        g_seq.append(_gram(s, v))
     return _filter_core(h_seq, g_seq, m_seq, k1, w_seq)
 
 
@@ -275,7 +275,7 @@ def _one_block(n: int, *per_time):
 
 
 def _basis_term(s: np.ndarray, eta: np.ndarray, blocks: list[tuple[int, int]]) -> np.ndarray:
-    """S_t eta_t for every cell, one product per row block."""
+    """S_t eta_t for every cell, one product per row block (also X_t beta_t, from x and beta)."""
     out = np.empty(s.shape[0])
     for i, (a, b) in enumerate(blocks):
         out[a:b] = s[a:b] @ eta[i]
@@ -309,9 +309,7 @@ def sample_xi(
         blocks, beta_t, eta_t, sigma_xi2_t = _one_block(z_t.shape[0], beta_t, eta_t, sigma_xi2_t)
     if basis_term is None:
         basis_term = _basis_term(s_t, eta_t, blocks)
-    resid = np.empty(z_t.shape[0])
-    for i, (a, b) in enumerate(blocks):
-        resid[a:b] = z_t[a:b] - x_t[a:b] @ beta_t[i] - basis_term[a:b]
+    resid = z_t - _basis_term(x_t, beta_t, blocks) - basis_term
     sigma2 = np.repeat(np.ravel(sigma_xi2_t), [b - a for a, b in blocks])
     var = 1.0 / (1.0 / v_t + 1.0 / sigma2)
     mean = var * resid / v_t
@@ -322,17 +320,15 @@ def _beta_moments(
     x: np.ndarray,
     v: np.ndarray,
     hyper: Hyperparams,
-    blocks: list[tuple[int, int]] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(posterior covariances, their factors, X' V^-1) of the coefficients.
+    blocks: list[tuple[int, int]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """(posterior covariances, their factors) of the coefficients.
 
-    The covariances and factors are (k, p, p) stacks, one per row block
-    (default: all rows are one time), each from one batched call.
+    Both are (k, p, p) stacks, one per row block, each from one batched call.
     """
-    xv = x.T / v
-    gram = np.stack([xv[:, a:b] @ x[a:b] for a, b in blocks or [(0, x.shape[0])]])
+    gram = np.stack([_gram(x[a:b], v[a:b]) for a, b in blocks])
     cov = inv_spd(gram + np.eye(x.shape[1]) / hyper.sigma_beta2)
-    return cov, chol_psd(cov), xv
+    return cov, chol_psd(cov)
 
 
 def sample_beta(
@@ -344,7 +340,7 @@ def sample_beta(
     v_t: np.ndarray,
     hyper: Hyperparams,
     rng: np.random.Generator,
-    precomputed: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    precomputed: tuple[np.ndarray, np.ndarray] | None = None,
     blocks: list[tuple[int, int]] | None = None,
     basis_term: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -362,8 +358,9 @@ def sample_beta(
     if basis_term is None:
         basis_term = _basis_term(s_t, eta_t, blocks)
     p = x_t.shape[1]
-    cov, factor, xv = precomputed or _beta_moments(x_t, v_t, hyper, blocks)
-    info = np.stack([xv[:, a:b] @ (z_t[a:b] - xi_t[a:b] - basis_term[a:b]) for a, b in blocks])
+    cov, factor = precomputed or _beta_moments(x_t, v_t, hyper, blocks)
+    w = (z_t - xi_t - basis_term) / v_t
+    info = np.stack([x_t[a:b].T @ w[a:b] for a, b in blocks])
     mean = (cov @ (info + hyper.mu_beta_vector(p) / hyper.sigma_beta2)[..., None])[..., 0]
     draw = mean + (factor @ rng.standard_normal((len(blocks), p))[..., None])[..., 0]
     return draw[0] if single else draw
@@ -561,28 +558,23 @@ class _Precomputed:
         self.T = design.T
         self.r = basis.r
         self.p = design.p
-        self.times = list(range(1, self.T + 1))
-        x_obs, s_obs = [], []
-        self.sv = []  # S' V^-1 per time
-        self.g = []  # S' V^-1 S per time
         self.xi_offsets = aligned.offsets()
-        for t in self.times:
-            idx = aligned.obs_idx[t]
-            x_obs.append(design_set.matrices[t][idx])
-            s_obs.append(basis.s[t][idx])
-            sv, g = _information(s_obs[-1], aligned.v[t])
-            self.sv.append(sv)
-            self.g.append(g)
         self.blocks = list(self.xi_offsets.values())
-        self.x = np.concatenate(x_obs)
-        self.s = np.concatenate(s_obs)
-        self.z = np.concatenate([aligned.z[t] for t in self.times])
+        self.z = np.concatenate([aligned.z[t] for t in self.xi_offsets])
+        self.v = np.concatenate([aligned.v[t] for t in self.xi_offsets])
         self.n_total = len(self.z)
-        self.v = np.concatenate([aligned.v[t] for t in self.times])
+        # the indices are in range; a checked take copies through a buffer
+        self.x = np.empty((self.n_total, self.p))
+        self.s = np.empty((self.n_total, self.r))
+        for t, (a, b) in self.xi_offsets.items():
+            idx = aligned.obs_idx[t]
+            np.take(design_set.matrices[t], idx, axis=0, out=self.x[a:b], mode="clip")
+            np.take(basis.s[t], idx, axis=0, out=self.s[a:b], mode="clip")
+        self.g = np.stack([_gram(self.s[a:b], self.v[a:b]) for a, b in self.blocks])
         self.beta_pre = _beta_moments(self.x, self.v, hyper, self.blocks)
         self.m_seq = _transitions(basis)
         self.k1_star = prior.k_star[1]
-        self.w_star_seq = _stack([prior.w_star[t] for t in self.times[1:]], self.r)
+        self.w_star_seq = _stack([prior.w_star[t] for t in range(2, self.T + 1)], self.r)
         self.scale_factors = _scale_factors(self.k1_star, self.w_star_seq)
 
 
@@ -622,10 +614,8 @@ def _sweep(
     its module-global name, so a wrapper bound to that name sees every sweep.
     """
     # latent coefficient path
-    h_seq = [
-        pre.sv[i] @ (pre.z[a:b] - pre.x[a:b] @ state.beta[i] - state.xi[a:b])
-        for i, (a, b) in enumerate(pre.blocks)
-    ]
+    resid = (pre.z - _basis_term(pre.x, state.beta, pre.blocks) - state.xi) / pre.v
+    h_seq = [pre.s[a:b].T @ resid[a:b] for a, b in pre.blocks]
     filt = _filter_core(
         h_seq, pre.g, pre.m_seq, state.sigma_k2 * pre.k1_star, state.sigma_k2 * pre.w_star_seq
     )

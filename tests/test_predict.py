@@ -1,10 +1,18 @@
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from arealdlm import predict
-from arealdlm.chainio import ChainWriter, read_chain
+from arealdlm.chainio import ChainWriter, StoredChain, read_chain
+from arealdlm.cli import main
 from arealdlm.data import TransformSpec, align_observations
 from arealdlm.errors import ChainStateError, ValidationError
 from arealdlm.predict import (
@@ -15,6 +23,7 @@ from arealdlm.predict import (
 )
 from arealdlm.sampler import Hyperparams, PosteriorChain, gibbs_run
 
+from test_cli import write_project
 from util import toy_structures
 
 
@@ -211,6 +220,7 @@ class TestStreamedReader:
         whole, _ = self._surfaces(stored)
         unobserved = [i for i, loc in enumerate(whole.locations) if loc[2] == "u0"]
         assert unobserved and np.all(whole.mspe[unobserved] > 0)
+        monkeypatch.setattr(predict, "MIN_BLOCK_DRAWS", 1)  # blocks narrower than the floor
         for rows in (7, 13, 64):
             assert chain.num_draws % rows != 0
             monkeypatch.setattr(predict, "CHUNK_BYTES", 8 * chain.xi.shape[1] * rows)
@@ -221,6 +231,27 @@ class TestStreamedReader:
                 for name in ("mspe", "mspe_backtransformed"):
                     new, old = getattr(surface, name), getattr(whole, name)
                     assert np.max(np.abs(new - old) / np.abs(old)) <= 1e-12, name
+
+    def test_wide_draws_read_in_blocks_of_at_least_the_floor(self, stored, monkeypatch):
+        # one draw of xi is more than half of CHUNK_BYTES, so the byte budget
+        # alone would read one draw a block; the floor keeps the reads per group
+        # at ceil(J / MIN_BLOCK_DRAWS), and the surface does not change
+        chain, directory, design_set, basis, aligned = stored
+        whole, _ = self._surfaces(stored)
+        monkeypatch.setattr(predict, "CHUNK_BYTES", 8 * chain.xi.shape[1] * 3 // 2)
+        reads = {}
+        original = StoredChain.read
+
+        def counted(self, name, *args, **kwargs):
+            reads[name] = reads.get(name, 0) + 1
+            return original(self, name, *args, **kwargs)
+
+        monkeypatch.setattr(StoredChain, "read", counted)
+        _, streamed = self._surfaces(stored)
+        most = -(-chain.num_draws // predict.MIN_BLOCK_DRAWS)
+        assert reads and all(0 < count <= most for count in reads.values()), reads
+        for name in ("yhat", "yhat_backtransformed", "draws"):
+            assert np.array_equal(getattr(streamed, name), getattr(whole, name)), name
 
     @pytest.mark.parametrize("name", ["xi", "eta"], ids=["column-block", "whole-rows"])
     def test_store_cut_after_opening_refused(self, stored, tmp_path, name):
@@ -462,3 +493,31 @@ def test_predictions_csv_bytes_match_the_csv_writer(tmp_path, backtransformed):
     write_csv(tmp_path / "csv.csv", header, ((*loc, *rest) for loc, *rest in columns))
     assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "csv.csv").read_bytes()
     assert not list(tmp_path.glob("*.partial"))
+
+
+def test_predict_refuses_a_fit_stopped_in_burn_in(tmp_path, capsys):
+    # a fit interrupted after a flush in burn-in leaves a manifest with
+    # stored_draws 0; predict must not average over no draws (it used to write
+    # nan in every field) but exit 4 with one error line and write nothing
+    cfg = write_project(tmp_path, iterations=100_000, burn_in=99_000)
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    manifest = tmp_path / "out" / "chain0" / "manifest.json"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    fit = subprocess.Popen(
+        [sys.executable, "-m", "arealdlm.cli", "fit", "--config", str(cfg)],
+        env=env, stderr=subprocess.DEVNULL, process_group=0,
+    )
+    deadline = time.monotonic() + 120
+    while not manifest.exists() and time.monotonic() < deadline:  # the first flush
+        time.sleep(0.01)
+    os.killpg(fit.pid, signal.SIGINT)
+    assert fit.wait(timeout=120) != 0
+    assert json.loads(manifest.read_text())["stored_draws"] == 0
+
+    capsys.readouterr()
+    assert main(["predict", "--config", str(cfg)]) == 4
+    errors = capsys.readouterr().err.splitlines()
+    assert len(errors) == 1 and errors[0].startswith("error: "), errors
+    assert "holds no stored draws" in errors[0] and "run fit again" in errors[0]
+    assert str(manifest.parent) in errors[0]
+    assert not (tmp_path / "out" / "predictions.csv").exists()

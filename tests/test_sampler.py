@@ -635,3 +635,28 @@ class TestGibbsRun:
         assert calls
         assert len(tracker.dims) >= len(calls)
         assert max(calls) <= 3 and tracker.max_dim <= 3
+
+
+def test_precomputed_holds_the_observed_design_once():
+    # the sampler's constants peak near the bytes of the arrays it keeps: the
+    # observed rows of X_t and S_t, z and v, and the per-time stacks. No
+    # S'V^-1 or X'V^-1 copy and no per-time list of gathered rows; what is
+    # left above them is one time's transient Gram product (r x n_t)
+    import tracemalloc
+
+    _, _, design_set, basis, prior = toy_structures(
+        n_units=400, T=8, p=2, r=10, seed=47, time_varying=True
+    )
+    truth = simulate(design_set, basis, prior, np.array([0.2, -0.1]), 1.0, 0.05, 0.1, seed=48)
+    aligned = align_observations(design_set, truth.observations)
+    hyper = Hyperparams()
+    _Precomputed(design_set, basis, prior, aligned, hyper)  # first calls allocate caches once
+    tracemalloc.start()
+    try:
+        pre = _Precomputed(design_set, basis, prior, aligned, hyper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = (pre.x, pre.s, pre.z, pre.v, pre.g, *pre.beta_pre, *pre.scale_factors, pre.w_star_seq)
+    assert pre.s.shape == (3200, 10)
+    assert peak <= 1.2 * sum(a.nbytes for a in kept)
