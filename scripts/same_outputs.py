@@ -7,26 +7,34 @@ OLD_SRC and NEW_SRC are ``src/`` directories (for example a checkout of the
 parent commit and this one). Each case's inputs are written once and copied
 into one directory per tree. Both trees then run ``simulate``, ``validate``,
 ``basis``, ``prior``, ``fit --chains 2`` (``--chains 1`` on ``wide``) and
-``predict`` in a fresh process with ``PYTHONPATH`` set to that tree. ``fit``
-also writes the ``--trace`` files of ``TRACES``. Both trees get the caller's
-environment; a tree from before ``arealdlm`` defaulted to one BLAS thread
-gives bytes that depend on the thread count, so compare such a tree with
-``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to 1.
+``predict``, each in a fresh process with ``PYTHONPATH`` set to that tree.
+``fit`` also writes the ``--trace`` files of ``TRACES``. On the ``project``
+case both trees then split the simulated observations into two surveys by
+unit (``SURVEY_1_UNITS`` and the rest, as ``tests/test_cli.py`` does), fit
+each survey into ``out_s1`` and ``out_s2``, and run ``rls``. Both trees get
+the caller's environment; a tree from before ``arealdlm`` defaulted to one
+BLAS thread gives bytes that depend on the thread count, so compare such a
+tree with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+``MKL_NUM_THREADS`` set to 1.
 
 Cases: the benchmark inputs of ``perfbench/run.py`` for ``profile`` and
 ``wide`` (seed 1), and the ``tests/test_cli.py`` project plain, with
 ``pooled = true``, with ``prior_form = direct`` and with a simulation mask
 (``missing_units`` plus ``missing_fraction``).
 
-Every output file (chains, trace CSVs, manifests, predictions, truth,
-``basis/``, ``prior/``) is compared byte for byte. Command logs are compared after the
-work directory is replaced by a placeholder. The script lists each differing
-file and exits 1 on any difference or failed command. A differing CSV file
-whose fields line up, or a differing ``.npy`` file of the same shape, is
-listed with its largest |new - old| relative to the largest |old| value in
-the file; a CSV file whose lines differ only in their endings (``\n`` and
-``\r\n``) is listed at delta 0. A ``--work`` directory is kept for inspection; the default
-temporary one is removed.
+Every output file (chains, trace CSVs, manifests, ``structures.npz``,
+predictions, ``rls.json``, truth, ``basis/``, ``prior/``) is compared byte
+for byte. Command logs are compared after the work directory is replaced by
+a placeholder. The script lists each differing file, and each file that
+only one tree wrote, and exits 1 on any difference or failed command. A
+differing CSV file whose fields line up, or a differing ``.npy`` file of the
+same shape, is listed with its largest |new - old| relative to the largest
+|old| value in the file; a CSV file whose lines differ only in their
+endings (``\n`` and ``\r\n``) is listed at delta 0. A differing ``.npz``
+archive is compared member by member: the members only one tree wrote are
+listed, and so is each common member that differs, with its delta. A
+``--work`` directory is kept for inspection; the default temporary one is
+removed.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 COMMANDS = ("simulate", "validate", "basis", "prior", "fit", "predict")
 TRACES = ("sigma_k2", "beta[1,0]", "eta[1,0]")
+SURVEY_1_UNITS = {"u0", "u1", "u2", "u3"}
 
 
 def write_cases(inputs: Path, new_src: Path) -> dict[str, int]:
@@ -67,23 +76,54 @@ def write_cases(inputs: Path, new_src: Path) -> dict[str, int]:
     return chains
 
 
+def split_surveys(case: Path) -> list[tuple[str, list[str]]]:
+    """Split ``case``'s simulated observations into two surveys by unit, for ``rls``.
+
+    Writes ``s1.csv``, ``s2.csv`` and a config per survey, and adds an
+    ``[rls]`` section to ``run.ini``; returns (log name, CLI arguments) of
+    the survey fits and of ``rls``.
+    """
+    header, *rows = (case / "obs.csv").read_text(encoding="utf-8").splitlines()
+    config = (case / "run.ini").read_text(encoding="utf-8")
+    commands = []
+    for m, keep in ((1, True), (2, False)):
+        survey = [row for row in rows if (row.split(",")[2] in SURVEY_1_UNITS) == keep]
+        (case / f"s{m}.csv").write_text("\n".join([header, *survey]) + "\n", encoding="utf-8")
+        (case / f"run_s{m}.ini").write_text(
+            config.replace("observations = obs.csv", f"observations = s{m}.csv"), encoding="utf-8"
+        )
+        commands.append((f"fit_s{m}", ["fit", "--config", f"run_s{m}.ini", "--output", f"out_s{m}"]))
+    (case / "run.ini").write_text(config + "\n[rls]\nsurveys = s1.csv, s2.csv\n", encoding="utf-8")
+    commands.append(("rls", ["rls", "--config", "run.ini",
+                             "--survey-chains", "out_s1/chain0,out_s2/chain0"]))
+    return commands
+
+
 def run_tree(src: Path, inputs: Path, tree: Path, chains: dict[str, int]) -> list[str]:
     """Run every command of every case with ``src``; returns the failures."""
     env = dict(os.environ, PYTHONPATH=str(src))
     failures = []
     (tree / "logs").mkdir(parents=True)
+
+    def run(case: str, name: str, args: list[str]) -> None:
+        argv = [sys.executable, "-m", "arealdlm.cli", *args]
+        with (tree / "logs" / f"{case}.{name}.log").open("w", encoding="utf-8") as log:
+            code = subprocess.run(argv, cwd=tree / case, env=env, stdout=log,
+                                  stderr=subprocess.STDOUT).returncode
+        if code != 0:
+            failures.append(f"{tree.name}/{case}: {name} exited {code}")
+
     for case, count in chains.items():
         shutil.copytree(inputs / case, tree / case)
         for command in COMMANDS:
-            argv = [sys.executable, "-m", "arealdlm.cli", command, "--config", "run.ini"]
+            args = [command, "--config", "run.ini"]
             if command == "fit":
-                argv += ["--chains", str(count)]
-                argv += [arg for selector in TRACES for arg in ("--trace", selector)]
-            with (tree / "logs" / f"{case}.{command}.log").open("w", encoding="utf-8") as log:
-                code = subprocess.run(argv, cwd=tree / case, env=env, stdout=log,
-                                      stderr=subprocess.STDOUT).returncode
-            if code != 0:
-                failures.append(f"{tree.name}/{case}: {command} exited {code}")
+                args += ["--chains", str(count)]
+                args += [arg for selector in TRACES for arg in ("--trace", selector)]
+            run(case, command, args)
+        if case == "project":
+            for name, args in split_surveys(tree / case):
+                run(case, name, args)
     return failures
 
 
@@ -125,13 +165,37 @@ def _csv_delta(a: Path, b: Path) -> tuple[float, float] | str:
     return delta, scale
 
 
-def relative_delta(a: Path, b: Path) -> str:
-    """``max |b - a| / max |a|`` over the values of two CSV or ``.npy`` files, or why not."""
-    result = _npy_delta(a, b) if a.suffix == ".npy" else _csv_delta(a, b)
+def _ratio(result: tuple[float, float] | str) -> str:
     if isinstance(result, str):
         return result
     delta, scale = result
     return f"max |delta| / max |old| = {delta / scale if scale else delta:.2e}"
+
+
+def relative_delta(a: Path, b: Path) -> str:
+    """``max |b - a| / max |a|`` over the values of two CSV or ``.npy`` files, or why not."""
+    return _ratio(_npy_delta(a, b) if a.suffix == ".npy" else _csv_delta(a, b))
+
+
+def npz_members(a: Path, b: Path) -> str:
+    """The members of two ``.npz`` archives that only one holds or that differ."""
+    import numpy as np
+
+    with np.load(a, allow_pickle=False) as old, np.load(b, allow_pickle=False) as new:
+        names_a, names_b = set(old.files), set(new.files)
+        parts = [f"only in {tree}: {', '.join(sorted(names))}"
+                 for tree, names in (("old", names_a - names_b), ("new", names_b - names_a))
+                 if names]
+        for name in sorted(names_a & names_b):
+            x, y = old[name], new[name]
+            if x.dtype != y.dtype or x.shape != y.shape:
+                parts.append(f"{name} differs: {x.dtype}{x.shape} and {y.dtype}{y.shape}")
+            elif x.tobytes() != y.tobytes():
+                numeric = x.dtype.kind in "fiu"
+                delta = (float(np.max(np.abs(y - x), initial=0.0)),
+                         float(np.max(np.abs(x), initial=0.0))) if numeric else "text differs"
+                parts.append(f"{name} differs ({_ratio(delta)})")
+    return "; ".join(parts) or "members equal"
 
 
 def differing_files(old: Path, new: Path) -> list[str]:
@@ -147,8 +211,12 @@ def differing_files(old: Path, new: Path) -> list[str]:
             if a.read_text().replace(str(old), "<work>") != b.read_text().replace(str(new), "<work>"):
                 out.append(str(rel))
         elif not filecmp.cmp(a, b, shallow=False):
-            numeric = rel.suffix in (".csv", ".npy")
-            out.append(f"{rel} ({relative_delta(a, b)})" if numeric else str(rel))
+            if rel.suffix == ".npz":
+                out.append(f"{rel} ({npz_members(a, b)})")
+            elif rel.suffix in (".csv", ".npy"):
+                out.append(f"{rel} ({relative_delta(a, b)})")
+            else:
+                out.append(str(rel))
     return out
 
 

@@ -35,9 +35,18 @@ returns and a failed export is a ChainStateError. After an interruption
 they hold at most the rows of the last flush. Identical runs give identical
 bytes.
 
-``fit`` also writes ``structures.npz`` once per run: the basis (every S_t
-and its eigenvalues) with the digests of the inputs it was built from, so
-``predict`` and ``rls`` read it instead of solving the eigenproblems again.
+``fit`` also writes ``structures.npz`` once per run: the design (units,
+edges, each t's layout of prediction rows and each X_t) and the basis (every
+S_t and its eigenvalues), with a ``format_version`` and the digests of the
+inputs they were built from. Each per-t array is one flat, time-major member
+whose rows ``offsets`` splits by t (the eigenvalues are one row per t), so
+the archive has the same members whatever T is. Each chain directory gets
+``observations.npz``: the ``AlignedData`` it was fitted to (``obs_idx``,
+``z`` and ``v``), flat and time-major, split by the manifest's
+``xi_offsets``. ``predict`` and ``rls`` read these two files instead of
+parsing the input CSVs again or solving the eigenproblems again. Both are
+written once, under a temporary name and renamed; an archive of another
+format version is refused.
 
 ``write_json`` and ``write_csv`` write every other file a command emits;
 ``write_rows`` writes every CSV line, the chain exports' header rows
@@ -59,13 +68,16 @@ from pathlib import Path
 import numpy as np
 
 from .basis import BasisSystem
+from .data import AlignedData, ArealGraph, DesignSet, StudyDesign
 from .errors import ChainStateError
 from .export import FLOAT_FMT, float_line
 from .sampler import PosteriorChain, _kept_draws, draw_shapes
 
 # 3: a .npy store per parameter group, read instead of the CSVs; stored_draws
-FORMAT_VERSION = 3
+# 4: the design in structures.npz, which has a format_version too; observations.npz per chain
+FORMAT_VERSION = 4
 STRUCTURES_FILE = "structures.npz"
+OBSERVATIONS_FILE = "observations.npz"
 _DTYPE = np.dtype("<f8")
 
 
@@ -444,39 +456,175 @@ def _open_store(directory: Path, manifest: dict) -> StoredChain:
     return StoredChain(directory, shapes, offsets, stored, xi_offsets, meta=meta, **run)
 
 
-def write_structures(path: str | Path, basis: BasisSystem, inputs: dict) -> None:
-    """Write the basis and the ``inputs`` record (JSON-able) as one .npz archive.
+def _write_archive(path: Path, members: dict) -> None:
+    """Write ``members`` as one .npz archive, under a temporary name and renamed.
 
-    Every member carries one fixed timestamp (``np.savez`` stamps the current
-    time), so equal structures give equal bytes. The archive is written under
-    a temporary name and renamed, so no reader sees a partial file.
+    A member is an array, or a list of arrays that agree in dtype and in all
+    but their first dimension: those are written one after another as one
+    array stacked along its first axis, with no stacked copy in memory. Every
+    member carries one fixed timestamp (``np.savez`` stamps the current
+    time), so equal members give equal bytes, and no reader sees a partial
+    file.
     """
-    path = Path(path)
-    arrays = {"r": np.array(basis.r), "inputs": np.array(json.dumps(inputs, sort_keys=True))}
-    for t in basis.times:
-        arrays[f"s_t{t:03d}"] = basis.s[t]
-        arrays[f"eigvals_t{t:03d}"] = basis.eigvals[t]
     partial = path.with_name(path.name + ".partial")
     with zipfile.ZipFile(partial, "w") as archive:
-        for name, array in arrays.items():
+        for name, value in members.items():
             member = zipfile.ZipInfo(f"{name}.npy", date_time=(1980, 1, 1, 0, 0, 0))
             with archive.open(member, "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, array, allow_pickle=False)
+                if isinstance(value, np.ndarray):
+                    np.lib.format.write_array(fh, value, allow_pickle=False)
+                    continue
+                first = value[0]
+                if any(part.dtype != first.dtype or part.shape[1:] != first.shape[1:]
+                       for part in value):
+                    raise ValueError(f"the parts of {name} differ in dtype or shape")
+                shape = (sum(len(part) for part in value), *first.shape[1:])
+                np.lib.format.write_array_header_1_0(
+                    fh, {"descr": first.dtype.str, "fortran_order": False, "shape": shape}
+                )
+                for part in value:
+                    fh.write(np.ascontiguousarray(part).data)
     os.replace(partial, path)
 
 
-def read_structures(path: str | Path) -> tuple[BasisSystem, dict]:
-    """The basis and the ``inputs`` record that ``write_structures`` stored."""
+def _read_archive(path: Path, what: str) -> dict[str, np.ndarray]:
+    """Every member of the .npz archive at ``path``; an unreadable one is a ChainStateError
+    naming ``what`` and the file.
+
+    The file is opened here, not by ``np.load``, so it is closed also when
+    the archive is cut short.
+    """
+    try:
+        with path.open("rb") as fh, np.load(fh, allow_pickle=False) as archive:
+            return {name: archive[name] for name in archive.files}
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise ChainStateError(f"cannot read {what} at {path}: {exc}") from None
+
+
+def write_structures(
+    path: str | Path, design_set: DesignSet, basis: BasisSystem, inputs: dict
+) -> None:
+    """Write the design, the basis and the ``inputs`` record (JSON-able) as one .npz archive.
+
+    ``layout`` holds the (variable, unit index) of every prediction row,
+    ``x`` and ``s`` the rows of every X_t and S_t, time after time; time t
+    has rows ``[offsets[t - 1], offsets[t])``. ``eigvals`` has one row per t.
+    """
+    times = range(1, design_set.design.T + 1)
+    _write_archive(Path(path), {
+        "format_version": np.array(FORMAT_VERSION),
+        "r": np.array(basis.r),
+        "inputs": np.array(json.dumps(inputs, sort_keys=True)),
+        # json.dumps escapes to ASCII, so bytes hold it in a quarter of a str array
+        "units": np.array(json.dumps(design_set.graph.units).encode()),
+        "edges": design_set.graph.edge_array,
+        "offsets": np.cumsum([0, *(design_set.N_t(t) for t in times)]),
+        "layout": [np.array(design_set.layout[t], dtype=np.int64).reshape(-1, 2)
+                   for t in times],
+        "x": [design_set.matrices[t] for t in times],
+        "s": [basis.s[t] for t in times],
+        "eigvals": [basis.eigvals[t][None] for t in times],
+    })
+
+
+@dataclass(frozen=True)
+class StoredStructures:
+    """What ``write_structures`` stored: the basis, the design's arrays and the inputs record."""
+
+    basis: BasisSystem
+    inputs: dict
+    units: tuple[str, ...]
+    edges: np.ndarray
+    offsets: np.ndarray
+    layout: np.ndarray
+    x: np.ndarray
+
+    def design_set(self, design: StudyDesign) -> DesignSet:
+        """The stored design over ``design``, as ``data.assemble_design`` built it.
+
+        Each X_t is a view of the stored rows.
+        """
+        graph = ArealGraph(self.units, frozenset(map(tuple, self.edges.tolist())))
+        layout, matrices, row_lookup = {}, {}, {}
+        for t in range(1, len(self.offsets)):
+            lo, hi = self.offsets[t - 1], self.offsets[t]
+            layout[t] = tuple(map(tuple, self.layout[lo:hi].tolist()))
+            matrices[t] = self.x[lo:hi]
+            row_lookup.update(
+                ((ell, t, self.units[u]), pos) for pos, (ell, u) in enumerate(layout[t])
+            )
+        return DesignSet(design, graph, layout, matrices, row_lookup)
+
+
+def read_structures(path: str | Path) -> StoredStructures:
+    """The design, the basis and the ``inputs`` record that ``write_structures`` stored.
+
+    A missing or unreadable archive, and one of another format version
+    (every archive written before the design was stored has none), are each
+    a ChainStateError.
+    """
     path = Path(path)
     if not path.exists():
         raise ChainStateError(f"no fitted structures at {path}; run fit first")
+    arrays = _read_archive(path, "the fitted structures")
+    version = arrays["format_version"].item() if "format_version" in arrays else None
+    if version != FORMAT_VERSION:
+        raise ChainStateError(
+            f"the fitted structures at {path} have format_version {version}, but this "
+            f"version reads {FORMAT_VERSION}; run fit again"
+        )
     try:
-        with np.load(path, allow_pickle=False) as archive:
-            inputs = json.loads(str(archive["inputs"]))
-            times = sorted(int(name[3:]) for name in archive.files if name.startswith("s_t"))
-            s = {t: archive[f"s_t{t:03d}"] for t in times}
-            eigvals = {t: archive[f"eigvals_t{t:03d}"] for t in times}
-            r = int(archive["r"])
-    except (OSError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        offsets = arrays["offsets"]
+        times = range(1, len(offsets))
+        s, eigvals = arrays["s"], arrays["eigvals"]
+        basis = BasisSystem(
+            int(arrays["r"]),
+            {t: s[offsets[t - 1]:offsets[t]] for t in times},
+            {t: eigvals[t - 1] for t in times},
+        )
+        return StoredStructures(
+            basis,
+            json.loads(str(arrays["inputs"])),
+            tuple(json.loads(arrays["units"].item())),
+            arrays["edges"],
+            offsets,
+            arrays["layout"],
+            arrays["x"],
+        )
+    except (KeyError, ValueError, IndexError) as exc:
         raise ChainStateError(f"cannot read the fitted structures at {path}: {exc}") from None
-    return BasisSystem(r, s, eigvals), inputs
+
+
+def write_observations(directory: str | Path, aligned: AlignedData) -> None:
+    """Store the observations a chain is fitted to in its directory: ``obs_idx``, ``z`` and
+    ``v``, each flat and time-major."""
+    times = sorted(aligned.obs_idx)
+    _write_archive(Path(directory) / OBSERVATIONS_FILE, {
+        "obs_idx": [aligned.obs_idx[t] for t in times],
+        "z": [aligned.z[t] for t in times],
+        "v": [aligned.v[t] for t in times],
+    })
+
+
+def read_observations(chain: StoredChain) -> AlignedData:
+    """The observations ``chain`` was fitted to, split by t at its ``xi_offsets``.
+
+    A missing or unreadable file, and one that does not hold the manifest's
+    ``n`` cells, are each a ChainStateError naming the file.
+    """
+    path = chain.directory / OBSERVATIONS_FILE
+    if not path.exists():
+        raise ChainStateError(f"no stored observations at {path}; run fit again")
+    arrays = _read_archive(path, "the stored observations")
+    n = chain.meta.get("n")
+    names = ("obs_idx", "z", "v")
+    for name in names:
+        if name not in arrays or arrays[name].shape != (n,):
+            got = f"has shape {arrays[name].shape}" if name in arrays else "is missing"
+            raise ChainStateError(
+                f"the stored observations {path} do not fit the chain: {name} {got}, "
+                f"where the manifest records n = {n}; run fit again"
+            )
+    obs_idx, z, v = ({t: arrays[name][lo:hi] for t, (lo, hi) in sorted(chain.xi_offsets.items())}
+                     for name in names)
+    return AlignedData(obs_idx, z, v)

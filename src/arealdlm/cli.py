@@ -148,11 +148,15 @@ def cmd_fit(cfg: RunConfig, chains: int = 1, trace: list[str] | None = None) -> 
         traces["_".join([group, *indices])] = label
     cfg.output.mkdir(parents=True, exist_ok=True)
     chainio.write_structures(
-        cfg.output / chainio.STRUCTURES_FILE, structures.basis, inputs.record(DESIGN_INPUTS)
+        cfg.output / chainio.STRUCTURES_FILE,
+        structures.design_set,
+        structures.basis,
+        inputs.record(DESIGN_INPUTS),
     )
     for i in range(chains):
         directory = cfg.output / f"chain{i}"
         with chainio.ChainWriter(directory, inputs.record()) as writer:
+            chainio.write_observations(directory, aligned)
             chain = gibbs_run(
                 obs,
                 structures.design_set,
@@ -176,8 +180,7 @@ def cmd_predict(cfg: RunConfig, chain_dir: str | None) -> int:
     directory = Path(chain_dir) if chain_dir else cfg.output / "chain0"
     inputs = input_digests(cfg)
     structures = load_design_structures(cfg, directory, inputs)
-    chain = load_chain(directory, inputs)
-    _, aligned = load_data(cfg, structures)
+    chain, aligned = load_chain(directory, inputs)
     _warn_unobserved_times(aligned, cfg.design.T)
     surface = predict.posterior_y(
         chain,
@@ -272,32 +275,36 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
     inputs = input_digests(cfg)
     survey_inputs = [inputs.for_observations(path) for path in cfg.rls_surveys]
     structures = load_design_structures(cfg, directory, inputs)
-    full_chain = load_chain(directory, inputs)
-    _, aligned_full = load_data(cfg, structures)
+    full_chain, aligned_full = load_chain(directory, inputs)
+    surveys = [load_chain(Path(d), digests)
+               for d, digests in zip(survey_chain_dirs, survey_inputs)]
 
-    # evaluation cells: variable-1 locations observed by survey 1
-    survey1, aligned_1 = load_data(cfg, structures, cfg.rls_surveys[0])
+    # evaluation cells: the variable-1 locations survey chain 1 was fitted to
+    design_set = structures.design_set
+    units = design_set.graph.units
+    _, survey1 = surveys[0]
     cells = sorted(
-        (o.variable, o.time, o.unit) for o in survey1.observations if o.variable == 1
+        (ell, t, units[u])
+        for t, rows in survey1.obs_idx.items()
+        for ell, u in (design_set.layout[t][i] for i in rows.tolist())
+        if ell == 1
     )
     if not cells:
         raise ValidationError("survey 1 has no variable-1 observations to score")
 
     full_surface = predict.posterior_y(
         full_chain,
-        structures.design_set,
+        design_set,
         structures.basis,
         aligned_full,
         locations=cells,
         rng=predict.prediction_rng(cfg.seed),
     )
     survey_means = {}
-    for m, (d, digests) in enumerate(zip(survey_chain_dirs, survey_inputs), start=1):
-        chain_m = load_chain(Path(d), digests)
-        aligned_m = aligned_1 if m == 1 else load_data(cfg, structures, cfg.rls_surveys[m - 1])[1]
+    for m, (chain_m, aligned_m) in enumerate(surveys, start=1):
         surface_m = predict.posterior_y(
             chain_m,
-            structures.design_set,
+            design_set,
             structures.basis,
             aligned_m,
             locations=cells,

@@ -4,12 +4,14 @@ The covariate file defines the prediction locations and the unit universe
 (first-seen order); the edge file defines adjacency among those units; the
 observation file must live inside the prediction set.
 
-``fit`` builds the structures once and stores the basis; ``predict`` and
-``rls`` digest their inputs once, then open a fitted run through
-``load_design_structures`` (the design rebuilt, the basis from the store) and
-``load_chain`` (one chain). sha256 digests of the inputs tie a stored basis
-and a chain to the files and settings they came from, and a changed input is
-refused.
+``fit`` builds the structures once and stores the design and the basis, and
+each chain's observations next to it; ``predict`` and ``rls`` digest their
+inputs once, then open a fitted run through ``load_design_structures`` (the
+design and the basis from ``structures.npz``; no input file is read) and
+``load_chain`` (one chain and the observations it was fitted to). sha256
+digests of the inputs tie the stored structures and a chain to the files and
+settings they came from, so the stored copies are what parsing the inputs
+again would give, and a changed input is refused.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .basis import BasisSystem, build_basis_system
-from .chainio import STRUCTURES_FILE, StoredChain, read_chain, read_structures
+from .chainio import (
+    STRUCTURES_FILE,
+    StoredChain,
+    read_chain,
+    read_observations,
+    read_structures,
+)
 from .config import RunConfig
 from .data import (
     AlignedData,
@@ -123,17 +131,18 @@ def build_design_structures(cfg: RunConfig) -> DesignStructures:
 def load_design_structures(
     cfg: RunConfig, chain_dir: Path, inputs: InputDigests
 ) -> DesignStructures:
-    """The design from the inputs; the basis ``fit`` stored next to ``chain_dir``.
+    """The design and the basis ``fit`` stored next to ``chain_dir``.
 
     ``inputs`` are the digests of ``cfg``'s inputs, taken before the run is
     opened, so a missing input file is a MissingInputError even when the run
-    is missing too. A missing store, or one built from other covariates,
-    edges or [design] settings, is a ChainStateError.
+    is missing too. A missing store, one of another format version, and one
+    built from other covariates, edges or [design] settings are each a
+    ChainStateError.
     """
     path = Path(chain_dir).parent / STRUCTURES_FILE
-    basis, recorded = read_structures(path)
-    inputs.check(recorded, str(path), DESIGN_INPUTS)
-    return DesignStructures(assemble_design(cfg.covariates, cfg.design, cfg.edges), basis)
+    stored = read_structures(path)
+    inputs.check(stored.inputs, str(path), DESIGN_INPUTS)
+    return DesignStructures(stored.design_set(cfg.design), stored.basis)
 
 
 def build_structures(cfg: RunConfig) -> ModelStructures:
@@ -163,8 +172,11 @@ def load_data(
     return obs, align_observations(structures.design_set, obs)
 
 
-def load_chain(chain_dir: Path, inputs: InputDigests) -> StoredChain:
-    """A fitted chain; one fitted to inputs other than ``inputs`` is a ChainStateError."""
+def load_chain(chain_dir: Path, inputs: InputDigests) -> tuple[StoredChain, AlignedData]:
+    """A fitted chain and the observations it was fitted to, as ``load_data`` aligned them.
+
+    A chain fitted to inputs other than ``inputs`` is a ChainStateError.
+    """
     chain = read_chain(chain_dir)
     inputs.check(chain.meta.get("input_sha256", {}), f"the chain at {chain_dir}")
-    return chain
+    return chain, read_observations(chain)

@@ -1,3 +1,4 @@
+import csv
 import json
 import signal
 import time
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 
 from arealdlm import chainio, sampler
-from arealdlm.chainio import ChainWriter, read_chain, read_structures, write_json
+from arealdlm.basis import build_basis_system
+from arealdlm.chainio import ChainWriter, read_chain, read_structures, write_json, write_structures
+from arealdlm.data import StudyDesign, assemble_design
 from arealdlm.errors import ChainStateError
 from arealdlm.predict import simulate
 from arealdlm.sampler import Hyperparams, gibbs_run
@@ -321,7 +324,7 @@ class TestBinaryStore:
             write_json(directory / "manifest.json", manifest)
 
         message = self._damaged(small_chain, tmp_path, downgrade)
-        assert "has format_version 2, but this version reads 3; run fit again" in message
+        assert "has format_version 2, but this version reads 4; run fit again" in message
 
     def test_claimed_rows_beyond_the_chain_refused(self, small_chain, tmp_path):
         def overclaim(directory):
@@ -375,6 +378,44 @@ class TestStructuresFile:
         (tmp_path / "bad.npz").write_bytes(b"not an archive")
         with pytest.raises(ChainStateError, match="cannot read the fitted structures"):
             read_structures(tmp_path / "bad.npz")
+
+    def test_stored_design_is_the_assembled_design(self, tmp_path):
+        # variable 2's window starts at t=2; unit names hold a comma and a quote
+        units = ["e", 'b"2', "a,1", "d 4", "c"]
+        rng = np.random.default_rng(3)
+        with (tmp_path / "cov.csv").open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["variable", "time", "unit", "x1", "x2"])
+            for t in (3, 1, 2):
+                for ell in (2, 1) if t > 1 else (1,):
+                    for u in units[::-1] if ell == 2 else units:
+                        writer.writerow([ell, t, u, 1.0, repr(float(rng.normal()))])
+        with (tmp_path / "edges.csv").open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["unit_a", "unit_b"])
+            writer.writerows([(units[k], units[k - 1]) for k in range(len(units))])
+            writer.writerow([units[0], units[2]])
+        design = StudyDesign(num_variables=2, windows=((1, 3), (2, 3)), p=2, r=2)
+        built = assemble_design(tmp_path / "cov.csv", design, tmp_path / "edges.csv")
+        basis = build_basis_system(built)
+        write_structures(tmp_path / "s.npz", built, basis, {"covariates": "digest"})
+
+        stored = read_structures(tmp_path / "s.npz")
+        loaded = stored.design_set(design)
+        assert stored.inputs == {"covariates": "digest"}
+        assert loaded.design == design
+        assert loaded.graph.units == built.graph.units == tuple(units[::-1])  # first seen
+        assert loaded.graph.edges == built.graph.edges
+        assert loaded.layout == built.layout
+        assert loaded.row_lookup == built.row_lookup
+        assert [loaded.N_t(t) for t in (1, 2, 3)] == [5, 10, 10]
+        assert sorted(loaded.matrices) == sorted(built.matrices) == [1, 2, 3]
+        for t in (1, 2, 3):
+            for got, want in ((loaded.matrices[t], built.matrices[t]),
+                              (stored.basis.s[t], basis.s[t]),
+                              (stored.basis.eigvals[t], basis.eigvals[t])):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 class TestWriteJson:

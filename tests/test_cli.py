@@ -604,14 +604,15 @@ class TestStoredStructures:
         from arealdlm.pipeline import build_design_structures
 
         directory, cfg, _ = project
-        basis, record = read_structures(directory / "out" / "structures.npz")
+        stored = read_structures(directory / "out" / "structures.npz")
+        basis, record = stored.basis, stored.inputs
         built = build_design_structures(load_config(cfg)).basis
         assert basis.times == built.times == [1, 2, 3]
         for t in built.times:
             assert np.array_equal(basis.s[t], built.s[t])
             assert np.array_equal(basis.eigvals[t], built.eigvals[t])
         manifest = json.loads((directory / "out" / "chain0" / "manifest.json").read_text())
-        assert manifest["format_version"] == 3
+        assert manifest["format_version"] == 4
         digests = manifest["input_sha256"]
         assert set(digests) == {"covariates", "edges", "[design]", "observations", "[transforms]"}
         assert record == {k: digests[k] for k in ("covariates", "edges", "[design]")}
@@ -668,15 +669,35 @@ class TestStoredStructures:
         monkeypatch.setattr(arealdlm.data, "_open_csv", parse_once)
         directory, cfg, rls_argv = project
         inputs = ["cov.csv", "edges.csv", "obs.csv"]
-        for argv, files in [
-            (["fit", "--config", str(cfg)], inputs),
-            (["predict", "--config", str(cfg)], inputs),
-            (rls_argv, inputs + ["s1.csv", "s2.csv"]),
+        # predict and rls read what fit stored instead of parsing the inputs
+        for argv, files, parses in [
+            (["fit", "--config", str(cfg)], inputs, inputs),
+            (["predict", "--config", str(cfg)], inputs, []),
+            (rls_argv, inputs + ["s1.csv", "s2.csv"], []),
         ]:
             hashed.clear(), parsed.clear()
             assert main(argv) == 0
             assert sorted(hashed) == files, argv[0]
-            assert sorted(parsed) == files, argv[0]
+            assert sorted(parsed) == parses, argv[0]
+
+    def test_predict_and_rls_parse_no_csv(self, project, monkeypatch):
+        import arealdlm.data
+
+        directory, cfg, rls_argv = project
+        outputs = [directory / "out" / "predictions.csv", directory / "out" / "rls.json"]
+        assert main(["predict", "--config", str(cfg)]) == 0
+        assert main(rls_argv) == 0
+        before = [path.read_bytes() for path in outputs]
+        for path in outputs:
+            path.unlink()
+
+        def refuse(path, expected_header):
+            raise AssertionError(f"{path} was parsed")
+
+        monkeypatch.setattr(arealdlm.data, "_open_csv", refuse)
+        assert main(["predict", "--config", str(cfg)]) == 0
+        assert main(rls_argv) == 0
+        assert [path.read_bytes() for path in outputs] == before
 
     def test_predict_and_rls_do_not_import_scipy(self, project):
         directory, cfg, rls_argv = project
@@ -768,7 +789,53 @@ class TestStoredStructures:
         path.write_text(json.dumps(manifest))
         capsys.readouterr()
         assert main(["predict", "--config", str(cfg)]) == 4
-        assert "has format_version 1, but this version reads 3" in capsys.readouterr().err
+        assert "has format_version 1, but this version reads 4" in capsys.readouterr().err
+
+    def test_parent_format_structures_refused(self, project, capsys):
+        # the archive fit wrote before it stored the design: the basis alone, no format_version
+        from arealdlm.chainio import read_structures
+
+        directory, cfg, rls_argv = project
+        path = directory / "out" / "structures.npz"
+        stored = read_structures(path)
+        members = {"r": np.array(stored.basis.r), "inputs": np.array(json.dumps(stored.inputs))}
+        for t in stored.basis.times:
+            members[f"s_t{t:03d}"] = stored.basis.s[t]
+            members[f"eigvals_t{t:03d}"] = stored.basis.eigvals[t]
+        np.savez(path, **members)
+        capsys.readouterr()
+        for argv in (["predict", "--config", str(cfg)], rls_argv):
+            assert main(argv) == 4
+            err = capsys.readouterr().err
+            assert err == (f"error: the fitted structures at {path} have format_version None, "
+                           "but this version reads 4; run fit again\n")
+        assert not (directory / "out" / "predictions.csv").exists()
+        assert not (directory / "out" / "rls.json").exists()
+
+    @pytest.mark.parametrize("fault, message", [
+        ("missing", "no stored observations at {path}; run fit again"),
+        ("cut", "cannot read the stored observations at {path}: "),
+        ("short", "the stored observations {path} do not fit the chain: z has shape (23,), "
+                  "where the manifest records n = 24; run fit again"),
+    ])
+    def test_bad_stored_observations_refused(self, project, capsys, fault, message):
+        directory, cfg, _ = project
+        path = directory / "out" / "chain0" / "observations.npz"
+        if fault == "missing":
+            path.unlink()
+        elif fault == "cut":
+            path.write_bytes(path.read_bytes()[:-100])
+        else:
+            with np.load(path) as archive:
+                members = {name: archive[name] for name in archive.files}
+            members["z"] = members["z"][:-1]
+            np.savez(path, **members)
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(path=path))
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (directory / "out" / "predictions.csv").exists()
 
     def test_truncated_chain_store_refused(self, project, capsys):
         directory, cfg, _ = project
