@@ -3,8 +3,8 @@
 Everything here is small-matrix (rank-r or rank-p) work. The solve/inverse
 helpers record the dimension of every dense factorization into any active
 ``SolveTracker`` so tests can assert that the sampler hot path never touches
-an N x N system. ``inv``, ``inv_spd``, ``solve_spd`` and ``chol_psd`` also
-take a ``(k, n, n)`` stack: one batched call, k recorded entries of size n,
+an N x N system. ``inv``, ``inv_spd`` and ``chol_psd`` also take a
+``(k, n, n)`` stack: one batched call, k recorded entries of size n,
 and the same result as k separate calls.
 """
 
@@ -133,13 +133,9 @@ def inv(a: np.ndarray) -> np.ndarray:
     return np.linalg.inv(a)
 
 
-def _per_matrix(one, a: np.ndarray, *rest: np.ndarray) -> np.ndarray:
-    """Apply ``one`` to every matrix of a stack (the fallback of a failed batch).
-
-    Each array of ``rest`` has the stack shape of ``a``; ``one`` gets its
-    matching entries.
-    """
-    return np.stack([one(*mats) for mats in zip(a, *rest)]) if a.ndim > 2 else one(a, *rest)
+def _per_matrix(one, a: np.ndarray) -> np.ndarray:
+    """Apply ``one`` to every matrix of a stack (the fallback of a failed batch)."""
+    return np.stack([one(mat) for mat in a]) if a.ndim > 2 else one(a)
 
 
 def _inv_from_factor(c: np.ndarray) -> np.ndarray:
@@ -175,32 +171,6 @@ def inv_spd(a: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         return _per_matrix(_inv_spd_one, a)
     return _inv_from_factor(c)
-
-
-def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a^-1 b for symmetric positive (semi-)definite a, or for each matrix of a stack.
-
-    ``b`` is (..., n, m) with the stack shape of ``a``. One batched Cholesky
-    checks definiteness, then one batched LU solve gives the result. Where
-    the Cholesky fails, each failing matrix takes ``inv_spd``'s eigenvalue
-    pseudo-inverse (one WARNING per matrix; genuine indefiniteness is an
-    error), and the others the plain solve.
-    """
-    a = symmetrize(a)
-    _record(a)
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return _per_matrix(_solve_spd_one, a, b)
-    return np.linalg.solve(a, b)
-
-
-def _solve_spd_one(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return _inv_spd_one(a) @ b
-    return np.linalg.solve(a, b)
 
 
 def _chol_psd_one(a: np.ndarray) -> np.ndarray:

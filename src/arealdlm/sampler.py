@@ -1,19 +1,21 @@
-"""Gibbs sampler with Kalman forward filtering / backward sampling.
+"""Gibbs sampler with a Kalman forward filter and a simulation smoother.
 
-The latent coefficient path is drawn jointly by FFBS; the fine-scale field,
+The latent coefficient path is drawn jointly: one forward filter, then the
+mean-correction draw of Durbin & Koopman (2002). The fine-scale field,
 regression coefficients, and the two variance parameters have conjugate full
 conditionals. All observation-side updates exploit the diagonal measurement
 covariance, so every dense factorization in the per-iteration path is r x r
 or p x p.
 
 Only the step of the forward filter that needs the step before runs once per
-time, as one r x r inverse (``_filter_core``). Everything else is a
-(T, r, r) or (T, p, p) stack handled by one batched call: the backward
-gains (one solve against the predicted covariances, which are never
-inverted), the backward covariances and their factors, and the conjugate
-draws. Within a sweep the cell arrays are flat over all observed cells,
-time-major, with one ``(start, stop)`` row block per time (the layout of
-``PosteriorChain.xi``); ``sample_xi``, ``sample_beta`` and
+time, as one r x r inverse (``_filter_core``). These T inverses are the only
+factorizations of a sweep: the smoother's recursions are matrix-vector
+products on the filter's stored matrices, with the factors of K*_1 and W*_t
+and of each S_t'V_t^-1 S_t built once per chain. Everything else is a
+(T, r, r) or (T, p, p) stack handled by one batched call, such as the
+conjugate draws. Within a sweep the cell arrays are flat over all observed
+cells, time-major, with one ``(start, stop)`` row block per time (the layout
+of ``PosteriorChain.xi``); ``sample_xi``, ``sample_beta`` and
 ``sample_sigma_xi`` take those blocks and draw every time in one call, bit
 for bit the per-time calls in time order.
 
@@ -23,14 +25,14 @@ has one builder: ``_gram`` gives S'V^-1 S, ``_beta_moments`` the stacked
 regression-coefficient posterior covariances and their factors, and
 ``_scale_factors`` the factors of K*_1 and W*_t and their inverses. The
 public conditionals call them on every call; ``_Precomputed`` calls them
-once per chain, and ``_sweep`` passes the results in, with one
-``_basis_term`` (S_t eta_t per cell, and X_t beta_t) for both ``sample_xi``
-and ``sample_beta``. A time with nothing observed needs no branch: the
-empty products give zero information.
+once per chain, and ``_sweep`` passes the results in. It forms X_t beta_t
+once for the filter and ``sample_xi``, and S_t eta_t once for
+``sample_xi`` and ``sample_beta`` (both ``_basis_term``). A time with
+nothing observed needs no branch: the empty products give zero information.
 
 The latent path follows eta_1 ~ N(0, sigma_k2 K*_1) and eta_t = M_t
 eta_{t-1} + u_t with u_t ~ N(0, sigma_k2 W*_t). ``_transitions`` is the one
-source of the M_t stack, for the filter, the backward pass, the scale update
+source of the M_t stack, for the filter, the smoother, the scale update
 and the prior draws alike. ``_draw_path`` is the one prior draw of a path,
 from the factors of ``_path_factors``: the chain's initial state uses it at
 unit scale, and ``predict.simulate`` at the true scale.
@@ -60,7 +62,7 @@ import numpy as np
 from .basis import BasisSystem
 from .data import AlignedData, DesignSet, ObservationSet, align_observations
 from .errors import ChainStateError, ValidationError
-from .linops import chol_psd, inv, inv_spd, solve_spd, symmetrize
+from .linops import chol_psd, inv, inv_spd, symmetrize
 from .prior import PriorStructure
 
 log = logging.getLogger(__name__)
@@ -110,12 +112,22 @@ class ModelState:
 
 @dataclass(frozen=True)
 class FilterResult:
-    """Kalman filter moments; index i is time i+1."""
+    """Kalman filter moments per time (index i is time i+1), with what the smoother reuses.
+
+    ``shrink`` is (I + R G)^-1 and ``innovations`` is h - G a, for the
+    predicted means a and covariances R; ``g``, ``k1`` and ``w`` are the
+    filter's inputs G, K_1 and W.
+    """
 
     means_filt: np.ndarray  # (T, r)
     means_pred: np.ndarray  # (T, r)
     covs_filt: np.ndarray  # (T, r, r)
     covs_pred: np.ndarray  # (T, r, r)
+    shrink: np.ndarray  # (T, r, r)
+    innovations: np.ndarray  # (T, r)
+    g: np.ndarray  # (T, r, r)
+    k1: np.ndarray  # (r, r)
+    w: np.ndarray  # (T-1, r, r)
 
 
 def _gram(s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -144,15 +156,14 @@ def _filter_core(
     (I + R G)^-1 R and (I + R G)^-1 (a + R h). I + R G is nonsingular for
     any PSD R, so a singular innovation needs no special case, and a time
     with nothing observed (G = 0, h = 0) keeps its predicted moments
-    exactly. The covariances are symmetrized after the loop.
+    exactly. The covariances are symmetrized, and the innovations h - G a
+    formed in one batched product, after the loop.
     """
     T = len(h_seq)
     r = k1.shape[0]
     ident = np.eye(r)
-    means_filt = np.zeros((T, r))
-    means_pred = np.zeros((T, r))
-    covs_filt = np.zeros((T, r, r))
-    covs_pred = np.zeros((T, r, r))
+    means_filt, means_pred = np.empty((T, r)), np.empty((T, r))
+    covs_filt, covs_pred, shrink = np.empty((T, r, r)), np.empty((T, r, r)), np.empty((T, r, r))
     mean, cov = np.zeros(r), k1
     for i in range(T):
         if i > 0:
@@ -161,10 +172,15 @@ def _filter_core(
             cov = m @ covs_filt[i - 1] @ m.T + w_seq[i - 1]
         means_pred[i] = mean
         covs_pred[i] = cov
-        shrink = inv(ident + cov @ g_seq[i])
-        covs_filt[i] = shrink @ cov
-        means_filt[i] = shrink @ (mean + cov @ h_seq[i])
-    return FilterResult(means_filt, means_pred, symmetrize(covs_filt), symmetrize(covs_pred))
+        shrink[i] = inv(ident + cov @ g_seq[i])
+        covs_filt[i] = shrink[i] @ cov
+        means_filt[i] = shrink[i] @ (mean + cov @ h_seq[i])
+    g = _stack(g_seq, r)
+    innovations = np.reshape(h_seq, (T, r)) - (g @ means_pred[..., None])[..., 0]
+    return FilterResult(
+        means_filt, means_pred, symmetrize(covs_filt), symmetrize(covs_pred),
+        shrink, innovations, g, k1, _stack(w_seq, r),
+    )
 
 
 def kalman_filter(
@@ -195,11 +211,10 @@ def kalman_filter(
     Returns
     -------
     FilterResult
-        Filtered and one-step-ahead means/covariances per time. The
-        backward pass applies the inverses of the predicted covariances at
-        times 2..T through one batched solve (``_backward_gains``), where a
-        singular one falls back to a logged eigenvalue pseudo-inverse,
-        never silently.
+        Filtered and one-step-ahead means/covariances per time, with the
+        filter's gains, innovations and inputs. ``backward_sample`` and
+        ``smoother_means`` need nothing else: no predicted covariance is
+        ever inverted, so a singular one needs no fallback.
     """
     T = len(z_tilde)
     if not (len(s_seq) == len(v_seq) == T and len(m_seq) == len(w_seq) == T - 1):
@@ -221,52 +236,49 @@ def kalman_filter(
     return _filter_core(h_seq, g_seq, m_seq, k1, w_seq)
 
 
-def _backward_gains(
-    filtered: FilterResult, m_seq: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gains J_i = P_i M_i' R_{i+1}^-1, offsets, and P_i M_i', stacked over time.
-
-    The mean of state i < T-1 given the filter and state i+1 = x is
-    offset_i + J_i x, with offset_i = m_i - J_i a_{i+1}; the last offset is
-    the last filtered mean. R is never inverted: J_i' = R_{i+1}^-1 M_i P_i
-    for all times is one batched ``solve_spd``.
-    """
-    T, r = filtered.means_filt.shape
-    cross = filtered.covs_filt[:-1] @ _stack(m_seq, r).swapaxes(-1, -2)
-    gains = solve_spd(filtered.covs_pred[1:], cross.swapaxes(-1, -2)).swapaxes(-1, -2)
-    offsets = filtered.means_filt.copy()
-    offsets[:-1] -= (gains @ filtered.means_pred[1:, :, None])[..., 0]
-    return gains, offsets, cross
+def _smooth(filtered: FilterResult, trans: np.ndarray, resid: np.ndarray) -> np.ndarray:
+    """R_i q_i with q_i = shrink_i' resid_i + trans_i' q_{i+1}, trans_i = M_i shrink_i."""
+    q = (filtered.shrink.swapaxes(-1, -2) @ resid[..., None])[..., 0]
+    for i in range(len(trans) - 1, -1, -1):
+        q[i] += trans[i].T @ q[i + 1]
+    return (filtered.covs_pred @ q[..., None])[..., 0]
 
 
 def backward_sample(
-    filtered: FilterResult, m_seq: list[np.ndarray], rng: np.random.Generator
+    filtered: FilterResult,
+    m_seq: list[np.ndarray],
+    rng: np.random.Generator,
+    factors: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Draw one state trajectory from the joint smoothing distribution.
 
-    The gains and the backward covariances P_i - J_i M_i P_i of all times are
-    stacks, factored by one stacked Cholesky, so the recursion itself is
-    matrix-vector products. The T x r normals are one block, used from the
-    last time back: the same stream as one r-vector per time.
+    The mean-correction simulation smoother (Durbin & Koopman 2002), from the
+    filter's matrices alone: nothing is factored when ``factors`` = (F, L)
+    is given, F the factors of K_1 and each W_t (``_path_factors``), L those
+    of each G_t. With one (2, T, r) block of normals (nu, eps), u = F nu and
+    x the prediction error of the prior's pseudo-data, x_0 = u_0 and
+    x_{i+1} = M_i shrink_i x_i + u_{i+1} - M_i P_i L_i eps_i. The draw is
+    x + a + R q, with q from ``_smooth`` on e - G x - L eps.
     """
     T, r = filtered.means_filt.shape
-    gains, offsets, cross = _backward_gains(filtered, m_seq)
-    covs = filtered.covs_filt.copy()
-    covs[:-1] -= gains @ cross.swapaxes(-1, -2)
-    normals = rng.standard_normal((T, r))[::-1]
-    draw = offsets + (chol_psd(covs) @ normals[..., None])[..., 0]
-    for i in range(T - 2, -1, -1):
-        draw[i] += gains[i] @ draw[i + 1]
-    return draw
+    path, gram = factors or (_path_factors(filtered.k1, filtered.w), chol_psd(filtered.g))
+    nu, eps = rng.standard_normal((2, T, r))
+    m_stack = _stack(m_seq, r)
+    trans = m_stack @ filtered.shrink[:-1]
+    pseudo = (gram @ eps[..., None])[..., 0]
+    x = (path @ nu[..., None])[..., 0]
+    x[1:] -= (m_stack @ (filtered.covs_filt[:-1] @ pseudo[:-1, :, None]))[..., 0]
+    for i in range(T - 1):
+        x[i + 1] += trans[i] @ x[i]
+    resid = filtered.innovations - (filtered.g @ x[..., None])[..., 0] - pseudo
+    return x + filtered.means_pred + _smooth(filtered, trans, resid)
 
 
 def smoother_means(filtered: FilterResult, m_seq: list[np.ndarray]) -> np.ndarray:
-    """Fixed-interval smoothed means implied by the backward recursion."""
-    T = filtered.means_filt.shape[0]
-    gains, means, _ = _backward_gains(filtered, m_seq)
-    for i in range(T - 2, -1, -1):
-        means[i] += gains[i] @ means[i + 1]
-    return means
+    """Fixed-interval smoothed means a + R q, from the filter's innovations."""
+    r = filtered.means_filt.shape[1]
+    trans = _stack(m_seq, r) @ filtered.shrink[:-1]
+    return filtered.means_pred + _smooth(filtered, trans, filtered.innovations)
 
 
 def _one_block(n: int, *per_time):
@@ -293,6 +305,7 @@ def sample_xi(
     rng: np.random.Generator,
     blocks: list[tuple[int, int]] | None = None,
     basis_term: np.ndarray | None = None,
+    fixed_term: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fine-scale field full conditional: elementwise Gaussian.
 
@@ -303,13 +316,15 @@ def sample_xi(
     arrays hold several times in the flat time-major layout, and ``beta_t``,
     ``eta_t`` and ``sigma_xi2_t`` hold one row or entry per time. The draw is
     that of the per-time calls in time order, bit for bit, with or without
-    ``basis_term`` (``_basis_term(s_t, eta_t, blocks)``).
+    ``basis_term`` and ``fixed_term`` (``_basis_term`` of s_t, eta_t and x_t, beta_t).
     """
     if blocks is None:
         blocks, beta_t, eta_t, sigma_xi2_t = _one_block(z_t.shape[0], beta_t, eta_t, sigma_xi2_t)
     if basis_term is None:
         basis_term = _basis_term(s_t, eta_t, blocks)
-    resid = z_t - _basis_term(x_t, beta_t, blocks) - basis_term
+    if fixed_term is None:
+        fixed_term = _basis_term(x_t, beta_t, blocks)
+    resid = z_t - fixed_term - basis_term
     sigma2 = np.repeat(np.ravel(sigma_xi2_t), [b - a for a, b in blocks])
     var = 1.0 / (1.0 / v_t + 1.0 / sigma2)
     mean = var * resid / v_t
@@ -571,6 +586,7 @@ class _Precomputed:
             np.take(design_set.matrices[t], idx, axis=0, out=self.x[a:b], mode="clip")
             np.take(basis.s[t], idx, axis=0, out=self.s[a:b], mode="clip")
         self.g = np.stack([_gram(self.s[a:b], self.v[a:b]) for a, b in self.blocks])
+        self.gram_factors = chol_psd(self.g)
         self.beta_pre = _beta_moments(self.x, self.v, hyper, self.blocks)
         self.m_seq = _transitions(basis)
         self.k1_star = prior.k_star[1]
@@ -614,18 +630,20 @@ def _sweep(
     its module-global name, so a wrapper bound to that name sees every sweep.
     """
     # latent coefficient path
-    resid = (pre.z - _basis_term(pre.x, state.beta, pre.blocks) - state.xi) / pre.v
+    fixed_term = _basis_term(pre.x, state.beta, pre.blocks)
+    resid = (pre.z - fixed_term - state.xi) / pre.v
     h_seq = [pre.s[a:b].T @ resid[a:b] for a, b in pre.blocks]
     filt = _filter_core(
         h_seq, pre.g, pre.m_seq, state.sigma_k2 * pre.k1_star, state.sigma_k2 * pre.w_star_seq
     )
-    eta = backward_sample(filt, pre.m_seq, rng)
+    factors = (math.sqrt(state.sigma_k2) * pre.scale_factors[0], pre.gram_factors)
+    eta = backward_sample(filt, pre.m_seq, rng, factors)
 
     # fine-scale field and regression coefficients, all times at once
     basis_term = _basis_term(pre.s, eta, pre.blocks)
     xi = sample_xi(
         pre.z, pre.x, state.beta, pre.s, eta, pre.v, state.sigma_xi2, rng,
-        blocks=pre.blocks, basis_term=basis_term,
+        blocks=pre.blocks, basis_term=basis_term, fixed_term=fixed_term,
     )
     beta = sample_beta(
         pre.z, pre.x, xi, pre.s, eta, pre.v, hyper, rng,

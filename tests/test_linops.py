@@ -12,7 +12,6 @@ from arealdlm.linops import (
     inv_spd,
     order_eigh_descending,
     sign_fix_columns,
-    solve_spd,
     track_dense_solves,
 )
 
@@ -98,28 +97,6 @@ class TestSpdHelpers:
     def test_indefinite_rejected(self):
         with pytest.raises(np.linalg.LinAlgError, match="indefinite"):
             inv_spd(np.diag([1.0, -1.0]))
-
-    def test_solve_of_a_stack_with_one_singular_matrix(self, caplog):
-        # the singular PSD member takes the pseudo-inverse, with one WARNING;
-        # the others are the plain solve
-        rng = np.random.default_rng(3)
-        g = rng.normal(size=(4, 3, 3))
-        a = g @ g.swapaxes(-1, -2) + 0.3 * np.eye(3)
-        a[1] = np.diag([2.0, 0.0, 0.0])
-        b = rng.normal(size=(4, 3, 2))
-        with caplog.at_level(logging.WARNING, logger="arealdlm.linops"):
-            with track_dense_solves() as tracker:
-                out = solve_spd(a, b)
-        assert len(caplog.records) == 1
-        assert tracker.dims == [3] * 4
-        assert np.allclose(out[1], np.diag([0.5, 0.0, 0.0]) @ b[1], atol=1e-12)
-        for i in (0, 2, 3):
-            assert np.array_equal(out[i], np.linalg.solve(a[i], b[i]))
-
-    def test_solve_of_an_indefinite_stack_rejected(self):
-        a = np.stack([np.eye(2), np.diag([1.0, -1.0])])
-        with pytest.raises(np.linalg.LinAlgError, match="indefinite"):
-            solve_spd(a, np.ones((2, 2, 1)))
 
     def test_chol_psd_of_singular(self):
         a = np.ones((2, 2))

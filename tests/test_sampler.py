@@ -11,7 +11,6 @@ from arealdlm.linops import track_dense_solves
 from arealdlm.predict import simulate
 from arealdlm.sampler import (
     Hyperparams,
-    _backward_gains,
     _initial_state,
     _Precomputed,
     _sweep,
@@ -154,20 +153,6 @@ class TestKalmanFilter:
         )
         assert np.allclose(out.means_filt[2], mean[2:4], atol=1e-8)
 
-    def test_gains_equal_the_explicit_inverse_form(self):
-        # J_i = P_i M_i' R_{i+1}^-1 from R_2..R_T; R_1 = K_1 is never used
-        rng = np.random.default_rng(5)
-        z, s, m_seq, k1, w, v = random_instance(rng, T=4, r=3, n_per_t=5)
-        assert not np.allclose(m_seq[0], np.eye(3))
-        out = kalman_filter(z, s, m_seq, k1, w, v)
-        gains, _, cross = _backward_gains(out, m_seq)
-        expected = np.stack([
-            out.covs_filt[i] @ m_seq[i].T @ np.linalg.inv(out.covs_pred[i + 1]) for i in range(3)
-        ])
-        assert gains.shape == (3, 3, 3)
-        assert np.allclose(cross, out.covs_filt[:-1] @ np.stack(m_seq).swapaxes(-1, -2))
-        assert np.allclose(gains, expected, rtol=0, atol=1e-10)
-
     def test_covariances_symmetric_psd(self):
         rng = np.random.default_rng(4)
         z, s, m_seq, k1, w, v = random_instance(rng, T=5, r=3, n_per_t=6)
@@ -231,6 +216,55 @@ class TestBackwardSample:
             for j in range(2):
                 se = np.sqrt((cov[i, i] * cov[j, j] + cov[i, j] ** 2) / n_draws)
                 assert abs(emp_cov[i, j] - cov[i, j]) <= 3 * se
+
+    def test_degenerate_instance_matches_dense_conditioning(self):
+        # rotating dynamics, rank-1 innovation covariances, time 2 wholly
+        # unobserved and time 3 with fewer cells than states: the smoothed
+        # means to 1e-8 and 50k-draw moments within 3 MC se of the joint law
+        rng = np.random.default_rng(49)
+        T, r, counts = 5, 3, (4, 5, 0, 2, 4)
+        s = [rng.normal(size=(n, r)) for n in counts]
+        m_seq = [np.linalg.qr(rng.normal(size=(r, r)))[0] for _ in range(T - 1)]
+        assert not np.allclose(m_seq[0], np.eye(r))
+        k1 = random_pd(rng, r)
+        w = [np.outer(col, col) for col in rng.normal(size=(T - 1, r))]
+        v = [rng.uniform(0.2, 1.0, size=n) for n in counts]
+        z = [rng.normal(size=n) for n in counts]
+        out = kalman_filter(z, s, m_seq, k1, w, v)
+        mean, cov = dense_condition(z, s, m_seq, k1, w, v)
+        assert np.linalg.matrix_rank(cov, tol=1e-8) < T * r
+        assert np.allclose(smoother_means(out, m_seq).ravel(), mean, rtol=0, atol=1e-8)
+
+        n_draws = 50_000
+        draw_rng = np.random.default_rng(50)
+        draws = np.array([backward_sample(out, m_seq, draw_rng).ravel() for _ in range(n_draws)])
+        sd = np.sqrt(np.diag(cov))
+        assert np.all(np.abs(draws.mean(axis=0) - mean) <= 3 * sd / np.sqrt(n_draws))
+        se_cov = np.sqrt((np.outer(sd**2, sd**2) + cov**2) / n_draws)
+        assert np.all(np.abs(np.cov(draws.T, ddof=1) - cov) <= 3 * se_cov)
+
+    def test_sweep_factors_only_in_the_filter(self):
+        # one sweep records the filter's T inverses of r x r and nothing
+        # else; the backward pass with its factors given factors nothing
+        _, _, design_set, basis, prior = toy_structures(
+            n_units=8, T=4, p=2, r=3, seed=51, time_varying=True
+        )
+        truth = simulate(design_set, basis, prior, np.array([0.3, -0.2]), 1.0, 0.05, 0.1, seed=52)
+        hyper = Hyperparams()
+        pre = _Precomputed(
+            design_set, basis, prior, align_observations(design_set, truth.observations), hyper
+        )
+        rng = np.random.default_rng(53)
+        state = _initial_state(pre, rng)
+        with track_dense_solves() as tracker:
+            state = _sweep(pre, state, hyper, rng)
+        assert tracker.dims == [3] * 4
+
+        z, s, v = ([cells[a:b] for a, b in pre.blocks] for cells in (pre.z, pre.s, pre.v))
+        filt = kalman_filter(z, s, pre.m_seq, pre.k1_star, pre.w_star_seq, v)
+        with track_dense_solves() as tracker:
+            backward_sample(filt, pre.m_seq, rng, (pre.scale_factors[0], pre.gram_factors))
+        assert tracker.dims == []
 
     def test_fixed_seed_bit_identical(self):
         rng = np.random.default_rng(9)
