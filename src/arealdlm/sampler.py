@@ -7,17 +7,17 @@ conditionals. All observation-side updates exploit the diagonal measurement
 covariance, so every dense factorization in the per-iteration path is r x r
 or p x p.
 
-Only the step of the forward filter that needs the step before runs once per
-time, as one r x r inverse (``_filter_core``). These T inverses are the only
-factorizations of a sweep: the smoother's recursions are matrix-vector
-products on the filter's stored matrices, with the factors of K*_1 and W*_t
-and of each S_t'V_t^-1 S_t built once per chain. Everything else is a
-(T, r, r) or (T, p, p) stack handled by one batched call, such as the
-conjugate draws. Within a sweep the cell arrays are flat over all observed
-cells, time-major, with one ``(start, stop)`` row block per time (the layout
-of ``PosteriorChain.xi``); ``sample_xi``, ``sample_beta`` and
-``sample_sigma_xi`` take those blocks and draw every time in one call, bit
-for bit the per-time calls in time order.
+The forward filter's loop updates the covariances only, one r x r inverse per
+time (``_filter_core``); these T inverses are the only factorizations of a
+sweep. The smoother's one forward pass carries the filter means with the draw,
+and its one backward pass the correction: matrix-vector products on the stored
+filter matrices, with the factors of K*_1, W*_t and each S_t'V_t^-1 S_t built
+once per chain. Everything else is a (T, r, r) or (T, p, p) stack handled by
+one batched call, such as the conjugate draws. Within a sweep the cell arrays
+are flat over all observed cells, time-major, with one ``(start, stop)`` row
+block per time (the layout of ``PosteriorChain.xi``); ``sample_xi``,
+``sample_beta`` and ``sample_sigma_xi`` take those blocks and draw every time
+in one call, bit for bit the per-time calls in time order.
 
 Each observed-cell array is held once (the observed rows of X_t and S_t, z
 and v); V is diagonal, so S'V^-1 y is S'(y / v) per row block. Each constant
@@ -56,13 +56,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .basis import BasisSystem
 from .data import AlignedData, DesignSet, ObservationSet, align_observations
 from .errors import ChainStateError, ValidationError
-from .linops import chol_psd, inv, inv_spd, symmetrize
+from .linops import chol_psd, inv, inv_spd
 from .prior import PriorStructure
 
 log = logging.getLogger(__name__)
@@ -112,22 +113,31 @@ class ModelState:
 
 @dataclass(frozen=True)
 class FilterResult:
-    """Kalman filter moments per time (index i is time i+1), with what the smoother reuses.
+    """Kalman filter covariances per time (index i is time i+1), with what the smoother reuses.
 
-    ``shrink`` is (I + R G)^-1 and ``innovations`` is h - G a, for the
-    predicted means a and covariances R; ``g``, ``k1`` and ``w`` are the
-    filter's inputs G, K_1 and W.
+    ``covs_pred`` is R, ``shrink`` (I + R G)^-1 and ``covs_filt`` P = shrink R;
+    ``h``, ``g``, ``m``, ``k1`` and ``w`` are the filter's inputs. The means are
+    formed when first read: ``means_pred`` a is the smoother's forward pass with
+    no noise (u = 0, data = h), and ``means_filt`` is shrink a + P h.
     """
 
-    means_filt: np.ndarray  # (T, r)
-    means_pred: np.ndarray  # (T, r)
     covs_filt: np.ndarray  # (T, r, r)
     covs_pred: np.ndarray  # (T, r, r)
     shrink: np.ndarray  # (T, r, r)
-    innovations: np.ndarray  # (T, r)
+    h: np.ndarray  # (T, r)
     g: np.ndarray  # (T, r, r)
+    m: np.ndarray  # (T-1, r, r)
     k1: np.ndarray  # (r, r)
     w: np.ndarray  # (T-1, r, r)
+
+    @cached_property
+    def means_pred(self) -> np.ndarray:
+        return _forward(self, self.m, np.zeros(self.h.shape), self.h)[0]
+
+    @cached_property
+    def means_filt(self) -> np.ndarray:
+        a, h = self.means_pred[..., None], self.h[..., None]
+        return (self.shrink @ a + self.covs_filt @ h)[..., 0]
 
 
 def _gram(s: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -150,37 +160,26 @@ def _filter_core(
     """Covariance-form filter from the observation sufficient statistics.
 
     h_seq[i] = S_i' V_i^-1 z_i and g_seq[i] = S_i' V_i^-1 S_i (see
-    ``_gram``); m_seq[i] propagates state i to i+1. The one step per
-    time that needs the step before is a single r x r inverse: from the
-    predicted mean a and covariance R, the filtered moments are
-    (I + R G)^-1 R and (I + R G)^-1 (a + R h). I + R G is nonsingular for
-    any PSD R, so a singular innovation needs no special case, and a time
-    with nothing observed (G = 0, h = 0) keeps its predicted moments
-    exactly. The covariances are symmetrized, and the innovations h - G a
-    formed in one batched product, after the loop.
+    ``_gram``); m_seq[i] propagates state i to i+1. The loop updates the
+    covariances only, by one r x r inverse per time: from the predicted R,
+    shrink = (I + R G)^-1 and the filtered P = shrink R. I + R G is
+    nonsingular for any PSD R, so a singular innovation needs no special
+    case, and a time with nothing observed (G = 0) keeps P = R exactly.
     """
-    T = len(h_seq)
-    r = k1.shape[0]
-    ident = np.eye(r)
-    means_filt, means_pred = np.empty((T, r)), np.empty((T, r))
-    covs_filt, covs_pred, shrink = np.empty((T, r, r)), np.empty((T, r, r)), np.empty((T, r, r))
-    mean, cov = np.zeros(r), k1
-    for i in range(T):
+    T, r = len(h_seq), k1.shape[0]
+    ident, m = np.eye(r), _stack(m_seq, r)
+    covs_filt, covs_pred, shrink = np.empty((3, T, r, r))
+    covs_pred[0] = k1
+    for i, cov in enumerate(covs_pred):
         if i > 0:
-            m = m_seq[i - 1]
-            mean = m @ means_filt[i - 1]
-            cov = m @ covs_filt[i - 1] @ m.T + w_seq[i - 1]
-        means_pred[i] = mean
-        covs_pred[i] = cov
-        shrink[i] = inv(ident + cov @ g_seq[i])
-        covs_filt[i] = shrink[i] @ cov
-        means_filt[i] = shrink[i] @ (mean + cov @ h_seq[i])
-    g = _stack(g_seq, r)
-    innovations = np.reshape(h_seq, (T, r)) - (g @ means_pred[..., None])[..., 0]
-    return FilterResult(
-        means_filt, means_pred, symmetrize(covs_filt), symmetrize(covs_pred),
-        shrink, innovations, g, k1, _stack(w_seq, r),
-    )
+            np.matmul(m[i - 1] @ covs_filt[i - 1], m[i - 1].T, out=cov)
+            cov += w_seq[i - 1]
+        i_rg = cov @ g_seq[i]
+        i_rg += ident
+        shrink[i] = inv(i_rg)
+        np.matmul(shrink[i], cov, out=covs_filt[i])
+    h = np.reshape(h_seq, (T, r))
+    return FilterResult(covs_filt, covs_pred, shrink, h, _stack(g_seq, r), m, k1, _stack(w_seq, r))
 
 
 def kalman_filter(
@@ -211,8 +210,8 @@ def kalman_filter(
     Returns
     -------
     FilterResult
-        Filtered and one-step-ahead means/covariances per time, with the
-        filter's gains, innovations and inputs. ``backward_sample`` and
+        Filtered and one-step-ahead covariances per time (the means when read),
+        with the filter's gains and inputs. ``backward_sample`` and
         ``smoother_means`` need nothing else: no predicted covariance is
         ever inverted, so a singular one needs no fallback.
     """
@@ -236,12 +235,24 @@ def kalman_filter(
     return _filter_core(h_seq, g_seq, m_seq, k1, w_seq)
 
 
-def _smooth(filtered: FilterResult, trans: np.ndarray, resid: np.ndarray) -> np.ndarray:
-    """R_i q_i with q_i = shrink_i' resid_i + trans_i' q_{i+1}, trans_i = M_i shrink_i."""
-    q = (filtered.shrink.swapaxes(-1, -2) @ resid[..., None])[..., 0]
+def _forward(filtered: FilterResult, m_seq, u, data) -> tuple[np.ndarray, np.ndarray]:
+    """In u: y_1 = u_1, y_{i+1} = trans_i y_i + u_{i+1} + M_i P_i data_i, trans_i = M_i shrink_i."""
+    m_stack = _stack(m_seq, u.shape[1])
+    trans = m_stack @ filtered.shrink[:-1]
+    u[1:] += (m_stack @ (filtered.covs_filt[:-1] @ data[:-1, :, None]))[..., 0]
+    for i in range(len(trans)):
+        u[i + 1] += trans[i] @ u[i]
+    return u, trans
+
+
+def _smoothed(filtered: FilterResult, m_seq, u, data) -> np.ndarray:
+    """y + R q, y from ``_forward`` and q_i = shrink_i' e_i + trans_i' q_{i+1}, e = data - G y."""
+    y, trans = _forward(filtered, m_seq, u, data)
+    e = data - (filtered.g @ y[..., None])[..., 0]
+    q = (filtered.shrink.swapaxes(-1, -2) @ e[..., None])[..., 0]
     for i in range(len(trans) - 1, -1, -1):
         q[i] += trans[i].T @ q[i + 1]
-    return (filtered.covs_pred @ q[..., None])[..., 0]
+    return y + (filtered.covs_pred @ q[..., None])[..., 0]
 
 
 def backward_sample(
@@ -255,30 +266,19 @@ def backward_sample(
     The mean-correction simulation smoother (Durbin & Koopman 2002), from the
     filter's matrices alone: nothing is factored when ``factors`` = (F, L)
     is given, F the factors of K_1 and each W_t (``_path_factors``), L those
-    of each G_t. With one (2, T, r) block of normals (nu, eps), u = F nu and
-    x the prediction error of the prior's pseudo-data, x_0 = u_0 and
-    x_{i+1} = M_i shrink_i x_i + u_{i+1} - M_i P_i L_i eps_i. The draw is
-    x + a + R q, with q from ``_smooth`` on e - G x - L eps.
+    of each G_t. From one (2, T, r) block of normals (nu, eps), the forward
+    pass runs on u = F nu and data h - L eps, so y is the filter means plus
+    the prediction error of the prior's pseudo-data; the draw is y + R q.
     """
-    T, r = filtered.means_filt.shape
     path, gram = factors or (_path_factors(filtered.k1, filtered.w), chol_psd(filtered.g))
-    nu, eps = rng.standard_normal((2, T, r))
-    m_stack = _stack(m_seq, r)
-    trans = m_stack @ filtered.shrink[:-1]
-    pseudo = (gram @ eps[..., None])[..., 0]
-    x = (path @ nu[..., None])[..., 0]
-    x[1:] -= (m_stack @ (filtered.covs_filt[:-1] @ pseudo[:-1, :, None]))[..., 0]
-    for i in range(T - 1):
-        x[i + 1] += trans[i] @ x[i]
-    resid = filtered.innovations - (filtered.g @ x[..., None])[..., 0] - pseudo
-    return x + filtered.means_pred + _smooth(filtered, trans, resid)
+    nu, eps = rng.standard_normal((2, *filtered.h.shape))
+    u = (path @ nu[..., None])[..., 0]
+    return _smoothed(filtered, m_seq, u, filtered.h - (gram @ eps[..., None])[..., 0])
 
 
 def smoother_means(filtered: FilterResult, m_seq: list[np.ndarray]) -> np.ndarray:
-    """Fixed-interval smoothed means a + R q, from the filter's innovations."""
-    r = filtered.means_filt.shape[1]
-    trans = _stack(m_seq, r) @ filtered.shrink[:-1]
-    return filtered.means_pred + _smooth(filtered, trans, filtered.innovations)
+    """Fixed-interval smoothed means a + R q: ``backward_sample``'s passes with no noise."""
+    return _smoothed(filtered, m_seq, np.zeros(filtered.h.shape), filtered.h)
 
 
 def _one_block(n: int, *per_time):

@@ -7,7 +7,7 @@ import pytest
 from arealdlm import sampler
 from arealdlm.data import align_observations
 from arealdlm.errors import ChainStateError, ValidationError
-from arealdlm.linops import track_dense_solves
+from arealdlm.linops import chol_psd, track_dense_solves
 from arealdlm.predict import simulate
 from arealdlm.sampler import (
     Hyperparams,
@@ -93,6 +93,74 @@ def random_pd(rng, n):
     return g @ g.T + 0.3 * np.eye(n)
 
 
+def degenerate_instance():
+    """T=5, r=3: rotating M, rank-1 W, one time wholly unobserved and one with n_t < r."""
+    rng = np.random.default_rng(49)
+    T, r, counts = 5, 3, (4, 5, 0, 2, 4)
+    s = [rng.normal(size=(n, r)) for n in counts]
+    m_seq = [np.linalg.qr(rng.normal(size=(r, r)))[0] for _ in range(T - 1)]
+    k1 = random_pd(rng, r)
+    w = [np.outer(col, col) for col in rng.normal(size=(T - 1, r))]
+    v = [rng.uniform(0.2, 1.0, size=n) for n in counts]
+    z = [rng.normal(size=n) for n in counts]
+    return z, s, m_seq, k1, w, v
+
+
+ORACLE_INSTANCES = {
+    "degenerate": degenerate_instance,
+    "T20-r20": lambda: random_instance(np.random.default_rng(54), T=20, r=20, n_per_t=25),
+}
+
+
+def mean_update_filter(z, s, m_seq, k1, w_seq, v):
+    """The covariance-form filter with the mean update in its loop: an oracle.
+
+    Per time, from the predicted mean a and covariance R: shrink =
+    (I + R G)^-1, P = shrink R, filtered mean shrink (a + R h); the
+    innovations are h - G a.
+    """
+    T, r = len(z), k1.shape[0]
+    h = np.reshape([s_t.T @ (z_t / v_t) for z_t, s_t, v_t in zip(z, s, v)], (T, r))
+    g = np.reshape([(s_t.T / v_t) @ s_t for s_t, v_t in zip(s, v)], (T, r, r))
+    ref = {name: np.empty((T, r)) for name in ("means_filt", "means_pred")}
+    ref.update({name: np.empty((T, r, r)) for name in ("covs_filt", "covs_pred", "shrink")})
+    mean, cov = np.zeros(r), k1
+    for i in range(T):
+        if i > 0:
+            mean = m_seq[i - 1] @ ref["means_filt"][i - 1]
+            cov = m_seq[i - 1] @ ref["covs_filt"][i - 1] @ m_seq[i - 1].T + w_seq[i - 1]
+        ref["means_pred"][i], ref["covs_pred"][i] = mean, cov
+        ref["shrink"][i] = np.linalg.inv(np.eye(r) + cov @ g[i])
+        ref["covs_filt"][i] = ref["shrink"][i] @ cov
+        ref["means_filt"][i] = ref["shrink"][i] @ (mean + cov @ h[i])
+    ref.update(g=g, innovations=h - (g @ ref["means_pred"][..., None])[..., 0])
+    return ref
+
+
+def x_recursion_smoother(ref, m_seq, u, pseudo):
+    """a + x + R q from the filter oracle's moments: the mean-correction smoother on x = y - a.
+
+    x_1 = u_1 and x_{i+1} = M_i shrink_i x_i + u_{i+1} - M_i P_i pseudo_i;
+    q_i = shrink_i' e_i + (M_i shrink_i)' q_{i+1} on e = innovations - G x - pseudo.
+    Zero noise gives the smoothed means.
+    """
+    T, r = u.shape
+    x = u.copy()
+    for i in range(T - 1):
+        x[i + 1] += m_seq[i] @ (ref["shrink"][i] @ x[i] - ref["covs_filt"][i] @ pseudo[i])
+    e = ref["innovations"] - (ref["g"] @ x[..., None])[..., 0] - pseudo
+    q = np.zeros((T, r))
+    for i in range(T - 1, -1, -1):
+        q[i] = ref["shrink"][i].T @ e[i]
+        if i < T - 1:
+            q[i] += (m_seq[i] @ ref["shrink"][i]).T @ q[i + 1]
+    return ref["means_pred"] + x + (ref["covs_pred"] @ q[..., None])[..., 0]
+
+
+def relative(new, old):
+    return float(np.max(np.abs(new - old)) / np.max(np.abs(old)))
+
+
 class TestKalmanFilter:
     def test_scalar_bayes_rule(self):
         k, v, z = 2.0, 0.5, 1.3
@@ -162,6 +230,19 @@ class TestKalmanFilter:
                 assert np.max(np.abs(mat - mat.T)) < 1e-10
                 assert np.linalg.eigvalsh(mat).min() >= -1e-10
 
+    @pytest.mark.parametrize("instance", sorted(ORACLE_INSTANCES))
+    def test_moments_match_the_mean_update_loop(self, instance):
+        # the covariance-only loop, with the means from the smoother's
+        # forward pass, gives the moments of the loop that updated the means
+        z, s, m_seq, k1, w, v = ORACLE_INSTANCES[instance]()
+        out = kalman_filter(z, s, m_seq, k1, w, v)
+        ref = mean_update_filter(z, s, m_seq, k1, w, v)
+        for name in ("means_filt", "means_pred", "covs_filt", "covs_pred", "shrink"):
+            assert relative(getattr(out, name), ref[name]) < 1e-12, name
+        zeros = np.zeros((len(z), k1.shape[0]))
+        smoothed = x_recursion_smoother(ref, m_seq, zeros, zeros)
+        assert relative(smoother_means(out, m_seq), smoothed) < 1e-12
+
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError, match="non-finite"):
             kalman_filter(
@@ -221,15 +302,9 @@ class TestBackwardSample:
         # rotating dynamics, rank-1 innovation covariances, time 2 wholly
         # unobserved and time 3 with fewer cells than states: the smoothed
         # means to 1e-8 and 50k-draw moments within 3 MC se of the joint law
-        rng = np.random.default_rng(49)
-        T, r, counts = 5, 3, (4, 5, 0, 2, 4)
-        s = [rng.normal(size=(n, r)) for n in counts]
-        m_seq = [np.linalg.qr(rng.normal(size=(r, r)))[0] for _ in range(T - 1)]
+        z, s, m_seq, k1, w, v = degenerate_instance()
+        T, r = len(z), k1.shape[0]
         assert not np.allclose(m_seq[0], np.eye(r))
-        k1 = random_pd(rng, r)
-        w = [np.outer(col, col) for col in rng.normal(size=(T - 1, r))]
-        v = [rng.uniform(0.2, 1.0, size=n) for n in counts]
-        z = [rng.normal(size=n) for n in counts]
         out = kalman_filter(z, s, m_seq, k1, w, v)
         mean, cov = dense_condition(z, s, m_seq, k1, w, v)
         assert np.linalg.matrix_rank(cov, tol=1e-8) < T * r
@@ -265,6 +340,47 @@ class TestBackwardSample:
         with track_dense_solves() as tracker:
             backward_sample(filt, pre.m_seq, rng, (pre.scale_factors[0], pre.gram_factors))
         assert tracker.dims == []
+
+    @pytest.mark.parametrize("instance", sorted(ORACLE_INSTANCES))
+    def test_draw_matches_the_x_recursion_smoother(self, instance):
+        # from one generator state, the draw equals the x-recursion smoother's
+        # on the same (2, T, r) block of normals, and both consume only it
+        z, s, m_seq, k1, w, v = ORACLE_INSTANCES[instance]()
+        out = kalman_filter(z, s, m_seq, k1, w, v)
+        ref = mean_update_filter(z, s, m_seq, k1, w, v)
+        rng, ref_rng = np.random.default_rng(55), np.random.default_rng(55)
+        draw = backward_sample(out, m_seq, rng)
+        nu, eps = ref_rng.standard_normal((2, len(z), k1.shape[0]))
+        u = (sampler._path_factors(k1, w) @ nu[..., None])[..., 0]
+        pseudo = (chol_psd(ref["g"]) @ eps[..., None])[..., 0]
+        assert relative(draw, x_recursion_smoother(ref, m_seq, u, pseudo)) < 1e-12
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_sweep_never_evaluates_the_filter_means(self, monkeypatch):
+        # the sweep reads the filter's covariances and gains only; the means
+        # of the FilterResult it drew the path from are never formed
+        _, _, design_set, basis, prior = toy_structures(
+            n_units=8, T=4, p=2, r=3, seed=51, time_varying=True
+        )
+        truth = simulate(design_set, basis, prior, np.array([0.3, -0.2]), 1.0, 0.05, 0.1, seed=52)
+        hyper = Hyperparams()
+        pre = _Precomputed(
+            design_set, basis, prior, align_observations(design_set, truth.observations), hyper
+        )
+        rng = np.random.default_rng(53)
+        state = _initial_state(pre, rng)
+        results = []
+
+        def kept(*args, _original=sampler._filter_core, **kwargs):
+            results.append(_original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(sampler, "_filter_core", kept)
+        _sweep(pre, state, hyper, rng)
+        assert len(results) == 1
+        assert not {"means_filt", "means_pred"} & set(vars(results[0]))
+        assert np.all(np.isfinite(results[0].means_filt))
+        assert {"means_filt", "means_pred"} <= set(vars(results[0]))
 
     def test_fixed_seed_bit_identical(self):
         rng = np.random.default_rng(9)
