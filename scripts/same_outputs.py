@@ -52,7 +52,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 COMMANDS = ("simulate", "validate", "basis", "prior", "fit", "predict")
-TRACES = ("sigma_k2", "beta[1,0]", "eta[1,0]")
+TRACES = ("sigma_k2", "beta[1,0]", "eta[1,0]", "xi[1,0]")
 SURVEY_1_UNITS = {"u0", "u1", "u2", "u3"}
 
 

@@ -15,10 +15,10 @@ iteration has run; the ``.npy`` files are then standard files that
 
 ``read_chain`` opens a chain directory: it checks the manifest and the
 header and length of every store, and reads no draw. Its ``StoredChain``
-then reads rows ``[start, stop)`` of a group, whole or only a block of
-columns, with ``np.fromfile`` at an offset (not a memmap, whose pages would
-count toward the resident set), the way ``sampler.PosteriorChain.read``
-gives them from memory. ``finalize`` returns the ``StoredChain`` it wrote.
+then reads rows ``[start, stop)`` of a group, whole rows only, with one
+``np.fromfile`` at an offset (not a memmap, whose pages would count toward
+the resident set), the way ``sampler.PosteriorChain.read`` gives them from
+memory. ``finalize`` returns the ``StoredChain`` it wrote.
 
 ``<name>.csv`` is a text export of the same rows, whose 17 significant
 digits round-trip exactly. The first flush writes its header row; a second
@@ -339,42 +339,28 @@ class StoredChain:
     thin: int
     meta: dict
 
-    def read(self, name: str, start: int, stop: int, cols: tuple[int, int] | None = None):
-        """Rows [start, stop) of group ``name``, each draw flattened; ``cols`` = (lo, hi) limits
-        them to columns [lo, hi).
+    def read(self, name: str, start: int, stop: int):
+        """Rows [start, stop) of group ``name``, each draw flattened, from one read of the file.
 
-        Whole rows are one read of the file, a block of columns one read per
-        row. A store that has become shorter since ``read_chain`` opened it is
-        a ChainStateError naming the file.
+        A store that has become shorter since ``read_chain`` opened it is a
+        ChainStateError naming the file.
         """
         if not 0 <= start <= stop <= self.num_draws:
             raise IndexError(f"rows [{start}, {stop}) are not in [0, {self.num_draws})")
         ncols = math.prod(self.shapes[name])
-        lo, hi = (0, ncols) if cols is None else cols
         path = self.directory / f"{name}.npy"
-        row_bytes = ncols * _DTYPE.itemsize
-        first = self.data_offsets[name] + start * row_bytes + lo * _DTYPE.itemsize
-        shape = (stop - start, hi - lo)
+        first = self.data_offsets[name] + start * ncols * _DTYPE.itemsize
+        count = (stop - start) * ncols
         try:
-            if hi - lo == ncols:
-                out = np.fromfile(path, dtype=_DTYPE, count=math.prod(shape), offset=first)
-                missing = math.prod(shape) - out.size
-            else:
-                out = np.empty(shape, dtype=_DTYPE)
-                got = 0
-                with path.open("rb", buffering=0) as fh:
-                    for j, row in enumerate(out):
-                        fh.seek(first + j * row_bytes)
-                        got += fh.readinto(row)
-                missing = out.size - got // _DTYPE.itemsize
+            out = np.fromfile(path, dtype=_DTYPE, count=count, offset=first)
         except OSError as exc:
             raise ChainStateError(f"cannot read the chain store {path}: {exc}") from None
-        if missing:
+        if out.size < count:
             raise ChainStateError(
-                f"the chain store {path} is short: {missing} of the values of rows "
+                f"the chain store {path} is short: {count - out.size} of the values of rows "
                 f"[{start}, {stop}) are missing"
             )
-        return out.reshape(shape)
+        return out.reshape(stop - start, ncols)
 
 
 def _store_offset(path: Path, num_draws: int, draw_shape: tuple, stored: int) -> int:
@@ -545,15 +531,12 @@ class StoredStructures:
         Each X_t is a view of the stored rows.
         """
         graph = ArealGraph(self.units, frozenset(map(tuple, self.edges.tolist())))
-        layout, matrices, row_lookup = {}, {}, {}
+        layout, matrices = {}, {}
         for t in range(1, len(self.offsets)):
             lo, hi = self.offsets[t - 1], self.offsets[t]
             layout[t] = tuple(map(tuple, self.layout[lo:hi].tolist()))
             matrices[t] = self.x[lo:hi]
-            row_lookup.update(
-                ((ell, t, self.units[u]), pos) for pos, (ell, u) in enumerate(layout[t])
-            )
-        return DesignSet(design, graph, layout, matrices, row_lookup)
+        return DesignSet(design, graph, layout, matrices)
 
 
 def read_structures(path: str | Path) -> StoredStructures:

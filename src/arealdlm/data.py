@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -304,14 +304,19 @@ class DesignSet:
 
     ``layout[t]`` lists the prediction rows at time t as (variable, unit
     index) pairs in the canonical order; ``matrices[t]`` is the N_t x p
-    covariate matrix over those rows.
+    covariate matrix over those rows. ``row_lookup``, built from ``layout``
+    when first read, gives the row at t of each (variable, t, unit name).
     """
 
     design: StudyDesign
     graph: ArealGraph
     layout: dict[int, tuple[tuple[int, int], ...]]
     matrices: dict[int, np.ndarray]
-    row_lookup: dict[tuple[int, int, str], int] = field(repr=False, default_factory=dict)
+
+    @cached_property
+    def row_lookup(self) -> dict[tuple[int, int, str], int]:
+        return {(ell, t, self.graph.units[u]): pos
+                for t, rows in self.layout.items() for pos, (ell, u) in enumerate(rows)}
 
     def N_t(self, t: int) -> int:
         return len(self.layout[t])
@@ -436,7 +441,6 @@ def assemble_design(
     x = np.frombuffer(values, dtype=float).reshape(-1, design.p)
     layout: dict[int, tuple[tuple[int, int], ...]] = {}
     matrices: dict[int, np.ndarray] = {}
-    row_lookup: dict[tuple[int, int, str], int] = {}
     for t in range(1, design.T + 1):
         rows_t: list[tuple[int, int]] = []
         for ell in design.active_variables(t):
@@ -453,12 +457,10 @@ def assemble_design(
         if not np.any(np.all(x_t == 1.0, axis=0)):
             raise ValidationError(f"design matrix X_t at t={t} has no exact-ones intercept column")
         matrices[t] = x_t
-        for pos, (ell, u) in enumerate(rows_t):
-            row_lookup[(ell, t, graph.units[u])] = pos
 
     min_capacity = min(len(layout[t]) - design.p for t in layout)
     if design.r > min_capacity:
         raise ValidationError(
             f"basis rank r={design.r} exceeds min over t of (N_t - p) = {min_capacity}"
         )
-    return DesignSet(design, graph, layout, matrices, row_lookup)
+    return DesignSet(design, graph, layout, matrices)

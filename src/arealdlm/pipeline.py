@@ -157,14 +157,10 @@ def build_structures(cfg: RunConfig) -> ModelStructures:
     return ModelStructures(base.design_set, base.basis, prior)
 
 
-def load_data(
-    cfg: RunConfig,
-    structures: DesignStructures,
-    observations_path=None,
-) -> tuple[ObservationSet, AlignedData]:
-    """Load (and transform) an observation file against the built structures."""
+def load_data(cfg: RunConfig, structures: DesignStructures) -> tuple[ObservationSet, AlignedData]:
+    """Load (and transform) the observation file of ``cfg`` against the built structures."""
     obs = load_observations(
-        observations_path or cfg.observations,
+        cfg.observations,
         cfg.design,
         transforms=cfg.transforms,
         design_set=structures.design_set,

@@ -6,18 +6,19 @@ from its prior at never-observed cells, so uncertainty at unobserved
 locations carries the fine-scale variance floor. ``posterior_y`` and
 ``select_series`` read the chain through its ``read`` method, the same for a
 chain in memory (``sampler.PosteriorChain``) and one on disk
-(``chainio.StoredChain``). ``posterior_y`` makes one pass over the chain: it
-reads blocks of whole rows of at most ``CHUNK_BYTES`` (the budget of
-``sampler``, which also caps the draws a fit holds between two flushes) but
-at least ``MIN_BLOCK_DRAWS`` rows, one read per group and block, and merges
-each time's per-location moments block by block, so its memory does not
-grow with the chain. The prior normals of time t come from a child
-generator of their own, spawned from ``prediction_rng``, so the result does
-not depend on the block size. ``rls`` needs only those moments.
+(``chainio.StoredChain``), in one pass of blocks of whole rows
+(``_blocks``): at most ``CHUNK_BYTES`` (the budget of ``sampler``,
+which also caps the draws a fit holds between two flushes) of the widest
+row but at least ``MIN_BLOCK_DRAWS`` rows, one read per group and block.
+``posterior_y`` merges each time's per-location moments block by block, so
+its memory does not grow with the chain. The prior normals of time t come
+from a child generator of their own, spawned from ``prediction_rng``, so
+the result does not depend on the block size. ``rls`` needs only those moments.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +42,12 @@ from .sampler import CHUNK_BYTES, PosteriorChain, _draw_path, _path_factors, _tr
 # Fewest draws in a block of ``posterior_y``: each block costs every time a few
 # small products and generator calls. 16 draws of xi at 45 k cells are 5.8 MB.
 MIN_BLOCK_DRAWS = 16
+
+
+def _blocks(num_draws: int, widest: int) -> list[tuple[int, int]]:
+    """The row ranges [a, b) of a chain read whose widest row holds ``widest`` values."""
+    step = max(MIN_BLOCK_DRAWS, CHUNK_BYTES // (8 * widest))
+    return [(a, min(a + step, num_draws)) for a in range(0, num_draws, step)]
 
 
 def prediction_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -169,10 +176,9 @@ def posterior_y(
     Each draw evaluates fixed effects plus the basis term plus the fine-scale
     term (stored at observed cells, drawn from its prior elsewhere);
     back-transformed summaries invert the declared link per draw before
-    averaging. The chain is read in one pass, in blocks of whole rows of at
-    most ``CHUNK_BYTES`` for the widest row but at least ``MIN_BLOCK_DRAWS``
-    rows, one ``read`` per group and block; within a block each time's draws
-    are formed and added to its moments. So memory does not grow with the
+    averaging. The chain is read in one pass, in the blocks of whole rows of
+    ``_blocks``, one ``read`` per group and block; within a block each time's
+    draws are formed and added to its moments. So memory does not grow with the
     number of draws (except the draws that ``keep_draws`` returns). The prior normals of time t are drawn
     in draw order from child t − 1 of ``rng.spawn(T)`` (``rng`` defaults to
     ``prediction_rng`` of the chain's seed), so they do not depend on the
@@ -221,9 +227,7 @@ def posterior_y(
     all_draws = np.zeros((J, n_loc)) if keep_draws else None
     p = chain.shapes["beta"][1]
     widest = max(T * max(r, p), chain.shapes["xi"][0], *map(len, by_time.values()), 1)
-    step = max(MIN_BLOCK_DRAWS, CHUNK_BYTES // (8 * widest))
-    for a in range(0, J, step):
-        b = min(a + step, J)
+    for a, b in _blocks(J, widest):
         rows = [chain.read(name, a, b) for name in ("beta", "eta", "xi", "sigma_xi2")]
         for part in parts:
             draws = part.add(*rows)
@@ -403,10 +407,14 @@ def selector_column(
 
 
 def select_series(chain: PosteriorChain | StoredChain, selector: str) -> np.ndarray:
-    """Per-draw series of one scalar parameter (selectors as ``selector_column``)."""
+    """Per-draw series of one scalar parameter (selectors as ``selector_column``), taken from
+    the blocks of whole rows of its group that ``_blocks`` gives."""
     T, r = chain.shapes["eta"]
     name, *_, column = selector_column(selector, T, r, chain.shapes["beta"][1], chain.xi_offsets)
-    return chain.read(name, 0, chain.num_draws, (column, column + 1))[:, 0]
+    series = np.empty(chain.num_draws)
+    for a, b in _blocks(chain.num_draws, math.prod(chain.shapes[name])):
+        series[a:b] = chain.read(name, a, b)[:, column]
+    return series
 
 
 def write_predictions_csv(surface: PredictionSurface, path: str | Path) -> None:

@@ -32,10 +32,11 @@ nothing observed needs no branch: the empty products give zero information.
 
 The latent path follows eta_1 ~ N(0, sigma_k2 K*_1) and eta_t = M_t
 eta_{t-1} + u_t with u_t ~ N(0, sigma_k2 W*_t). ``_transitions`` is the one
-source of the M_t stack, for the filter, the smoother, the scale update
-and the prior draws alike. ``_draw_path`` is the one prior draw of a path,
-from the factors of ``_path_factors``: the chain's initial state uses it at
-unit scale, and ``predict.simulate`` at the true scale.
+source of the M_t stack, for the filter, the smoother (which reads the
+filter's ``FilterResult.m``), the scale update and the prior draws alike.
+``_draw_path`` is the one prior draw of a path, from the factors of
+``_path_factors``: the chain's initial state uses it at unit scale, and
+``predict.simulate`` at the true scale.
 
 ``_sweep`` is the one Gibbs sweep, a pure function of the constants, the
 frozen ``ModelState`` and the generator: path, fine-scale field, regression
@@ -132,7 +133,7 @@ class FilterResult:
 
     @cached_property
     def means_pred(self) -> np.ndarray:
-        return _forward(self, self.m, np.zeros(self.h.shape), self.h)[0]
+        return _forward(self, np.zeros(self.h.shape), self.h)[0]
 
     @cached_property
     def means_filt(self) -> np.ndarray:
@@ -235,24 +236,31 @@ def kalman_filter(
     return _filter_core(h_seq, g_seq, m_seq, k1, w_seq)
 
 
-def _forward(filtered: FilterResult, m_seq, u, data) -> tuple[np.ndarray, np.ndarray]:
+def _forward(filtered: FilterResult, u, data) -> tuple[np.ndarray, np.ndarray]:
     """In u: y_1 = u_1, y_{i+1} = trans_i y_i + u_{i+1} + M_i P_i data_i, trans_i = M_i shrink_i."""
-    m_stack = _stack(m_seq, u.shape[1])
-    trans = m_stack @ filtered.shrink[:-1]
-    u[1:] += (m_stack @ (filtered.covs_filt[:-1] @ data[:-1, :, None]))[..., 0]
+    trans = filtered.m @ filtered.shrink[:-1]
+    u[1:] += (filtered.m @ (filtered.covs_filt[:-1] @ data[:-1, :, None]))[..., 0]
     for i in range(len(trans)):
         u[i + 1] += trans[i] @ u[i]
     return u, trans
 
 
-def _smoothed(filtered: FilterResult, m_seq, u, data) -> np.ndarray:
+def _smoothed(filtered: FilterResult, u, data) -> np.ndarray:
     """y + R q, y from ``_forward`` and q_i = shrink_i' e_i + trans_i' q_{i+1}, e = data - G y."""
-    y, trans = _forward(filtered, m_seq, u, data)
+    y, trans = _forward(filtered, u, data)
     e = data - (filtered.g @ y[..., None])[..., 0]
     q = (filtered.shrink.swapaxes(-1, -2) @ e[..., None])[..., 0]
     for i in range(len(trans) - 1, -1, -1):
         q[i] += trans[i].T @ q[i + 1]
     return y + (filtered.covs_pred @ q[..., None])[..., 0]
+
+
+def _check_transitions(filtered: FilterResult, m_seq) -> None:
+    """An ``m_seq`` other than the filter's transitions ``filtered.m`` is a ValidationError."""
+    m = filtered.m
+    if m_seq is not m and not (np.size(m_seq) == m.size
+                               and np.array_equal(np.reshape(m_seq, m.shape), m)):
+        raise ValidationError("m_seq differs from the transitions the filter was run with")
 
 
 def backward_sample(
@@ -269,16 +277,19 @@ def backward_sample(
     of each G_t. From one (2, T, r) block of normals (nu, eps), the forward
     pass runs on u = F nu and data h - L eps, so y is the filter means plus
     the prediction error of the prior's pseudo-data; the draw is y + R q.
+    An ``m_seq`` other than the filter's transitions is a ValidationError.
     """
+    _check_transitions(filtered, m_seq)
     path, gram = factors or (_path_factors(filtered.k1, filtered.w), chol_psd(filtered.g))
     nu, eps = rng.standard_normal((2, *filtered.h.shape))
     u = (path @ nu[..., None])[..., 0]
-    return _smoothed(filtered, m_seq, u, filtered.h - (gram @ eps[..., None])[..., 0])
+    return _smoothed(filtered, u, filtered.h - (gram @ eps[..., None])[..., 0])
 
 
 def smoother_means(filtered: FilterResult, m_seq: list[np.ndarray]) -> np.ndarray:
-    """Fixed-interval smoothed means a + R q: ``backward_sample``'s passes with no noise."""
-    return _smoothed(filtered, m_seq, np.zeros(filtered.h.shape), filtered.h)
+    """Smoothed means a + R q: ``backward_sample``'s check and passes with no noise."""
+    _check_transitions(filtered, m_seq)
+    return _smoothed(filtered, np.zeros(filtered.h.shape), filtered.h)
 
 
 def _one_block(n: int, *per_time):
@@ -544,14 +555,12 @@ class PosteriorChain:
         _, T, r = self.eta.shape
         return draw_shapes(T, r, self.beta.shape[2], self.xi.shape[1])
 
-    def read(self, name: str, start: int, stop: int, cols: tuple[int, int] | None = None):
-        """Rows [start, stop) of group ``name``, each draw flattened; ``cols`` = (lo, hi) limits
-        them to columns [lo, hi)."""
+    def read(self, name: str, start: int, stop: int):
+        """Rows [start, stop) of group ``name``, each draw flattened."""
         if not self.start <= start <= stop <= self.num_draws:
             raise IndexError(f"rows [{start}, {stop}) are not in [{self.start}, {self.num_draws})")
         rows = getattr(self, name)[start - self.start : stop - self.start]
-        rows = rows.reshape(len(rows), -1)
-        return rows if cols is None else rows[:, cols[0] : cols[1]]
+        return rows.reshape(len(rows), -1)
 
 
 class _Precomputed:
@@ -637,7 +646,7 @@ def _sweep(
         h_seq, pre.g, pre.m_seq, state.sigma_k2 * pre.k1_star, state.sigma_k2 * pre.w_star_seq
     )
     factors = (math.sqrt(state.sigma_k2) * pre.scale_factors[0], pre.gram_factors)
-    eta = backward_sample(filt, pre.m_seq, rng, factors)
+    eta = backward_sample(filt, filt.m, rng, factors)
 
     # fine-scale field and regression coefficients, all times at once
     basis_term = _basis_term(pre.s, eta, pre.blocks)

@@ -14,7 +14,13 @@ from arealdlm.errors import ChainStateError
 from arealdlm.predict import simulate
 from arealdlm.sampler import Hyperparams, gibbs_run
 
-from util import assert_export_matches_store, every_draw, toy_structures
+from util import (
+    assert_export_matches_store,
+    cycle_graph,
+    every_draw,
+    make_design_set,
+    toy_structures,
+)
 
 # one chain file per parameter group; the names do not depend on the sizes
 CHAIN_FILES = tuple(sampler.draw_shapes(T=1, r=1, p=1, n=1))
@@ -371,6 +377,15 @@ def test_memory_does_not_grow_with_stored_draws(tmp_path):
     assert abs(predict_2000 - predict_200) < 0.1 * predict_200
 
 
+def layout_lookup(design_set):
+    """The row of each (variable, t, unit name), built by hand from the layout."""
+    lookup = {}
+    for t, rows in design_set.layout.items():
+        for pos, (ell, u) in enumerate(rows):
+            lookup[(ell, t, design_set.graph.units[u])] = pos
+    return lookup
+
+
 class TestStructuresFile:
     def test_unreadable_structures_refused(self, tmp_path):
         with pytest.raises(ChainStateError, match="no fitted structures"):
@@ -407,7 +422,7 @@ class TestStructuresFile:
         assert loaded.graph.units == built.graph.units == tuple(units[::-1])  # first seen
         assert loaded.graph.edges == built.graph.edges
         assert loaded.layout == built.layout
-        assert loaded.row_lookup == built.row_lookup
+        assert loaded.row_lookup == built.row_lookup == layout_lookup(built)
         assert [loaded.N_t(t) for t in (1, 2, 3)] == [5, 10, 10]
         assert sorted(loaded.matrices) == sorted(built.matrices) == [1, 2, 3]
         for t in (1, 2, 3):
@@ -416,6 +431,13 @@ class TestStructuresFile:
                               (stored.basis.eigvals[t], basis.eigvals[t])):
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
+
+        # a design built in code, from its layout alone, finds every row too
+        made = make_design_set(cycle_graph(units), design, seed=4)
+        write_structures(tmp_path / "made.npz", made, build_basis_system(made), {})
+        loaded = read_structures(tmp_path / "made.npz").design_set(design)
+        assert loaded.row_lookup == made.row_lookup == layout_lookup(made)
+        assert len(made.row_lookup) == 25
 
 
 class TestWriteJson:

@@ -24,7 +24,7 @@ from arealdlm.predict import (
 from arealdlm.sampler import Hyperparams, PosteriorChain, gibbs_run
 
 from test_cli import write_project
-from util import toy_structures
+from util import every_draw, toy_structures
 
 
 def constant_chain(value_eta, T, r, p, n, J=7):
@@ -253,7 +253,38 @@ class TestStreamedReader:
         for name in ("yhat", "yhat_backtransformed", "draws"):
             assert np.array_equal(getattr(streamed, name), getattr(whole, name)), name
 
-    @pytest.mark.parametrize("name", ["xi", "eta"], ids=["column-block", "whole-rows"])
+    @pytest.mark.parametrize("floor, budget_rows, step", [(7, 0, 7), (1, 13, 13)],
+                             ids=["floor", "budget"])
+    @pytest.mark.parametrize("selector", ["xi[2,3]", "eta[2,1]", "sigma_k2"])
+    def test_series_read_in_blocks_of_whole_rows(self, stored, monkeypatch, selector, floor,
+                                                 budget_rows, step):
+        # blocks of `step` rows, sized by the floor or by the byte budget of the
+        # group's row; neither divides the draws, so the last block is short
+        chain, directory, *_ = stored
+        opened = read_chain(directory)
+        name = selector.split("[")[0]
+        width = chain.read(name, 0, 1).shape[1]
+        monkeypatch.setattr(predict, "MIN_BLOCK_DRAWS", floor)
+        monkeypatch.setattr(predict, "CHUNK_BYTES", 8 * width * budget_rows)
+        J = chain.num_draws
+        assert J % step and -(-J // step) >= 3
+        draws = every_draw(chain)
+        lo, _ = chain.xi_offsets[2]
+        want = {"xi[2,3]": draws["xi"][:, lo + 3], "eta[2,1]": draws["eta"][:, 1, 1],
+                "sigma_k2": draws["sigma_k2"]}[selector]
+        reads = []
+        original = StoredChain.read
+
+        def counted(self, *args):
+            reads.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(StoredChain, "read", counted)
+        for source in (chain, opened):
+            assert np.array_equal(select_series(source, selector), want)
+        assert reads == [(name, a, min(a + step, J)) for a in range(0, J, step)]
+
+    @pytest.mark.parametrize("name", ["xi", "eta"])
     def test_store_cut_after_opening_refused(self, stored, tmp_path, name):
         import shutil
 
@@ -264,7 +295,7 @@ class TestStreamedReader:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ChainStateError, match=f"the chain store {path} is short"):
             if name == "xi":
-                # one column, a seek and a read per row; the cut takes the last row's last cell
+                # the cut takes the last row's last cell
                 T = opened.shapes["eta"][0]
                 lo, hi = opened.xi_offsets[T]
                 select_series(opened, f"xi[{T},{hi - lo - 1}]")

@@ -382,6 +382,30 @@ class TestBackwardSample:
         assert np.all(np.isfinite(results[0].means_filt))
         assert {"means_filt", "means_pred"} <= set(vars(results[0]))
 
+    def test_transitions_other_than_the_filters_refused(self):
+        # the smoother reads the filter's transitions; the list the filter was
+        # given passes, any other m_seq is refused before a normal is drawn
+        z, s, m_seq, k1, w, v = degenerate_instance()
+        out = kalman_filter(z, s, m_seq, k1, w, v)
+        assert np.array_equal(smoother_means(out, m_seq), smoother_means(out, out.m))
+        draws = [backward_sample(out, m, np.random.default_rng(56)) for m in (m_seq, out.m)]
+        assert np.array_equal(*draws)
+        r = k1.shape[0]
+        others = {
+            "identity": [np.eye(r)] * len(m_seq),
+            "transposed": [m.T for m in m_seq],
+            "one short": m_seq[:-1],
+            "empty": [],
+        }
+        rng = np.random.default_rng(57)
+        state = copy.deepcopy(rng.bit_generator.state)
+        for label, other in others.items():
+            with pytest.raises(ValidationError, match="transitions the filter"):
+                smoother_means(out, other)
+            with pytest.raises(ValidationError, match="transitions the filter"):
+                backward_sample(out, other, rng)
+            assert rng.bit_generator.state == state, label
+
     def test_fixed_seed_bit_identical(self):
         rng = np.random.default_rng(9)
         z, s, m_seq, k1, w, v = random_instance(rng, T=3, r=2, n_per_t=4)

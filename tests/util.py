@@ -62,7 +62,6 @@ def make_design_set(
     drift = rng.normal(size=shape)
     layout = {}
     matrices = {}
-    row_lookup = {}
     for t in range(1, design.T + 1):
         rows = []
         for ell in design.active_variables(t):
@@ -72,9 +71,8 @@ def make_design_set(
         theta = 0.5 * t / design.T if time_varying else 0.0
         for pos, (ell, u) in enumerate(rows):
             x[pos, 1:] = np.cos(theta) * base[ell - 1, u] + np.sin(theta) * drift[ell - 1, u]
-            row_lookup[(ell, t, graph.units[u])] = pos
         matrices[t] = x
-    return DesignSet(design, graph, layout, matrices, row_lookup)
+    return DesignSet(design, graph, layout, matrices)
 
 
 def gapped_two_variable_design(n_units: int, r: int, seed: int = 0) -> DesignSet:
@@ -89,7 +87,7 @@ def gapped_two_variable_design(n_units: int, r: int, seed: int = 0) -> DesignSet
     design = StudyDesign(2, ((1, 2), (1, 2)), 3, r)
     rng = np.random.default_rng(seed + 1)
     dropped = set(rng.choice(n_units - 1, size=n_units // 10, replace=False).tolist())
-    layout, matrices, row_lookup = {}, {}, {}
+    layout, matrices = {}, {}
     for t in (1, 2):
         rows = [
             (ell, u)
@@ -99,9 +97,7 @@ def gapped_two_variable_design(n_units: int, r: int, seed: int = 0) -> DesignSet
         ]
         layout[t] = tuple(rows)
         matrices[t] = np.hstack([np.ones((len(rows), 1)), rng.normal(size=(len(rows), 2))])
-        for pos, (ell, u) in enumerate(rows):
-            row_lookup[(ell, t, graph.units[u])] = pos
-    return DesignSet(design, graph, layout, matrices, row_lookup)
+    return DesignSet(design, graph, layout, matrices)
 
 
 def mi_operator(x: np.ndarray, a: np.ndarray) -> np.ndarray:
