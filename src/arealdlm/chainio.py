@@ -41,12 +41,12 @@ S_t and its eigenvalues), with a ``format_version`` and the digests of the
 inputs they were built from. Each per-t array is one flat, time-major member
 whose rows ``offsets`` splits by t (the eigenvalues are one row per t), so
 the archive has the same members whatever T is. Each chain directory gets
-``observations.npz``: the ``AlignedData`` it was fitted to (``obs_idx``,
-``z`` and ``v``), flat and time-major, split by the manifest's
-``xi_offsets``. ``predict`` and ``rls`` read these two files instead of
-parsing the input CSVs again or solving the eigenproblems again. Both are
-written once, under a temporary name and renamed; an archive of another
-format version is refused.
+``observations.npz``: the ``AlignedData`` it was fitted to, whose flat,
+time-major ``obs_idx``, ``z`` and ``v`` are stored as they are; the
+manifest's ``xi_offsets`` are their row ranges by t. ``predict`` and
+``rls`` read these two files instead of parsing the input CSVs again or
+solving the eigenproblems again. Both are written once, under a temporary
+name and renamed; an archive of another format version is refused.
 
 ``write_json`` and ``write_csv`` write every other file a command emits;
 ``write_rows`` writes every CSV line, the chain exports' header rows
@@ -422,7 +422,7 @@ def _open_store(directory: Path, manifest: dict) -> StoredChain:
     """The chain of ``directory`` whose manifest is ``manifest``, its stores' headers checked."""
     try:
         T, r, p = manifest["T"], manifest["r"], manifest["p"]
-        xi_offsets = {int(t): tuple(v) for t, v in manifest["xi_offsets"].items()}
+        xi_offsets = dict(sorted((int(t), tuple(v)) for t, v in manifest["xi_offsets"].items()))
         run = {k: manifest[k] for k in ("seed", "iterations", "burn_in", "thin")}
         num_draws = _kept_draws(run["iterations"], run["burn_in"], run["thin"])
         stored = int(manifest["stored_draws"])
@@ -579,18 +579,14 @@ def read_structures(path: str | Path) -> StoredStructures:
 
 
 def write_observations(directory: str | Path, aligned: AlignedData) -> None:
-    """Store the observations a chain is fitted to in its directory: ``obs_idx``, ``z`` and
-    ``v``, each flat and time-major."""
-    times = sorted(aligned.obs_idx)
-    _write_archive(Path(directory) / OBSERVATIONS_FILE, {
-        "obs_idx": [aligned.obs_idx[t] for t in times],
-        "z": [aligned.z[t] for t in times],
-        "v": [aligned.v[t] for t in times],
-    })
+    """Store the observations a chain is fitted to in its directory: the flat, time-major
+    ``obs_idx``, ``z`` and ``v`` of ``aligned``."""
+    _write_archive(Path(directory) / OBSERVATIONS_FILE,
+                   {"obs_idx": aligned.obs_idx, "z": aligned.z, "v": aligned.v})
 
 
 def read_observations(chain: StoredChain) -> AlignedData:
-    """The observations ``chain`` was fitted to, split by t at its ``xi_offsets``.
+    """The observations ``chain`` was fitted to, with its ``xi_offsets`` as their offsets.
 
     A missing or unreadable file, and one that does not hold the manifest's
     ``n`` cells, are each a ChainStateError naming the file.
@@ -608,6 +604,4 @@ def read_observations(chain: StoredChain) -> AlignedData:
                 f"the stored observations {path} do not fit the chain: {name} {got}, "
                 f"where the manifest records n = {n}; run fit again"
             )
-    obs_idx, z, v = ({t: arrays[name][lo:hi] for t, (lo, hi) in sorted(chain.xi_offsets.items())}
-                     for name in names)
-    return AlignedData(obs_idx, z, v)
+    return AlignedData(*(arrays[name] for name in names), offsets=chain.xi_offsets)

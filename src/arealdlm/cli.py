@@ -137,11 +137,11 @@ def cmd_validate(cfg: RunConfig) -> int:
 def cmd_fit(cfg: RunConfig, chains: int = 1, trace: list[str] | None = None) -> int:
     inputs = input_digests(cfg)
     structures = build_structures(cfg)
-    obs, aligned = load_data(cfg, structures)
+    aligned = load_data(cfg, structures)[1]  # only the aligned cells are kept
     traces = {}  # trace file name -> selector, one per parameter
     for selector in trace or []:
         group, t, index, _ = predict.selector_column(
-            selector, cfg.design.T, structures.basis.r, cfg.design.p, aligned.offsets()
+            selector, cfg.design.T, structures.basis.r, cfg.design.p, aligned.offsets
         )
         indices = [str(i) for i in (t, index) if i is not None]
         label = f"{group}[{','.join(indices)}]" if indices else group
@@ -158,7 +158,7 @@ def cmd_fit(cfg: RunConfig, chains: int = 1, trace: list[str] | None = None) -> 
         with chainio.ChainWriter(directory, inputs.record()) as writer:
             chainio.write_observations(directory, aligned)
             chain = gibbs_run(
-                obs,
+                aligned,
                 structures.design_set,
                 structures.basis,
                 structures.prior,
@@ -169,8 +169,9 @@ def cmd_fit(cfg: RunConfig, chains: int = 1, trace: list[str] | None = None) -> 
                 seed=cfg.seed + i,
                 writer=writer,
             )
-        for name, selector in traces.items():
-            rows = enumerate(predict.select_series(chain, selector))
+        series = predict.select_series(chain, list(traces.values()))
+        for (name, selector), column in zip(traces.items(), series.T):
+            rows = enumerate(column)
             chainio.write_csv(directory / f"trace_{name}.csv", ["draw", selector], rows)
         print(f"chain written: {directory} ({chain.num_draws} draws)")
     return EXIT_OK
@@ -285,8 +286,8 @@ def cmd_rls(cfg: RunConfig, chain_dir: str | None, survey_chain_dirs: list[str])
     _, survey1 = surveys[0]
     cells = sorted(
         (ell, t, units[u])
-        for t, rows in survey1.obs_idx.items()
-        for ell, u in (design_set.layout[t][i] for i in rows.tolist())
+        for t, (start, stop) in survey1.offsets.items()
+        for ell, u in (design_set.layout[t][i] for i in survey1.obs_idx[start:stop].tolist())
         if ell == 1
     )
     if not cells:

@@ -340,61 +340,49 @@ class DesignSet:
 
 @dataclass(frozen=True)
 class AlignedData:
-    """Per-time observation vectors aligned to the canonical prediction rows.
+    """The observed cells, flat and time-major, in the canonical prediction-row order.
 
-    ``obs_idx[t]`` indexes the time-t prediction rows that are observed;
-    ``z[t]`` and ``v[t]`` hold the response and its known variance in the
-    same order.
+    ``offsets[t]`` is the row range (start, stop) of time t; in it
+    ``obs_idx`` indexes the observed time-t prediction rows, and ``z`` and
+    ``v`` hold the response and its known variance in the same order.
     """
 
-    obs_idx: dict[int, np.ndarray]
-    z: dict[int, np.ndarray]
-    v: dict[int, np.ndarray]
+    obs_idx: np.ndarray
+    z: np.ndarray
+    v: np.ndarray
+    offsets: dict[int, tuple[int, int]]
 
     def n_t(self, t: int) -> int:
-        return len(self.obs_idx[t])
-
-    def offsets(self) -> dict[int, tuple[int, int]]:
-        """Each time's row range in the flat, time-major vector of observed cells."""
-        out, start = {}, 0
-        for t in sorted(self.obs_idx):
-            out[t] = (start, start + self.n_t(t))
-            start += self.n_t(t)
-        return out
+        start, stop = self.offsets[t]
+        return stop - start
 
 
 def align_observations(design_set: DesignSet, obs_set: ObservationSet) -> AlignedData:
-    """Sort observations into canonical per-time row order of the design.
+    """Sort observations by time, then by their prediction row at that time.
 
     An observation outside the prediction locations, or a second observation
     of one cell, is a ValidationError naming the cell.
     """
-    design = design_set.design
-    by_cell = {}
+    cells = {}  # (t, row at t) -> observation
     for o in obs_set.observations:
         key = (o.variable, o.time, o.unit)
-        if key not in design_set.row_lookup:
+        row = design_set.row_lookup.get(key)
+        if row is None:
             raise ValidationError(
                 f"observation {key} is not a prediction location"
             )
-        if key in by_cell:
+        if (o.time, row) in cells:
             raise ValidationError(f"duplicate observation {key}")
-        by_cell[key] = o
-    obs_idx: dict[int, np.ndarray] = {}
-    z: dict[int, np.ndarray] = {}
-    v: dict[int, np.ndarray] = {}
-    for t in range(1, design.T + 1):
-        idx, zz, vv = [], [], []
-        for pos, (ell, u) in enumerate(design_set.layout[t]):
-            o = by_cell.get((ell, t, design_set.graph.units[u]))
-            if o is not None:
-                idx.append(pos)
-                zz.append(o.z)
-                vv.append(o.v)
-        obs_idx[t] = np.asarray(idx, dtype=int)
-        z[t] = np.asarray(zz)
-        v[t] = np.asarray(vv)
-    return AlignedData(obs_idx, z, v)
+        cells[(o.time, row)] = o
+    order = sorted(cells)
+    T = design_set.design.T
+    bounds = np.searchsorted([t for t, _ in order], np.arange(1, T + 2)).tolist()
+    return AlignedData(
+        obs_idx=np.array([row for _, row in order], dtype=int),
+        z=np.array([cells[cell].z for cell in order], dtype=float),
+        v=np.array([cells[cell].v for cell in order], dtype=float),
+        offsets={t: (bounds[t - 1], bounds[t]) for t in range(1, T + 1)},
+    )
 
 
 def _rank(mat: np.ndarray) -> int:

@@ -4,9 +4,9 @@ Predictions of the latent field are assembled draw by draw from the stored
 chain; the fine-scale term comes from its stored draw at observed cells and
 from its prior at never-observed cells, so uncertainty at unobserved
 locations carries the fine-scale variance floor. ``posterior_y`` and
-``select_series`` read the chain through its ``read`` method, the same for a
-chain in memory (``sampler.PosteriorChain``) and one on disk
-(``chainio.StoredChain``), in one pass of blocks of whole rows
+``select_series`` (every selector at once) read the chain through its
+``read`` method, the same for a chain in memory (``sampler.PosteriorChain``)
+and one on disk (``chainio.StoredChain``), in one pass of blocks of whole rows
 (``_blocks``): at most ``CHUNK_BYTES`` (the budget of ``sampler``,
 which also caps the draws a fit holds between two flushes) of the widest
 row but at least ``MIN_BLOCK_DRAWS`` rows, one read per group and block.
@@ -123,7 +123,7 @@ class _TimeDraws:
         # fine-scale term: stored draw where observed, prior draw elsewhere;
         # column[row] is the row's column in a draw of xi, -1 if unobserved
         column = np.full(design_set.N_t(t), -1)
-        column[aligned.obs_idx[t]] = np.arange(*chain.xi_offsets[t])
+        column[aligned.obs_idx[slice(*aligned.offsets[t])]] = np.arange(*chain.xi_offsets[t])
         cols = column[rows]
         self.observed = cols >= 0
         self.xi_cols = cols[self.observed]
@@ -406,14 +406,20 @@ def selector_column(
     return name, t, None if name == "sigma_xi2" else i, column
 
 
-def select_series(chain: PosteriorChain | StoredChain, selector: str) -> np.ndarray:
-    """Per-draw series of one scalar parameter (selectors as ``selector_column``), taken from
-    the blocks of whole rows of its group that ``_blocks`` gives."""
+def select_series(chain: PosteriorChain | StoredChain, selectors: list[str]) -> np.ndarray:
+    """Per-draw series of scalar parameters (selectors as ``selector_column``), one column per
+    selector, from one pass of the ``_blocks`` of the widest group they name: one ``read``
+    per group and block."""
     T, r = chain.shapes["eta"]
-    name, *_, column = selector_column(selector, T, r, chain.shapes["beta"][1], chain.xi_offsets)
-    series = np.empty(chain.num_draws)
-    for a, b in _blocks(chain.num_draws, math.prod(chain.shapes[name])):
-        series[a:b] = chain.read(name, a, b)[:, column]
+    picks = [selector_column(selector, T, r, chain.shapes["beta"][1], chain.xi_offsets)
+             for selector in selectors]
+    names = dict.fromkeys(name for name, *_ in picks)
+    series = np.empty((chain.num_draws, len(picks)))
+    widest = max((math.prod(chain.shapes[name]) for name in names), default=1)
+    for a, b in _blocks(chain.num_draws, widest):
+        rows = {name: chain.read(name, a, b) for name in names}
+        for i, (name, *_, column) in enumerate(picks):
+            series[a:b, i] = rows[name][:, column]
     return series
 
 

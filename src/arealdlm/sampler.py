@@ -15,9 +15,9 @@ filter matrices, with the factors of K*_1, W*_t and each S_t'V_t^-1 S_t built
 once per chain. Everything else is a (T, r, r) or (T, p, p) stack handled by
 one batched call, such as the conjugate draws. Within a sweep the cell arrays
 are flat over all observed cells, time-major, with one ``(start, stop)`` row
-block per time (the layout of ``PosteriorChain.xi``); ``sample_xi``,
-``sample_beta`` and ``sample_sigma_xi`` take those blocks and draw every time
-in one call, bit for bit the per-time calls in time order.
+block per time (the layout of ``AlignedData`` and ``PosteriorChain.xi``);
+``sample_xi``, ``sample_beta`` and ``sample_sigma_xi`` take those blocks and
+draw every time in one call, bit for bit the per-time calls in time order.
 
 Each observed-cell array is held once (the observed rows of X_t and S_t, z
 and v); V is diagonal, so S'V^-1 y is S'(y / v) per row block. Each constant
@@ -567,7 +567,8 @@ class _Precomputed:
     """Constant pieces reused across every Gibbs iteration.
 
     Cell arrays are flat over all observed cells, time-major, with
-    ``blocks[i]`` the row range of time i (the layout of ``PosteriorChain.xi``).
+    ``blocks[i]`` the row range of time i (the layout of ``AlignedData``, whose
+    ``z`` and ``v`` are used as they are, and of ``PosteriorChain.xi``).
     """
 
     def __init__(
@@ -582,16 +583,15 @@ class _Precomputed:
         self.T = design.T
         self.r = basis.r
         self.p = design.p
-        self.xi_offsets = aligned.offsets()
+        self.xi_offsets = aligned.offsets
         self.blocks = list(self.xi_offsets.values())
-        self.z = np.concatenate([aligned.z[t] for t in self.xi_offsets])
-        self.v = np.concatenate([aligned.v[t] for t in self.xi_offsets])
+        self.z, self.v = aligned.z, aligned.v
         self.n_total = len(self.z)
         # the indices are in range; a checked take copies through a buffer
         self.x = np.empty((self.n_total, self.p))
         self.s = np.empty((self.n_total, self.r))
         for t, (a, b) in self.xi_offsets.items():
-            idx = aligned.obs_idx[t]
+            idx = aligned.obs_idx[a:b]
             np.take(design_set.matrices[t], idx, axis=0, out=self.x[a:b], mode="clip")
             np.take(basis.s[t], idx, axis=0, out=self.s[a:b], mode="clip")
         self.g = np.stack([_gram(self.s[a:b], self.v[a:b]) for a, b in self.blocks])
@@ -668,7 +668,7 @@ def _sweep(
 
 
 def gibbs_run(
-    data: ObservationSet,
+    data: ObservationSet | AlignedData,
     design_set: DesignSet,
     basis: BasisSystem,
     prior: PriorStructure,
@@ -681,6 +681,11 @@ def gibbs_run(
 ):
     """Run one Gibbs chain and return the stored draws.
 
+    ``data`` is an ``ObservationSet``, aligned here, or an ``AlignedData``
+    that ``align_observations`` built on this same ``design_set``: its
+    ``obs_idx`` is not checked again, and an index outside the design would
+    gather a wrong row (``mode="clip"``), not fail.
+
     With no ``writer`` the draws are returned in memory. With a
     ``chainio.ChainWriter``, the rows stored since its last flush are
     appended to disk every ``thin`` x ``_flush_rows`` iterations, so memory
@@ -690,8 +695,9 @@ def gibbs_run(
     wrote) is returned.
     """
     check_run_settings(iterations, burn_in, thin, seed)
-    aligned = align_observations(design_set, data)
-    pre = _Precomputed(design_set, basis, prior, aligned, hyper)
+    if isinstance(data, ObservationSet):
+        data = align_observations(design_set, data)
+    pre = _Precomputed(design_set, basis, prior, data, hyper)
     rng = np.random.default_rng(seed)
     state = _initial_state(pre, rng)
     num_draws = _kept_draws(iterations, burn_in, thin)

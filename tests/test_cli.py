@@ -109,6 +109,23 @@ class TestValidateAndFit:
             b = (tmp_path / "o2" / "chain0" / f"{name}.csv").read_bytes()
             assert a == b
 
+    def test_fit_aligns_the_observations_once(self, tmp_path, monkeypatch):
+        # load_data aligns them; every chain's gibbs_run takes that AlignedData
+        from arealdlm import data, pipeline, sampler
+
+        cfg = write_project(tmp_path, iterations=40, burn_in=10)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return data.align_observations(*args)
+
+        for module in (pipeline, sampler):
+            monkeypatch.setattr(module, "align_observations", counted)
+        assert main(["fit", "--config", str(cfg), "--chains", "2"]) == 0
+        assert len(calls) == 1
+
     def test_multiple_chains_derived_seeds(self, tmp_path):
         cfg = write_project(tmp_path, iterations=40, burn_in=10)
         assert main(["simulate", "--config", str(cfg)]) == 0
@@ -284,11 +301,21 @@ class TestExitCodes:
             ("fit", ("", ""), ["--trace", "gamma[1]"], "'gamma[1]'"),
             # one past the 8 cells observed at t=1
             ("fit", ("", ""), ["--trace", "xi[1,8]"], "'xi[1,8]'"),
+            ("fit", ("", ""), ["--chains", "0"], "--chains must be >= 1"),
+            ("fit", ("[model]\n", "[model]\npooled = maybe\n"), [],
+             "[model] pooled: bad value 'maybe'"),
+            ("fit", ("[truth]", "[transforms]\nvariable_2 = logit\n\n[truth]"), [],
+             "[transforms] variable_2: no such variable"),
+            ("simulate", ("v = 0.02", "v = 0.02, 0.03"), [], "[truth] v needs 1 or 1 values"),
+            ("simulate", ("seed = 9", "seed = 9\nmissing_units = nowhere"), [],
+             "[truth] missing_units: unknown unit 'nowhere'"),
         ],
         ids=["burn-in", "seed", "seed-flag", "truth-seed", "truth-missing-seed",
              "truth-v-negative", "truth-v-nan", "truth-sigma-xi2-nan", "truth-sigma-k2-negative",
              "truth-missing-fraction",
-             "trace-time", "trace-syntax", "trace-observed-cell"],
+             "trace-time", "trace-syntax", "trace-observed-cell",
+             "chains-zero", "pooled-not-bool", "transform-no-variable", "truth-v-two-values",
+             "truth-missing-unit-unknown"],
     )
     def test_bad_run_setting_exits_3_and_writes_nothing(self, tmp_path, capsys, command, edit,
                                                        extra, says):
@@ -374,6 +401,32 @@ class TestChainExport:
         lines = (chain_dir / "trace_eta_1_0.csv").read_text().splitlines()
         assert lines[0] == 'draw,"eta[1,0]"' and len(lines) == 1 + 60
         assert (chain_dir / "trace_sigma_xi2_2.csv").read_text().startswith("draw,sigma_xi2[2]\n")
+
+    def test_traces_of_a_chain_read_the_store_in_one_pass(self, tmp_path, monkeypatch):
+        # two xi traces and a sigma_k2 trace: one read per group and block
+        from arealdlm.chainio import StoredChain
+
+        cfg = write_project(tmp_path)
+        assert main(["simulate", "--config", str(cfg)]) == 0
+        reads = []
+        original = StoredChain.read
+
+        def counted(self, *args):
+            reads.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(StoredChain, "read", counted)
+        argv = ["fit", "--config", str(cfg)]
+        for selector in ("xi[1,0]", "xi[2,0]", "sigma_k2"):
+            argv += ["--trace", selector]
+        assert main(argv) == 0
+        assert sorted(reads) == [("sigma_k2", 0, 60), ("xi", 0, 60)]
+        chain_dir = tmp_path / "out" / "chain0"
+        xi = np.load(chain_dir / "xi.npy")
+        for name, column in (("xi_1_0", 0), ("xi_2_0", 8)):
+            with (chain_dir / f"trace_{name}.csv").open() as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert [float(value) for _, value in rows] == xi[:, column].tolist()
 
     def test_failing_export_exits_4_naming_the_file(self, tmp_path, capsys):
         cfg = write_project(tmp_path)
@@ -578,10 +631,11 @@ class TestTransformPipeline:
         structures = build_structures(cfg)
         obs, aligned = load_data(cfg, structures)
         raw = [float(line.split(",")[3]) for line in lines[1:9]]
+        assert aligned.offsets[1] == (0, 8)
         for k in range(8):
             w = raw[k]
-            assert aligned.z[1][k] == pytest.approx(math.log(w / (1 - w)))
-            assert aligned.v[1][k] == pytest.approx(0.0004 / (w * (1 - w)) ** 2)
+            assert aligned.z[k] == pytest.approx(math.log(w / (1 - w)))
+            assert aligned.v[k] == pytest.approx(0.0004 / (w * (1 - w)) ** 2)
 
         assert main(["fit", "--config", str(cfg_path)]) == 0
         assert main(["predict", "--config", str(cfg_path)]) == 0

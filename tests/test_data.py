@@ -381,9 +381,10 @@ class TestAlignment:
         obs = load_observations(obs_file, design, design_set=ds)
         aligned = align_observations(ds, obs)
         # canonical order is first-seen unit order: b (index 0), then c (index 2)
-        assert aligned.obs_idx[1].tolist() == [0, 2]
-        assert aligned.z[1].tolist() == [1.0, 3.0]
-        assert aligned.v[1].tolist() == [0.2, 0.1]
+        assert aligned.offsets == {1: (0, 2)}
+        assert aligned.obs_idx.tolist() == [0, 2]
+        assert aligned.z.tolist() == [1.0, 3.0]
+        assert aligned.v.tolist() == [0.2, 0.1]
 
     def test_duplicate_cell_in_code_built_observations_refused(self, tmp_path):
         # load_observations refuses a second observation of one cell; a set
@@ -395,7 +396,15 @@ class TestAlignment:
         write_lines(edges, "unit_a,unit_b", ["a,b", "b,c", "c,d", "d,a"])
         design = StudyDesign(1, ((1, 1),), 1, 1)
         ds = assemble_design(cov, design, edges)
-        obs = ObservationSet(design, (Observation(1, 1, "a", 1.0, 0.1),
-                                      Observation(1, 1, "a", 2.0, 0.1)))
-        with pytest.raises(ValidationError, match=r"duplicate observation \(1, 1, 'a'\)"):
-            align_observations(ds, obs)
+        # a cell outside the prediction locations is refused too: an unknown unit, a
+        # time past T
+        for second, says in (
+            (Observation(1, 1, "a", 2.0, 0.1), r"duplicate observation \(1, 1, 'a'\)"),
+            (Observation(1, 1, "e", 2.0, 0.1),
+             r"observation \(1, 1, 'e'\) is not a prediction location"),
+            (Observation(1, 2, "a", 2.0, 0.1),
+             r"observation \(1, 2, 'a'\) is not a prediction location"),
+        ):
+            obs = ObservationSet(design, (Observation(1, 1, "a", 1.0, 0.1), second))
+            with pytest.raises(ValidationError, match=says):
+                align_observations(ds, obs)

@@ -55,7 +55,7 @@ def oracle_draws(chain, design_set, basis, aligned, seed):
     for t in range(1, design_set.design.T + 1):
         y = chain.beta[:, t - 1] @ design_set.matrices[t].T + chain.eta[:, t - 1] @ basis.s[t].T
         lo, hi = chain.xi_offsets[t]
-        observed = aligned.obs_idx[t]
+        observed = aligned.obs_idx[slice(*aligned.offsets[t])]
         y[:, observed] += chain.xi[:, lo:hi]
         unobserved = np.setdiff1d(np.arange(design_set.N_t(t)), observed)
         if len(unobserved):
@@ -281,7 +281,7 @@ class TestStreamedReader:
 
         monkeypatch.setattr(StoredChain, "read", counted)
         for source in (chain, opened):
-            assert np.array_equal(select_series(source, selector), want)
+            assert np.array_equal(select_series(source, [selector])[:, 0], want)
         assert reads == [(name, a, min(a + step, J)) for a in range(0, J, step)]
 
     @pytest.mark.parametrize("name", ["xi", "eta"])
@@ -298,7 +298,7 @@ class TestStreamedReader:
                 # the cut takes the last row's last cell
                 T = opened.shapes["eta"][0]
                 lo, hi = opened.xi_offsets[T]
-                select_series(opened, f"xi[{T},{hi - lo - 1}]")
+                select_series(opened, [f"xi[{T},{hi - lo - 1}]"])
             else:
                 posterior_y(opened, design_set, basis, aligned)
 
@@ -440,22 +440,22 @@ class TestTraceSummary:
     def test_unknown_selector(self):
         chain = constant_chain(0.0, T=2, r=1, p=1, n=4)
         with pytest.raises(ValidationError, match="unknown parameter selector"):
-            select_series(chain, "gamma[1]")
+            select_series(chain, ["gamma[1]"])
         for selector in ("eta[5,0]", "eta[0,0]", "sigma_xi2[0]", "beta[1,1]", "xi[2,2]"):
             with pytest.raises(ValidationError, match="out of range"):
-                select_series(chain, selector)
+                select_series(chain, [selector])
 
     def test_selectors_address_expected_values(self):
         chain = constant_chain(1.0, T=2, r=2, p=1, n=4)
         chain.eta[:, 1, 1] = 9.0
-        assert np.all(select_series(chain, "eta[2,1]") == 9.0)
+        assert np.all(select_series(chain, ["eta[2,1]"])[:, 0] == 9.0)
         chain.xi[:, chain.xi_offsets[2][0]] = 4.0
-        assert np.all(select_series(chain, "xi[2,0]") == 4.0)
+        assert np.all(select_series(chain, ["xi[2,0]"])[:, 0] == 4.0)
         chain.sigma_xi2[:, 1] = 3.0
-        assert np.all(select_series(chain, "sigma_xi2[2]") == 3.0)
+        assert np.all(select_series(chain, ["sigma_xi2[2]"])[:, 0] == 3.0)
         chain.beta[:, 1, 0] = 5.0
-        assert np.all(select_series(chain, "beta[2, 0]") == 5.0)
-        assert np.all(select_series(chain, "sigma_k2") == 1.0)
+        assert np.all(select_series(chain, ["beta[2, 0]"])[:, 0] == 5.0)
+        assert np.all(select_series(chain, ["sigma_k2"])[:, 0] == 1.0)
 
 
 class TestFusedCoverageDirection:

@@ -623,11 +623,12 @@ class TestGibbsRun:
         )
         aligned = align_observations(design_set, truth.observations)
         for t in range(1, 4):
-            idx = aligned.obs_idx[t]
+            cells = slice(*aligned.offsets[t])
+            idx = aligned.obs_idx[cells]
             x = design_set.matrices[t][idx]
             s = basis.s[t][idx]
             smooth = chain.beta[:, t - 1, :] @ x.T + chain.eta[:, t - 1, :] @ s.T
-            assert np.max(np.abs(smooth.mean(axis=0) - aligned.z[t])) < 1e-3
+            assert np.max(np.abs(smooth.mean(axis=0) - aligned.z[cells])) < 1e-3
 
     def test_first_draw_replays_public_conditionals(self):
         # the sweep is the public conditionals: iteration 0 replayed through
@@ -650,11 +651,12 @@ class TestGibbsRun:
         aligned = align_observations(design_set, truth.observations)
         assert aligned.n_t(2) == 0
         T, r, p = 3, 2, 2
-        idx = [aligned.obs_idx[t] for t in range(1, T + 1)]
+        cells = [slice(*aligned.offsets[t]) for t in range(1, T + 1)]
+        idx = [aligned.obs_idx[c] for c in cells]
         x = [design_set.matrices[t][idx[t - 1]] for t in range(1, T + 1)]
         s = [basis.s[t][idx[t - 1]] for t in range(1, T + 1)]
-        z = [aligned.z[t] for t in range(1, T + 1)]
-        v = [aligned.v[t] for t in range(1, T + 1)]
+        z = [aligned.z[c] for c in cells]
+        v = [aligned.v[c] for c in cells]
         m_seq = [np.eye(r) for _ in range(T - 1)]
         k1 = prior.k_star[1]
         w = [prior.w_star[t] for t in range(2, T + 1)]
